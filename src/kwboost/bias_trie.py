@@ -1,18 +1,22 @@
-"""Word-level trie over spoken-form keyword variants.
+"""Keyword boost weights and the LM-gated unigram boost set.
 
 The decoder consults the trie in two ways: the unigram set answers
 "does committing this word deserve a partial boost" (gated so common
-words are never boosted), and full-path matching finds complete
-variant occurrences for the finalization boost and for match reports.
+words are never boosted), and full-variant matching finds complete
+keyword occurrences for the finalization boost and for match reports.
+Matching is the mapping's own walk, so it always agrees with inverse
+normalization; the trie adds each owning entry's effective weight.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
+from .errors import ConfigError
 from .lm import NEG_INF, NGramLM
-from .norm import NormalizationMapping
+from .norm import KeywordEntry, NormalizationMapping
 
 
 @dataclass(frozen=True)
@@ -25,29 +29,20 @@ class KeywordMatch:
     weight: float  # owning entry's effective boost weight
 
 
-@dataclass
-class _Node:
-    children: dict[str, "_Node"] = field(default_factory=dict)
-    # Terminal payload: (owning raw, effective weight, variant length).
-    terminal: tuple[str, float, int] | None = None
-
-
 class BiasTrie:
-    """Variant paths with weights, plus the gated unigram boost set."""
+    """Variant matches with weights, plus the gated unigram boost set."""
 
-    def __init__(self, rarity_threshold: float, default_weight: float):
-        self.root = _Node()
-        self.rarity_threshold = rarity_threshold
+    def __init__(self, mapping: NormalizationMapping, default_weight: float):
+        self.mapping = mapping
         self.default_weight = default_weight
         self.unigram_weights: dict[str, float] = {}
-        self.num_variants = 0
 
-    def _insert(self, variant: Sequence[str], raw: str, weight: float) -> None:
-        node = self.root
-        for word in variant:
-            node = node.children.setdefault(word, _Node())
-        node.terminal = (raw, weight, len(variant))
-        self.num_variants += 1
+    @property
+    def num_variants(self) -> int:
+        return len(self.mapping.reverse)
+
+    def _weight(self, entry: KeywordEntry) -> float:
+        return entry.weight if entry.weight is not None else self.default_weight
 
     def unigram_weight(self, word: str) -> float | None:
         """Boost weight for one committed word, or None when not boosted."""
@@ -55,41 +50,27 @@ class BiasTrie:
 
     def find_matches(self, words: Sequence[str]) -> list[KeywordMatch]:
         """Leftmost-longest non-overlapping full variant matches."""
-        matches: list[KeywordMatch] = []
-        i = 0
-        n = len(words)
-        while i < n:
-            node = self.root
-            best: tuple[str, float, int] | None = None
-            j = i
-            while j < n:
-                node = node.children.get(words[j])
-                if node is None:
-                    break
-                j += 1
-                if node.terminal is not None:
-                    best = node.terminal
-            if best is not None:
-                raw, weight, length = best
-                matches.append(KeywordMatch(i, i + length, raw, weight))
-                i += length
-            else:
-                i += 1
-        return matches
+        return [
+            KeywordMatch(start, end, entry.raw, self._weight(entry))
+            for start, end, entry in self.mapping.find_spans(words)
+        ]
 
     def dump(self) -> str:
-        """Deterministic text form, one line per variant path."""
-        lines: list[str] = []
+        """Deterministic text form, one line per variant in sorted order."""
+        reverse = self.mapping.reverse
+        return "".join(
+            f"{' '.join(variant)}\t{reverse[variant].raw}\t"
+            f"{self._weight(reverse[variant])!r}\n"
+            for variant in sorted(reverse)
+        )
 
-        def walk(node: _Node, prefix: tuple[str, ...]) -> None:
-            if node.terminal is not None:
-                raw, weight, _ = node.terminal
-                lines.append(f"{' '.join(prefix)}\t{raw}\t{weight!r}")
-            for word in sorted(node.children):
-                walk(node.children[word], prefix + (word,))
 
-        walk(self.root, ())
-        return "".join(line + "\n" for line in lines)
+def check_boost_settings(default_weight: float, rarity_threshold: float) -> None:
+    """Reject a negative or non-finite weight or a non-finite threshold."""
+    if not 0.0 <= default_weight < math.inf:
+        raise ConfigError(f"boost weight must be finite and >= 0, got {default_weight}")
+    if not math.isfinite(rarity_threshold):
+        raise ConfigError("rarity threshold must be finite")
 
 
 def build_trie(
@@ -104,14 +85,12 @@ def build_trie(
     log10 probability is below ``rarity_threshold``; out-of-vocabulary
     words (probability -inf) always qualify, as does everything when no
     LM is supplied.  When several entries share a word the maximum
-    weight wins.  Variant ownership follows the mapping's reverse index
-    so the trie and inverse normalization never disagree.
+    weight wins.  Entries without a list weight use ``default_weight``.
     """
-    trie = BiasTrie(rarity_threshold, default_weight)
+    check_boost_settings(default_weight, rarity_threshold)
+    trie = BiasTrie(mapping, default_weight)
     for variant in sorted(mapping.reverse):
-        entry = mapping.reverse[variant]
-        weight = entry.weight if entry.weight is not None else default_weight
-        trie._insert(variant, entry.raw, weight)
+        weight = trie._weight(mapping.reverse[variant])
         for word in variant:
             rarity = lm.unigram_log10(word) if lm is not None else NEG_INF
             if rarity < rarity_threshold:

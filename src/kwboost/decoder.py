@@ -108,6 +108,17 @@ class Vocabulary:
         return committed
 
 
+def _check_rows(data: np.ndarray) -> None:
+    """Reject rows that are not normalized log distributions (NaN too)."""
+    if data.shape[0]:
+        sums = np.exp(data.astype(np.float64)).sum(axis=1)
+        worst = float(np.abs(sums - 1.0).max())
+        if not worst <= 1e-3:
+            raise DataFormatError(
+                f"logit rows are not normalized (max deviation {worst:.2e})"
+            )
+
+
 @dataclass
 class LogitMatrix:
     """T x V natural-log token posteriors, one row per frame."""
@@ -121,13 +132,7 @@ class LogitMatrix:
             raise DataFormatError(
                 f"logits must be 2-D (frames x tokens), got shape {self.data.shape}"
             )
-        if self.data.shape[0]:
-            sums = np.exp(self.data.astype(np.float64)).sum(axis=1)
-            worst = float(np.abs(sums - 1.0).max())
-            if worst > 1e-3:
-                raise DataFormatError(
-                    f"logit rows are not normalized (max deviation {worst:.2e})"
-                )
+        _check_rows(self.data)
 
     @property
     def num_frames(self) -> int:
@@ -142,17 +147,14 @@ class LogitMatrix:
 class DecodeConfig:
     """Knobs for one decoding run.
 
-    boost_weight is the default keyword weight (natural-log score) used
-    for entries without their own; token_min_logp prunes extension
-    tokens below the floor (about ln 1e-4 by default).
+    token_min_logp prunes extension tokens below the floor (about
+    ln 1e-4 by default).  Boost weights live in the bias trie.
     """
 
     beam_width: int = 50
     lm_weight: float = 0.5
     word_bonus: float = 1.5
     mode: str = "baseline"
-    boost_weight: float = 0.0
-    rarity_threshold: float = -4.0
     token_min_logp: float = -9.21
     flat_final_boost: bool = False
 
@@ -163,10 +165,6 @@ class DecodeConfig:
             raise ConfigError("lm_weight and word_bonus must be finite")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if not self.boost_weight >= 0.0:
-            raise ConfigError(f"boost weight must be >= 0, got {self.boost_weight}")
-        if not math.isfinite(self.rarity_threshold):
-            raise ConfigError("rarity threshold must be finite")
         if math.isnan(self.token_min_logp) or self.token_min_logp > 0:
             raise ConfigError("token_min_logp must be <= 0 (or -inf to disable)")
 
@@ -384,12 +382,15 @@ class DecoderSession:
         """Consume a chunk of frames and return the streaming partial."""
         if self._result is not None:
             raise ConfigError("session already finalized")
-        data = chunk.data if isinstance(chunk, LogitMatrix) else np.asarray(chunk)
+        checked = isinstance(chunk, LogitMatrix)
+        data = chunk.data if checked else np.asarray(chunk)
         if data.ndim != 2 or data.shape[1] != self.vocab.size:
             raise DataFormatError(
                 f"chunk shape {data.shape} does not match vocabulary size "
                 f"{self.vocab.size}"
             )
+        if not checked:
+            _check_rows(data)
         for row in data:
             self._step(row)
         best = min(self.beams, key=_rank_key)

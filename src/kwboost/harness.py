@@ -15,9 +15,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .bias_trie import BiasTrie, build_trie
+from .bias_trie import BiasTrie, build_trie, check_boost_settings
 from .dataio import (
-    ManifestEntry,
     read_logits,
     read_manifest,
     read_transcripts,
@@ -27,6 +26,7 @@ from .decoder import DecodeConfig, LogitMatrix, Vocabulary, decode
 from .errors import ConfigError, DataFormatError, NormalizationError
 from .lm import NGramLM, load_arpa
 from .norm import (
+    ItnSpan,
     KeywordEntry,
     NormalizationMapping,
     _assemble_mapping,
@@ -44,9 +44,9 @@ from .scoring import ScoreReport, biased_wer
 class RunConfig:
     """One decode run over a manifest.
 
-    Boost parameters mirror DecodeConfig; ``boost_weight`` doubles as
-    the default weight when building the bias trie from the keyword
-    list (entries with an explicit list weight keep it).
+    The decoder knobs become a DecodeConfig through ``decode_config``.
+    ``boost_weight`` and ``rarity_threshold`` go to ``build_trie``:
+    the weight is the default for entries without a list weight.
     """
 
     manifest: Path
@@ -76,6 +76,7 @@ class RunConfig:
         for path in (self.manifest, self.vocab, self.lm, self.keywords, self.exceptions):
             if path is not None and not path.exists():
                 raise ConfigError(f"input file not found: {path}")
+        check_boost_settings(self.boost_weight, self.rarity_threshold)
 
     def decode_config(self) -> DecodeConfig:
         return DecodeConfig(
@@ -83,8 +84,6 @@ class RunConfig:
             lm_weight=self.lm_weight,
             word_bonus=self.word_bonus,
             mode=self.mode,
-            boost_weight=self.boost_weight,
-            rarity_threshold=self.rarity_threshold,
             token_min_logp=self.token_min_logp,
             flat_final_boost=self.flat_final_boost,
         )
@@ -123,17 +122,14 @@ class DecodeSummary:
     failed: int
 
 
-def _decode_entry(
-    entry: ManifestEntry, resources: LoadedResources, config: DecodeConfig
-) -> dict:
-    matrix = read_logits(entry.logits_path)
+def _transcribe(
+    matrix: LogitMatrix, resources: LoadedResources, config: DecodeConfig
+) -> tuple[str, list[ItnSpan]]:
+    """Decode one utterance and map its best words to written form."""
     result = decode(matrix, resources.vocab, config, lm=resources.lm, trie=resources.trie)
-    if resources.mapping is not None:
-        text, spans = inverse_normalize(result.words, resources.mapping)
-        matches = [{"raw": s.raw, "start": s.start, "end": s.end} for s in spans]
-    else:
-        text, matches = result.text, []
-    return {"id": entry.utt_id, "text": text, "matches": matches}
+    if resources.mapping is None:
+        return result.text, []
+    return inverse_normalize(result.words, resources.mapping)
 
 
 def run_decode(cfg: RunConfig) -> DecodeSummary:
@@ -149,7 +145,9 @@ def run_decode(cfg: RunConfig) -> DecodeSummary:
     lines: list[str] = []
     for entry in entries:
         try:
-            record = _decode_entry(entry, resources, config)
+            text, spans = _transcribe(read_logits(entry.logits_path), resources, config)
+            matches = [{"raw": s.raw, "start": s.start, "end": s.end} for s in spans]
+            record = {"id": entry.utt_id, "text": text, "matches": matches}
             decoded += 1
         except (DataFormatError, OSError) as exc:
             record = {"id": entry.utt_id, "error": str(exc)}
@@ -293,16 +291,10 @@ class GridSearchResult:
         )
 
 
-@dataclass
-class _DevSet:
-    corpus: list[tuple[str, LogitMatrix, str]]
-    vocab: Vocabulary
-    lm: NGramLM | None
-    mapping: NormalizationMapping
-    terms: list[str]
+_DevCorpus = list[tuple[str, LogitMatrix, str]]  # (id, logits, reference)
 
 
-def _load_dev_set(cfg: RunConfig) -> _DevSet:
+def _load_dev_set(cfg: RunConfig) -> tuple[LoadedResources, _DevCorpus]:
     resources = load_resources(cfg)
     if resources.mapping is None:
         raise ConfigError("tuning requires a keyword list")
@@ -313,26 +305,26 @@ def _load_dev_set(cfg: RunConfig) -> _DevSet:
         (entry.utt_id, read_logits(entry.logits_path), entry.reference)
         for entry in entries
     ]
-    terms = [entry.raw for entry in resources.mapping.entries]
-    return _DevSet(corpus, resources.vocab, resources.lm, resources.mapping, terms)
+    return resources, corpus
 
 
 def _evaluate(
-    dev: _DevSet, cfg: RunConfig, mapping: NormalizationMapping, weight: float
+    cfg: RunConfig, resources: LoadedResources, corpus: _DevCorpus, weight: float
 ) -> GridPoint:
-    config = replace(cfg.decode_config(), boost_weight=weight)
+    """Score the corpus with a trie built from ``resources.mapping``."""
     trie = build_trie(
-        mapping,
-        lm=dev.lm,
+        resources.mapping,
+        lm=resources.lm,
         rarity_threshold=cfg.rarity_threshold,
         default_weight=weight,
     )
+    trial = replace(resources, trie=trie)
+    config = cfg.decode_config()
     scored = []
-    for utt_id, matrix, reference in dev.corpus:
-        result = decode(matrix, dev.vocab, config, lm=dev.lm, trie=trie)
-        text, _ = inverse_normalize(result.words, mapping)
+    for utt_id, matrix, reference in corpus:
+        text, _ = _transcribe(matrix, trial, config)
         scored.append((utt_id, reference.split(), text.split()))
-    report = biased_wer(scored, dev.terms)
+    report = biased_wer(scored, [entry.raw for entry in resources.mapping.entries])
     return GridPoint(weight, report.wer, report.u_wer, report.b_wer)
 
 
@@ -367,22 +359,20 @@ def grid_search(
     weights = sorted(set(float(w) for w in grid))
     if any(w < 0 for w in weights):
         raise ConfigError("boost weights must be >= 0")
-    dev = _load_dev_set(cfg)
-    points = [_evaluate(dev, cfg, dev.mapping, w) for w in weights]
+    resources, corpus = _load_dev_set(cfg)
+    points = [_evaluate(cfg, resources, corpus, w) for w in weights]
     best = min(points, key=lambda p: _rate_key(p, objective) + (p.weight,))
     result = GridSearchResult(objective, points, best.weight)
     if not per_target:
         return result
 
-    assigned = {entry.raw: best.weight for entry in dev.mapping.entries}
-    for entry in dev.mapping.entries:
+    mapping = resources.mapping
+    assigned = {entry.raw: best.weight for entry in mapping.entries}
+    for entry in mapping.entries:
         candidates = []
         for w in weights:
-            trial = dict(assigned)
-            trial[entry.raw] = w
-            point = _evaluate(
-                dev, cfg, _override_weights(dev.mapping, trial), best.weight
-            )
+            trial = _override_weights(mapping, {**assigned, entry.raw: w})
+            point = _evaluate(cfg, replace(resources, mapping=trial), corpus, best.weight)
             candidates.append((_rate_key(point, objective), w))
         # The sweep includes the current value, so this never worsens.
         _, chosen = min(candidates)
@@ -394,8 +384,12 @@ def grid_search(
 def _override_weights(
     mapping: NormalizationMapping, weights: dict[str, float]
 ) -> NormalizationMapping:
-    entries = [
-        replace(entry, weight=weights.get(entry.raw, entry.weight))
+    """``mapping`` with new entry weights; collisions stay resolved as is."""
+    entries = {
+        entry.raw: replace(entry, weight=weights.get(entry.raw, entry.weight))
         for entry in mapping.entries
-    ]
-    return _assemble_mapping(entries)
+    }
+    reverse = {
+        variant: entries[owner.raw] for variant, owner in mapping.reverse.items()
+    }
+    return NormalizationMapping(list(entries.values()), reverse, mapping.collisions)

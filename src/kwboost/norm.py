@@ -272,6 +272,11 @@ class CollisionRecord:
     losers: tuple[str, ...]
 
 
+# Word-trie nodes map each next word to a child node, and _END to the
+# entry owning the variant that ends there.
+_END = None
+
+
 @dataclass
 class NormalizationMapping:
     """Keyword entries plus the reverse variant -> entry index.
@@ -279,19 +284,46 @@ class NormalizationMapping:
     The reverse index is what inverse normalization and match reporting
     consult, so collisions (two raws sharing a spoken variant) are
     resolved once at build time: lowest priority wins, then the longest
-    raw form, then the lexicographically smallest raw form.
+    raw form, then the lexicographically smallest raw form.  A word
+    trie over ``reverse``, built on construction, backs ``find_spans``.
     """
 
     entries: list[KeywordEntry] = field(default_factory=list)
     reverse: dict[Variant, KeywordEntry] = field(default_factory=dict)
     collisions: list[CollisionRecord] = field(default_factory=list)
+    _trie: dict = field(init=False, repr=False, compare=False)
 
-    @property
-    def max_variant_len(self) -> int:
-        return max((len(v) for v in self.reverse), default=0)
+    def __post_init__(self):
+        self._trie = {}
+        for variant, entry in self.reverse.items():
+            node = self._trie
+            for word in variant:
+                node = node.setdefault(word, {})
+            node[_END] = entry
 
     def lookup(self, words: Sequence[str]) -> KeywordEntry | None:
         return self.reverse.get(tuple(words))
+
+    def find_spans(self, words: Sequence[str]) -> list[tuple[int, int, KeywordEntry]]:
+        """Leftmost-longest non-overlapping variant occurrences.
+
+        Scans left to right taking the longest variant that starts at
+        each position; returns (start, end, owning entry) per match.
+        """
+        spans: list[tuple[int, int, KeywordEntry]] = []
+        i, n = 0, len(words)
+        while i < n:
+            node, j, best = self._trie, i, None
+            while j < n and (node := node.get(words[j])) is not None:
+                j += 1
+                if _END in node:
+                    best = (i, j, node[_END])
+            if best is None:
+                i += 1
+            else:
+                spans.append(best)
+                i = best[1]
+        return spans
 
     def save(self, path: str | Path) -> None:
         save_mapping(self, path)
@@ -373,30 +405,18 @@ def inverse_normalize(
 ) -> tuple[str, list[ItnSpan]]:
     """Map spoken-form words back to written form.
 
-    Scans left to right taking the longest variant match at each
-    position (matches never overlap); matched spans are replaced by the
-    owning entry's raw form and everything else passes through.
+    Spans found by ``mapping.find_spans`` are replaced by the owning
+    entry's raw form and everything else passes through.
     """
-    words = list(words)
     out: list[str] = []
     spans: list[ItnSpan] = []
-    limit = mapping.max_variant_len
     i = 0
-    while i < len(words):
-        entry = None
-        span_len = 0
-        for length in range(min(limit, len(words) - i), 0, -1):
-            entry = mapping.reverse.get(tuple(words[i : i + length]))
-            if entry is not None:
-                span_len = length
-                break
-        if entry is not None:
-            out.append(entry.raw)
-            spans.append(ItnSpan(i, i + span_len, entry.raw))
-            i += span_len
-        else:
-            out.append(words[i])
-            i += 1
+    for start, end, entry in mapping.find_spans(words):
+        out.extend(words[i:start])
+        out.append(entry.raw)
+        spans.append(ItnSpan(start, end, entry.raw))
+        i = end
+    out.extend(words[i:])
     return " ".join(out), spans
 
 

@@ -226,7 +226,7 @@ def test_c5_normalization_unlocks_rare_keyword_recovery(tmp_path):
 
     def run_arm(mapping, mode):
         trie = build_trie(mapping, default_weight=3.0)
-        config = DecodeConfig(word_bonus=0.0, mode=mode, boost_weight=3.0)
+        config = DecodeConfig(word_bonus=0.0, mode=mode)
         recovered = 0
         scored = []
         for entry in entries:

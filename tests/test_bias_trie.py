@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kwboost.bias_trie import KeywordMatch, build_trie
+from kwboost.errors import ConfigError
 from kwboost.lm import load_arpa
-from kwboost.norm import build_mapping
+from kwboost.norm import build_mapping, inverse_normalize
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,20 @@ class TestRarityGate:
         trie = build_trie(mapping, lm=None)
         assert trie.unigram_weights["i"] == 3.0
         assert trie.unigram_weights["o"] == 2.0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(default_weight=-1.0),
+            dict(default_weight=float("nan")),
+            dict(default_weight=float("inf")),
+            dict(rarity_threshold=float("-inf")),
+            dict(rarity_threshold=float("nan")),
+        ],
+    )
+    def test_invalid_settings(self, kwargs):
+        with pytest.raises(ConfigError):
+            build_trie(build_mapping(["AI"]), **kwargs)
 
     def test_unigram_weight_lookup(self):
         trie = build_trie(build_mapping([("AI", 3.0, 0)]))
@@ -156,7 +171,12 @@ class TestAgainstBruteForce:
         variants = [
             (variant, entry.raw, 1.0) for variant, entry in mapping.reverse.items()
         ]
-        assert trie.find_matches(words) == brute_force_matches(variants, words)
+        expected = brute_force_matches(variants, words)
+        assert trie.find_matches(words) == expected
+        _, spans = inverse_normalize(words, mapping)
+        assert [(s.start, s.end, s.raw) for s in spans] == [
+            (m.start, m.end, m.raw) for m in expected
+        ]
 
     def test_dump_stable_under_entry_order(self):
         keywords = ["AI", "C3PO", "356", "IBM", "E9", "A1", "A-1"]

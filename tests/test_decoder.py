@@ -1,6 +1,7 @@
 """Tests for the streaming CTC prefix beam search and its boost modes."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from ctc_oracle import exhaustive_scores, top_two
 from kwboost.bias_trie import KeywordMatch, build_trie
+from kwboost.dataio import read_logits
 from kwboost.decoder import (
     MODES,
     DecodeConfig,
@@ -99,6 +101,16 @@ class TestLogitMatrix:
     def test_empty_is_fine(self):
         assert LogitMatrix(np.zeros((0, 4))).num_frames == 0
 
+    def test_rejects_nan_rows(self, tmp_path):
+        data = np.log(np.full((2, 2), 0.5, dtype=np.float32))
+        data[1, 0] = np.nan
+        with pytest.raises(DataFormatError, match="not normalized"):
+            LogitMatrix(data)
+        path = tmp_path / "nan.ctcl"
+        path.write_bytes(struct.pack("<4sIII", b"CTCL", 1, 2, 2) + data.tobytes())
+        with pytest.raises(DataFormatError, match="not normalized"):
+            read_logits(path)
+
 
 class TestDecodeConfig:
     @pytest.mark.parametrize(
@@ -106,10 +118,8 @@ class TestDecodeConfig:
         [
             dict(beam_width=0),
             dict(mode="turbo"),
-            dict(boost_weight=-1.0),
             dict(lm_weight=float("inf")),
             dict(word_bonus=float("nan")),
-            dict(rarity_threshold=float("-inf")),
             dict(token_min_logp=0.5),
             dict(token_min_logp=float("nan")),
         ],
@@ -136,6 +146,15 @@ class TestSessionBasics:
         session = new_session(letter_vocab("a", "b"), DecodeConfig())
         with pytest.raises(DataFormatError, match="does not match vocabulary"):
             session.push_frames(np.zeros((2, 5)))
+
+    def test_raw_chunks_are_row_checked(self):
+        session = new_session(letter_vocab("a"), exact_config())
+        for bad in (np.zeros((2, 2)), np.full((1, 2), np.nan)):
+            with pytest.raises(DataFormatError, match="not normalized"):
+                session.push_frames(bad)
+        # A rejected chunk leaves the session untouched.
+        session.push_frames(np.log([[0.2, 0.8]]))
+        assert session.finalize().words == ("a",)
 
     def test_push_after_finalize_rejected(self):
         session = new_session(letter_vocab("a"), exact_config())
@@ -263,7 +282,7 @@ class TestRankingAndBeam:
         result = decode(
             softmax_logits(np.random.default_rng(4), 6, 3),
             letter_vocab("a", "b"),
-            exact_config(mode="ngram", boost_weight=1.0, word_bonus=0.7),
+            exact_config(mode="ngram", word_bonus=0.7),
             trie=trie,
         )
         for hyp in result.nbest:
@@ -327,7 +346,7 @@ class TestChunking:
 
 def boosted_run(logits, vocab, keywords, mode, weight, **cfg):
     trie = build_trie(build_mapping(keywords), default_weight=weight)
-    config = exact_config(mode=mode, boost_weight=weight, **cfg)
+    config = exact_config(mode=mode, **cfg)
     return decode(logits, vocab, config, trie=trie)
 
 
@@ -389,9 +408,7 @@ class TestBoostModes:
         partials = []
         for mode in ("default", "ngram"):
             trie = build_trie(build_mapping(["AB"]), default_weight=2.0)
-            session = new_session(
-                vocab, exact_config(mode=mode, boost_weight=2.0), trie=trie
-            )
+            session = new_session(vocab, exact_config(mode=mode), trie=trie)
             partial = session.push_frames(logits)
             partials.append([(h.tokens, h.total) for h in partial.nbest])
         assert partials[0] == partials[1]
@@ -416,9 +433,7 @@ class TestBoostModes:
         baseline = decode(logits, vocab, exact_config())
         table = {"AI MEETING": [["a", "i", "meeting"]]}
         trie = build_trie(build_mapping(["AI MEETING"], table), default_weight=5.0)
-        ngram = decode(
-            logits, vocab, exact_config(mode="ngram", boost_weight=5.0), trie=trie
-        )
+        ngram = decode(logits, vocab, exact_config(mode="ngram"), trie=trie)
         base_totals = {hyp.tokens: hyp.total for hyp in baseline.nbest}
         assert ngram.words == baseline.words
         for hyp in ngram.nbest:
@@ -469,9 +484,7 @@ class TestBoostModes:
             [0.04, 0.01, 0.95],
         )
         trie = build_trie(build_mapping(["AI"]), default_weight=2.0)
-        session = new_session(
-            vocab, exact_config(mode="ngram", boost_weight=2.0), trie=trie
-        )
+        session = new_session(vocab, exact_config(mode="ngram"), trie=trie)
         partial = session.push_frames(logits)
         assert partial.matches == []
         final = session.finalize()

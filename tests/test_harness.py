@@ -11,6 +11,7 @@ from kwboost.fixtures import make_fixtures
 from kwboost.harness import (
     RunConfig,
     grid_search,
+    load_resources,
     prepare_list,
     raw_target_mapping,
     run_decode,
@@ -146,11 +147,35 @@ class TestRunConfig:
         )
         decode_cfg = cfg.decode_config()
         assert decode_cfg.mode == "default"
-        assert decode_cfg.boost_weight == 2.5
         assert decode_cfg.lm_weight == 0.3
         assert decode_cfg.word_bonus == 0.7
         assert decode_cfg.beam_width == 17
         assert decode_cfg.token_min_logp == -5.0
+        # The boost weight reaches the decoder through the trie: the demo
+        # list has no per-entry weights, so every boost is the default.
+        trie = load_resources(cfg).trie
+        assert trie.default_weight == 2.5
+        assert set(trie.unigram_weights.values()) == {2.5}
+        assert {m.weight for m in trie.find_matches(["a", "i"])} == {2.5}
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(boost_weight=-1.0),
+            dict(boost_weight=float("nan")),
+            dict(boost_weight=float("inf")),
+            dict(rarity_threshold=float("-inf")),
+        ],
+    )
+    def test_invalid_boost_settings(self, corpus, tmp_path, kwargs):
+        # Rejected even in baseline mode, where no trie is built.
+        with pytest.raises(ConfigError):
+            RunConfig(
+                manifest=corpus.manifest_path,
+                vocab=corpus.vocab_path,
+                out=tmp_path / "h.jsonl",
+                **kwargs,
+            )
 
 
 class TestRunDecode:
@@ -441,6 +466,20 @@ class TestGridSearch:
         assert [p.b_wer for p in result.grid] == [100.0, 100.0]
         assert result.per_target == {"KQ": 2.0, "vv": 0.0}
 
+    def test_per_target_logs_each_collision_once(self, tune_corpus, tmp_path, caplog):
+        # AI and A.I. both normalize to "a i"; trials reuse the resolved
+        # ownership instead of re-running collision resolution.
+        fixture_set, _ = tune_corpus
+        kw = tmp_path / "keywords.tsv"
+        kw.write_text("QZ\njx\nAI\nA.I.\n", encoding="utf-8")
+        cfg = tune_config(fixture_set, kw, tmp_path)
+        with caplog.at_level("WARNING", logger="kwboost.norm"):
+            result = grid_search(cfg, [0.0, 2.0, 4.0], per_target=True)
+        warnings = [r.getMessage() for r in caplog.records if r.name == "kwboost.norm"]
+        assert len(warnings) == 1
+        assert "variant a i" in warnings[0]
+        assert set(result.per_target) == {"QZ", "jx", "AI", "A.I."}
+
     def test_undefined_b_wer_needs_wer_objective(self, tmp_path):
         fixture_set, kw = build_corpus(
             tmp_path,
@@ -628,6 +667,20 @@ class TestCli:
         )
         assert rc == 2
         assert capsys.readouterr().err.startswith("kwboost: error:")
+
+    def test_negative_boost_weight_exits_2(self, corpus, tmp_path, capsys):
+        rc = main(
+            [
+                "decode",
+                "--manifest", str(corpus.manifest_path),
+                "--vocab", str(corpus.vocab_path),
+                "--out", str(tmp_path / "hyps.jsonl"),
+                "--mode", "baseline",
+                "--boost-weight", "-1",
+            ]
+        )
+        assert rc == 2
+        assert "boost weight" in capsys.readouterr().err
 
     def test_partial_decode_failure_exits_2(self, tmp_path, capsys):
         fixture_set, kw = build_corpus(
