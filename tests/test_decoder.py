@@ -118,8 +118,10 @@ class TestDecodeConfig:
         [
             dict(beam_width=0),
             dict(mode="turbo"),
+            dict(lm_weight=float("nan")),
             dict(lm_weight=float("inf")),
             dict(word_bonus=float("nan")),
+            dict(word_bonus=float("-inf")),
             dict(token_min_logp=0.5),
             dict(token_min_logp=float("nan")),
         ],
