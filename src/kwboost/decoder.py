@@ -1,11 +1,16 @@
 """Streaming CTC prefix beam search with keyword boosting.
 
-Beams are keyed by token prefix and carry the usual blank/non-blank
+Each beam entry is a token prefix with the usual blank/non-blank
 log-probability pair plus additive score components: acoustic mass,
 fused language model score, per-word bonus, and boost terms.  Keeping
 the boost in its own component is what makes the n-gram mode exact:
 partial unigram boosts steer pruning while streaming and are then
 retracted at finalization, where only full keyword matches are paid.
+
+Prefixes are interned as nodes that point to their parent prefix, and
+the frame loop keys beams by (parent node, last token), so one frame
+costs the same however long the prefixes have grown.  Token tuples
+are built only for the n-best lists a result reports.
 
 Boost modes
     baseline  no boosting at all
@@ -21,8 +26,10 @@ scaled by ln(10) when fused.
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass, field, replace
+import weakref
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -235,6 +242,92 @@ def _rank_key(hyp: BeamHypothesis):
     return (-hyp.total, len(words), words, hyp.tokens)
 
 
+class _Node:
+    """One token prefix: its parent prefix and its last token.
+
+    Children are held by weak reference, so a branch that no hypothesis
+    uses any more is freed.  ``child`` still finds a child that some
+    hypothesis keeps alive, so one prefix never gets two live nodes,
+    and ``(id(parent node), token)`` names a prefix uniquely.  Most
+    nodes have one child, held without a dict to save memory.
+    """
+
+    __slots__ = ("parent", "token", "children", "tokens", "__weakref__")
+
+    def __init__(self, parent: _Node | None, token: int | None):
+        self.parent = parent
+        self.token = token
+        # None, a weak reference to the one child, or token -> reference.
+        self.children: weakref.ref | dict[int, weakref.ref] | None = None
+        # The whole token tuple: always on the root, and on the nodes
+        # the session last reported (see DecoderSession._publish).
+        self.tokens: tuple[int, ...] | None = () if parent is None else None
+
+    def child(self, token: int) -> _Node:
+        """The live child for ``token``, made if there is none."""
+        kids = self.children
+        ref = kids.get(token) if type(kids) is dict else kids
+        live = ref() if ref is not None else None
+        if live is not None and live.token == token:
+            return live
+        node = _Node(self, token)
+        if type(kids) is dict:
+            kids[token] = weakref.ref(node)
+        elif live is None:
+            self.children = weakref.ref(node)
+        else:
+            self.children = {live.token: kids, token: weakref.ref(node)}
+        return node
+
+    def path(self) -> tuple[int, ...]:
+        """Tokens from the root, walked up to the nearest node holding them."""
+        walked = []
+        node = self
+        while node.tokens is None:
+            walked.append(node.token)
+            node = node.parent
+        walked.reverse()
+        return node.tokens + tuple(walked)
+
+
+class _Hyp:
+    """A beam entry inside the search; results carry BeamHypothesis copies.
+
+    The prefix is the ``parent`` node plus ``token`` (both None for the
+    empty prefix), so its frontier key is ``(id(parent), token)``.
+    ``node``, the prefix's own node, is made once the prefix extends.
+    """
+
+    __slots__ = (
+        "parent", "token", "node", "log_p_blank", "log_p_nonblank",
+        "committed", "pending", "lm_fused", "word_bonus", "partial_boost",
+    )
+
+    def __init__(self, parent, token, log_p_blank, log_p_nonblank,
+                 committed, pending, lm_fused, word_bonus, partial_boost):
+        self.parent = parent
+        self.token = token
+        self.node = None
+        self.log_p_blank = log_p_blank
+        self.log_p_nonblank = log_p_nonblank
+        self.committed = committed
+        self.pending = pending
+        self.lm_fused = lm_fused
+        self.word_bonus = word_bonus
+        self.partial_boost = partial_boost
+
+    def tokens(self) -> tuple[int, ...]:
+        return () if self.parent is None else self.parent.path() + (self.token,)
+
+    def _tie_key(self):
+        words = self.committed + (self.pending,) if self.pending else self.committed
+        return len(words), words, self.tokens()
+
+    def __lt__(self, other: _Hyp) -> bool:
+        # Reached only on equal totals (see _step): the rest of _rank_key.
+        return self._tie_key() < other._tie_key()
+
+
 class DecoderSession:
     """Incremental decoding state: push frame chunks, then finalize."""
 
@@ -254,14 +347,23 @@ class DecoderSession:
         self._boosting = config.mode != "baseline" and trie is not None
         self._alpha_ln10 = config.lm_weight * LN10
         self._nonblank = [i for i in range(vocab.size) if i != vocab.blank_index]
+        # Per token: does it start a word, and what the pending word
+        # becomes (when it starts one) or gains (when it does not).
+        marker = vocab.boundary_value
+        self._spelling: list[tuple[bool, str]] = []
+        for text in vocab.tokens:
+            if vocab.boundary_kind == "delimiter":
+                starts = text == marker
+                self._spelling.append((starts, "" if starts else text))
+            else:
+                starts = text.startswith(marker)
+                self._spelling.append((starts, text[len(marker):] if starts else text))
         self._trace: list[tuple[tuple[str, ...], float]] = []
         self._result: DecodeResult | None = None
-        self.beams: list[BeamHypothesis] = [
-            BeamHypothesis(
-                tokens=(), log_p_blank=0.0, log_p_nonblank=NEG_INF,
-                committed=(), pending="",
-            )
-        ]
+        self._reported: list[_Node] = []
+        root = _Hyp(None, None, 0.0, NEG_INF, (), "", 0.0, 0.0, 0.0)
+        root.node = _Node(None, None)
+        self.beams: list[_Hyp] = [root]
 
     # -- scoring ----------------------------------------------------------
 
@@ -276,39 +378,26 @@ class DecoderSession:
                 boost = weight
         return lm_delta, self.config.word_bonus, boost
 
-    def _extend(self, parent: BeamHypothesis, token_id: int) -> BeamHypothesis:
-        """New hypothesis for parent + token, with word-commit scoring."""
-        text = self.vocab.tokens[token_id]
+    def _child(self, parent: _Hyp, node: _Node, token_id: int, mass: float) -> _Hyp:
+        """Hypothesis for parent + token holding ``mass``, with word-commit scoring."""
         committed, pending = parent.committed, parent.pending
         lm_fused, word_bonus, partial_boost = (
             parent.lm_fused, parent.word_bonus, parent.partial_boost,
         )
-        if self.vocab.boundary_kind == "delimiter":
-            starts_word = text == self.vocab.boundary_value
+        starts_word, text = self._spelling[token_id]
+        if not starts_word:
+            pending = pending + text
         else:
-            starts_word = text.startswith(self.vocab.boundary_value)
-        if starts_word:
             if pending:
                 dlm, dbonus, dboost = self._commit_deltas(pending, committed)
                 committed = committed + (pending,)
                 lm_fused += dlm
                 word_bonus += dbonus
                 partial_boost += dboost
-            if self.vocab.boundary_kind == "delimiter":
-                pending = ""
-            else:
-                pending = text[len(self.vocab.boundary_value):]
-        else:
-            pending = pending + text
-        return BeamHypothesis(
-            tokens=parent.tokens + (token_id,),
-            log_p_blank=NEG_INF,
-            log_p_nonblank=NEG_INF,
-            committed=committed,
-            pending=pending,
-            lm_fused=lm_fused,
-            word_bonus=word_bonus,
-            partial_boost=partial_boost,
+            pending = text
+        return _Hyp(
+            node, token_id, NEG_INF, mass,
+            committed, pending, lm_fused, word_bonus, partial_boost,
         )
 
     def _flush(self, hyp: BeamHypothesis) -> BeamHypothesis:
@@ -327,54 +416,95 @@ class DecoderSession:
 
     # -- frame updates ------------------------------------------------------
 
-    def _step(self, row: np.ndarray) -> None:
-        blank = self.vocab.blank_index
-        blank_lp = float(row[blank])
+    def _step(self, row: list[float]) -> None:
+        blank_lp = row[self.vocab.blank_index]
         floor = self.config.token_min_logp
-        candidates = []
-        for tid in self._nonblank:
-            logp = float(row[tid])
-            # Tokens below the floor never extend a prefix; blank and
-            # repeat transitions of surviving prefixes are kept as is.
-            if logp == NEG_INF or logp < floor:
-                continue
-            candidates.append((tid, logp))
-        frontier: dict[tuple[int, ...], BeamHypothesis] = {}
-
-        def stay_slot(parent: BeamHypothesis) -> BeamHypothesis:
-            slot = frontier.get(parent.tokens)
-            if slot is None:
-                slot = replace(parent, log_p_blank=NEG_INF, log_p_nonblank=NEG_INF)
-                frontier[parent.tokens] = slot
-            return slot
-
+        # Tokens below the floor never extend a prefix; blank and
+        # repeat transitions of surviving prefixes are kept as is.
+        candidates = [
+            (tid, row[tid])
+            for tid in self._nonblank
+            if row[tid] != NEG_INF and row[tid] >= floor
+        ]
+        frontier: dict[tuple, _Hyp] = {}
+        lookup = frontier.get
+        # Masses reach each slot in the order of a plain loop over
+        # (parent, token), so every sum matches the reference bit for bit.
         for parent in self.beams:
-            acoustic = parent.acoustic
-            slot = stay_slot(parent)
+            p_blank, p_nonblank = parent.log_p_blank, parent.log_p_nonblank
+            acoustic = _log_add(p_blank, p_nonblank)
+            last = parent.token
+            key = (id(parent.parent), last)
+            slot = lookup(key)
+            if slot is None:
+                # Nothing reads the parent's masses after this point,
+                # so the parent becomes its own stay slot.
+                slot = frontier[key] = parent
+                slot.log_p_blank = slot.log_p_nonblank = NEG_INF
             slot.log_p_blank = _log_add(slot.log_p_blank, acoustic + blank_lp)
-            last = parent.tokens[-1] if parent.tokens else None
             if last is not None:
                 slot.log_p_nonblank = _log_add(
-                    slot.log_p_nonblank, parent.log_p_nonblank + float(row[last])
+                    slot.log_p_nonblank, p_nonblank + row[last]
                 )
+            node = parent.node
             for tid, logp in candidates:
-                if tid == last:
-                    mass = parent.log_p_blank + logp
-                else:
-                    mass = acoustic + logp
+                mass = (p_blank if tid == last else acoustic) + logp
                 # A repeat with no blank mass behind it contributes
                 # nothing; creating the child would waste a beam slot.
                 if mass == NEG_INF:
                     continue
-                child_key = parent.tokens + (tid,)
-                child = frontier.get(child_key)
+                if node is None:
+                    node = parent.node = parent.parent.child(last)
+                key = (id(node), tid)
+                child = lookup(key)
                 if child is None:
-                    child = self._extend(parent, tid)
-                    frontier[child_key] = child
-                child.log_p_nonblank = _log_add(child.log_p_nonblank, mass)
+                    frontier[key] = self._child(parent, node, tid, mass)
+                else:
+                    child.log_p_nonblank = _log_add(child.log_p_nonblank, mass)
+        # The order of sorting by _rank_key: higher total first, and
+        # _Hyp.__lt__ settles exact ties.
+        ranked = heapq.nsmallest(
+            self.config.beam_width,
+            [
+                (
+                    -(_log_add(h.log_p_blank, h.log_p_nonblank)
+                      + h.lm_fused + h.word_bonus + h.partial_boost),
+                    h,
+                )
+                for h in frontier.values()
+            ],
+        )
+        self.beams = [hyp for _, hyp in ranked]
 
-        ranked = sorted(frontier.values(), key=_rank_key)
-        self.beams = ranked[: self.config.beam_width]
+    def _publish(self) -> list[BeamHypothesis]:
+        """The beam as public hypotheses, in rank order.
+
+        The parent nodes of the beam keep their token tuples until the
+        next call, so its walks up from the next beam stop within one
+        chunk instead of at the root.
+        """
+        reported = [hyp.parent for hyp in self.beams if hyp.parent is not None]
+        for node in reported:
+            if node.tokens is None:
+                node.tokens = node.path()
+        kept = set(reported)
+        for node in self._reported:
+            if node not in kept:
+                node.tokens = None
+        self._reported = reported
+        return [
+            BeamHypothesis(
+                tokens=hyp.tokens(),
+                log_p_blank=hyp.log_p_blank,
+                log_p_nonblank=hyp.log_p_nonblank,
+                committed=hyp.committed,
+                pending=hyp.pending,
+                lm_fused=hyp.lm_fused,
+                word_bonus=hyp.word_bonus,
+                partial_boost=hyp.partial_boost,
+            )
+            for hyp in self.beams
+        ]
 
     # -- public API ---------------------------------------------------------
 
@@ -392,10 +522,11 @@ class DecoderSession:
         if not checked:
             _check_rows(data)
         for row in data:
-            self._step(row)
-        best = min(self.beams, key=_rank_key)
+            self._step(row.tolist())
+        # The beam is kept in rank order, so the first entry is the best.
+        nbest = self._publish()
+        best = nbest[0]
         self._trace.append((best.words, best.total))
-        nbest = [replace(hyp) for hyp in self.beams]
         return DecodeResult(
             words=best.words,
             nbest=nbest,
@@ -408,7 +539,7 @@ class DecoderSession:
         """Flush pending words, settle boost components, rank the beam."""
         if self._result is not None:
             return self._result
-        finals = [self._flush(hyp) for hyp in self.beams]
+        finals = [self._flush(hyp) for hyp in self._publish()]
         if self.config.mode == "ngram" and self.trie is not None:
             settled = []
             for hyp in finals:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -426,7 +427,8 @@ def inverse_normalize(
 def load_keyword_list(path: str | Path) -> list[tuple[str, float | None, int]]:
     """Read a keyword list file: ``raw<TAB>weight?<TAB>priority?``.
 
-    Blank lines and lines starting with ``#`` are skipped.
+    Blank lines and lines starting with ``#`` are skipped.  A weight
+    must be finite and >= 0, like ``--boost-weight``.
     """
     items: list[tuple[str, float | None, int]] = []
     path = Path(path)
@@ -446,6 +448,10 @@ def load_keyword_list(path: str | Path) -> list[tuple[str, float | None, int]]:
                 priority = int(fields[2])
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+        if weight is not None and not 0.0 <= weight < math.inf:
+            raise DataFormatError(
+                f"{path}:{lineno}: keyword weight must be finite and >= 0, got {weight}"
+            )
         items.append((raw, weight, priority))
     return items
 

@@ -1,14 +1,18 @@
 """Tests for the streaming CTC prefix beam search and its boost modes."""
 
+import gc
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctc_oracle import exhaustive_scores, top_two
+from ref_decoder import RefSession
+from kwboost import decoder
 from kwboost.bias_trie import KeywordMatch, build_trie
 from kwboost.dataio import read_logits
 from kwboost.decoder import (
@@ -314,6 +318,108 @@ class TestRankingAndBeam:
             assert twin.total - hyp.total == pytest.approx(
                 1.5 * len(twin.committed), abs=1e-12
             )
+
+
+# Small vocabularies for both boundary conventions; the blank is not
+# always token 0.  Words spelled from a, b, i (and m) meet the keywords
+# of REF_KEYWORDS, so every boost path runs.
+REF_VOCABS = (
+    Vocabulary(("_", "|", "a", "b", "i"), 0, "delimiter", "|"),
+    Vocabulary(("+a", "_", "+b", "+i", "b", "m"), 1, "prefix", "+"),
+    Vocabulary(("_", "a", "b", "i", "ab"), 0, "prefix", ""),
+)
+REF_KEYWORDS = ["AI", "AB", "B2B", "IBM"]
+
+
+def result_view(result):
+    return (
+        result.words,
+        [
+            (h.tokens, h.words, h.total, h.partial_boost, h.final_boost)
+            for h in result.nbest
+        ],
+        result.matches,
+        result.partials,
+    )
+
+
+class TestAgainstReference:
+    """The session must equal the frozen tuple-keyed search bit for bit.
+
+    Narrow beams prune a parent while its child survives and later
+    re-create the parent, the case where a prefix could get two keys.
+    Small integer probabilities give exact ties and zero-mass tokens.
+    """
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_matches_reference_exactly(self, data, data_dir):
+        vocab = data.draw(st.sampled_from(REF_VOCABS), label="vocab")
+        num_frames = data.draw(st.integers(0, 13), label="frames")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if data.draw(st.booleans(), label="integer probabilities"):
+            probs = rng.integers(0, 4, (num_frames, vocab.size)).astype(np.float64)
+            probs[np.arange(num_frames), rng.integers(0, vocab.size, num_frames)] += 1
+            with np.errstate(divide="ignore"):
+                logits = np.log(probs / probs.sum(axis=1, keepdims=True))
+        else:
+            x = 2.0 * rng.standard_normal((num_frames, vocab.size))
+            logits = x - np.log(np.exp(x).sum(axis=1, keepdims=True))
+        frames = LogitMatrix(logits).data
+        with_lm = data.draw(st.booleans(), label="lm")
+        lm = load_arpa(data_dir / "tiny_bigram.arpa") if with_lm else None
+        config = DecodeConfig(
+            beam_width=data.draw(st.integers(1, 4), label="beam"),
+            lm_weight=0.5 if with_lm else 0.0,
+            word_bonus=data.draw(st.sampled_from([0.0, 0.7]), label="bonus"),
+            mode=data.draw(st.sampled_from(MODES), label="mode"),
+            token_min_logp=data.draw(st.sampled_from([float("-inf"), -2.0])),
+            flat_final_boost=data.draw(st.booleans(), label="flat"),
+        )
+        weight = data.draw(st.sampled_from([0.0, 0.5, 2.0]), label="weight")
+        trie = build_trie(build_mapping(REF_KEYWORDS), default_weight=weight)
+        cuts = data.draw(st.lists(st.integers(0, num_frames), max_size=4), label="cuts")
+        bounds = [0] + sorted(cuts) + [num_frames]
+
+        session = new_session(vocab, config, lm=lm, trie=trie)
+        reference = RefSession(vocab, config, lm=lm, trie=trie)
+        for lo, hi in zip(bounds, bounds[1:]):
+            got = session.push_frames(frames[lo:hi])
+            want = reference.push_frames(frames[lo:hi])
+            assert result_view(got) == result_view(want)
+            assert len(session.beams) == len(reference.beams)
+        assert result_view(session.finalize()) == result_view(reference.finalize())
+
+
+def live_prefix_nodes():
+    return sum(isinstance(obj, decoder._Node) for obj in gc.get_objects())
+
+
+class TestMemory:
+    def test_sessions_and_prefixes_are_freed_without_gc(self):
+        vocab = REF_VOCABS[0]
+        logits = softmax_logits(np.random.default_rng(6), 40, vocab.size)
+        trie = build_trie(build_mapping(REF_KEYWORDS), default_weight=1.0)
+        config = DecodeConfig(beam_width=3, mode="ngram")
+        gc.collect()
+        gc.disable()
+        try:
+            nodes_before = live_prefix_nodes()
+            session = new_session(vocab, config, trie=trie)
+            for start in range(0, 40, 7):
+                session.push_frames(logits.data[start:start + 7])
+            result = session.finalize()
+            assert live_prefix_nodes() > nodes_before
+            alive = weakref.ref(session)
+            del session
+            assert alive() is None
+            decode(logits, vocab, config, trie=trie)
+            del result
+            assert live_prefix_nodes() == nodes_before
+            # Nothing the decoder made sits in a reference cycle.
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestChunking:

@@ -1,6 +1,9 @@
 """Tests for the experiment harness: decode runs, scoring, list prep, tuning."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ from kwboost.harness import (
 from kwboost.norm import load_mapping
 
 DATA = Path(__file__).parent / "data"
+CLI = "import sys; from kwboost.cli import main; sys.exit(main())"
 
 
 def build_corpus(root, records, keywords, seed=0):
@@ -681,6 +685,44 @@ class TestCli:
         )
         assert rc == 2
         assert "boost weight" in capsys.readouterr().err
+
+    def test_decode_output_does_not_depend_on_hash_seed(
+        self, corpus, demo_keywords, tmp_path
+    ):
+        # The decoder keys its beams by object ids and the mapping hashes
+        # strings; neither may leak into the output.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        paths = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        outputs = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"hyps_{seed}.jsonl"
+            args = self.decode_args(
+                corpus, out,
+                "--keywords", str(demo_keywords), "--mode", "ngram",
+                "--boost-weight", "3", "--lm", str(DATA / "tiny_bigram.arpa"),
+            )
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(paths)
+            proc = subprocess.run(
+                [sys.executable, "-c", CLI, *args],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(read_records(out)) == 5
+
+    def test_bad_keyword_list_weight_exits_2(self, corpus, tmp_path, capsys):
+        keywords = tmp_path / "kw.txt"
+        keywords.write_text("AI\t2.0\nIBM\tnan\n", encoding="utf-8")
+        rc = main(
+            self.decode_args(
+                corpus, tmp_path / "hyps.jsonl",
+                "--mode", "ngram", "--keywords", str(keywords),
+            )
+        )
+        assert rc == 2
+        assert f"{keywords}:2: keyword weight" in capsys.readouterr().err
 
     def test_partial_decode_failure_exits_2(self, tmp_path, capsys):
         fixture_set, kw = build_corpus(

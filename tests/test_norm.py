@@ -1,13 +1,16 @@
 """Tests for keyword normalization, the mapping, and inverse normalization."""
 
+import math
 import random
 import string
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kwboost.errors import DataFormatError, NormalizationError
+from kwboost.errors import DataFormatError, NormalizationError, ToolkitError
 from kwboost.norm import (
     VARIANT_CAP,
     ItnSpan,
@@ -310,6 +313,27 @@ class TestFileFormats:
         path.write_text(content, encoding="utf-8")
         with pytest.raises(DataFormatError, match=f":{lineno}:"):
             load_keyword_list(path)
+
+    @pytest.mark.parametrize("weight", ["-3", "nan", "inf"])
+    def test_keyword_list_rejects_bad_weights(self, tmp_path, weight):
+        path = tmp_path / "kw.txt"
+        path.write_text(f"AI\t1.5\nIBM\t{weight}\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=":2: keyword weight"):
+            load_keyword_list(path)
+
+    @given(st.text(st.characters(blacklist_categories=("Cs",))))
+    def test_keyword_list_accepts_or_rejects_any_text(self, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "kw.txt"
+            path.write_text(content, encoding="utf-8")
+            try:
+                items = load_keyword_list(path)
+            except ToolkitError:
+                return
+        assert isinstance(items, list)
+        for raw, weight, priority in items:
+            assert raw and isinstance(priority, int)
+            assert weight is None or 0.0 <= weight < math.inf
 
     def test_load_exceptions(self, data_dir):
         table = load_exceptions(data_dir / "exceptions_demo.tsv")
