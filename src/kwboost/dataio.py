@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .decoder import LogitMatrix, Vocabulary
-from .errors import DataFormatError
+from .errors import DataFormatError, read_text
 
 LOGIT_MAGIC = b"CTCL"
 LOGIT_VERSION = 1
@@ -75,7 +75,7 @@ def read_vocab_file(path: str | Path) -> Vocabulary:
     boundary: tuple[str, str] | None = None
     tokens: list[str] = []
     in_header = True
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if in_header and line.startswith("#"):
             name, _, value = line[1:].partition("=")
             if name == "blank":
@@ -122,7 +122,7 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
     base = path.parent
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         try:
@@ -155,14 +155,14 @@ def read_transcripts(path: str | Path) -> dict[str, dict]:
     """Read a decode output file back as id -> record."""
     path = Path(path)
     records: dict[str, dict] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-        if "id" not in record:
-            raise DataFormatError(f"{path}:{lineno}: record has no id")
+        if not isinstance(record, dict) or "id" not in record:
+            raise DataFormatError(f"{path}:{lineno}: expected an object with an id")
         records[str(record["id"])] = record
     return records

@@ -10,7 +10,10 @@ retracted at finalization, where only full keyword matches are paid.
 Prefixes are interned as nodes that point to their parent prefix, and
 the frame loop keys beams by (parent node, last token), so one frame
 costs the same however long the prefixes have grown.  Token tuples
-are built only for the n-best lists a result reports.
+are built only for the n-best lists a result reports.  Finalization
+commits each pending word, settles the boosts and ranks the beam in
+place, with the same commit routine and ranking as the frame loop, so
+the retraction is exact.
 
 Boost modes
     baseline  no boosting at all
@@ -29,7 +32,8 @@ from __future__ import annotations
 import heapq
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -89,6 +93,21 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.tokens)
 
+    @cached_property
+    def spelling(self) -> tuple[tuple[bool, str], ...]:
+        """Per token: does it start a word, and its text.
+
+        The text is what the pending word becomes when the token starts
+        a word, or what it gains when the token does not.
+        """
+        marker = self.boundary_value
+        if self.boundary_kind == "delimiter":
+            return tuple((t == marker, "" if t == marker else t) for t in self.tokens)
+        return tuple(
+            (True, t[len(marker):]) if t.startswith(marker) else (False, t)
+            for t in self.tokens
+        )
+
     def words(self, token_ids: Sequence[int]) -> list[str]:
         """Detokenize a collapsed token sequence into words."""
         committed: list[str] = []
@@ -96,20 +115,13 @@ class Vocabulary:
         for tid in token_ids:
             if tid == self.blank_index:
                 continue
-            text = self.tokens[tid]
-            if self.boundary_kind == "delimiter":
-                if text == self.boundary_value:
-                    if pending:
-                        committed.append(pending)
-                    pending = ""
-                else:
-                    pending += text
-            elif text.startswith(self.boundary_value):
-                if pending:
-                    committed.append(pending)
-                pending = text[len(self.boundary_value):]
-            else:
+            starts_word, text = self.spelling[tid]
+            if not starts_word:
                 pending += text
+                continue
+            if pending:
+                committed.append(pending)
+            pending = text
         if pending:
             committed.append(pending)
         return committed
@@ -131,7 +143,6 @@ class LogitMatrix:
     """T x V natural-log token posteriors, one row per frame."""
 
     data: np.ndarray
-    frame_duration_s: float | None = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float32)
@@ -235,13 +246,6 @@ class DecodeResult:
         return self.nbest[0].total if self.nbest else 0.0
 
 
-def _rank_key(hyp: BeamHypothesis):
-    words = hyp.words
-    # Higher total first; ties prefer fewer words, then lexicographic
-    # words; the token prefix is a last resort so ordering is total.
-    return (-hyp.total, len(words), words, hyp.tokens)
-
-
 class _Node:
     """One token prefix: its parent prefix and its last token.
 
@@ -301,6 +305,7 @@ class _Hyp:
     __slots__ = (
         "parent", "token", "node", "log_p_blank", "log_p_nonblank",
         "committed", "pending", "lm_fused", "word_bonus", "partial_boost",
+        "final_boost",
     )
 
     def __init__(self, parent, token, log_p_blank, log_p_nonblank,
@@ -315,6 +320,7 @@ class _Hyp:
         self.lm_fused = lm_fused
         self.word_bonus = word_bonus
         self.partial_boost = partial_boost
+        self.final_boost = 0.0
 
     def tokens(self) -> tuple[int, ...]:
         return () if self.parent is None else self.parent.path() + (self.token,)
@@ -324,8 +330,22 @@ class _Hyp:
         return len(words), words, self.tokens()
 
     def __lt__(self, other: _Hyp) -> bool:
-        # Reached only on equal totals (see _step): the rest of _rank_key.
+        # Reached only on equal totals (see _ranked).
         return self._tie_key() < other._tie_key()
+
+
+def _ranked(hyps, width: int) -> list[_Hyp]:
+    """The best ``width`` hypotheses, best first.
+
+    Higher total first; exact ties prefer fewer words, then the words
+    in lexicographic order, then the token prefix, so the order is total.
+    """
+    ranked = heapq.nsmallest(width, [
+        (-(_log_add(h.log_p_blank, h.log_p_nonblank)
+           + h.lm_fused + h.word_bonus + h.partial_boost + h.final_boost), h)
+        for h in hyps
+    ])
+    return [hyp for _, hyp in ranked]
 
 
 class DecoderSession:
@@ -347,17 +367,7 @@ class DecoderSession:
         self._boosting = config.mode != "baseline" and trie is not None
         self._alpha_ln10 = config.lm_weight * LN10
         self._nonblank = [i for i in range(vocab.size) if i != vocab.blank_index]
-        # Per token: does it start a word, and what the pending word
-        # becomes (when it starts one) or gains (when it does not).
-        marker = vocab.boundary_value
-        self._spelling: list[tuple[bool, str]] = []
-        for text in vocab.tokens:
-            if vocab.boundary_kind == "delimiter":
-                starts = text == marker
-                self._spelling.append((starts, "" if starts else text))
-            else:
-                starts = text.startswith(marker)
-                self._spelling.append((starts, text[len(marker):] if starts else text))
+        self._spelling = vocab.spelling
         self._trace: list[tuple[tuple[str, ...], float]] = []
         self._result: DecodeResult | None = None
         self._reported: list[_Node] = []
@@ -367,52 +377,33 @@ class DecoderSession:
 
     # -- scoring ----------------------------------------------------------
 
-    def _commit_deltas(self, word: str, context: tuple[str, ...]):
-        lm_delta = 0.0
+    def _commit(self, hyp: _Hyp) -> None:
+        """Commit the pending word: LM fusion, word bonus, gated unigram boost."""
+        word = hyp.pending
         if self.lm is not None:
-            lm_delta = self._alpha_ln10 * self.lm.log10_cond(word, context)
-        boost = 0.0
+            hyp.lm_fused += self._alpha_ln10 * self.lm.log10_cond(word, hyp.committed)
+        hyp.word_bonus += self.config.word_bonus
         if self._boosting:
             weight = self.trie.unigram_weight(word)
             if weight is not None:
-                boost = weight
-        return lm_delta, self.config.word_bonus, boost
+                hyp.partial_boost += weight
+        hyp.committed += (word,)
+        hyp.pending = ""
 
     def _child(self, parent: _Hyp, node: _Node, token_id: int, mass: float) -> _Hyp:
         """Hypothesis for parent + token holding ``mass``, with word-commit scoring."""
-        committed, pending = parent.committed, parent.pending
-        lm_fused, word_bonus, partial_boost = (
+        child = _Hyp(
+            node, token_id, NEG_INF, mass, parent.committed, parent.pending,
             parent.lm_fused, parent.word_bonus, parent.partial_boost,
         )
         starts_word, text = self._spelling[token_id]
         if not starts_word:
-            pending = pending + text
+            child.pending += text
         else:
-            if pending:
-                dlm, dbonus, dboost = self._commit_deltas(pending, committed)
-                committed = committed + (pending,)
-                lm_fused += dlm
-                word_bonus += dbonus
-                partial_boost += dboost
-            pending = text
-        return _Hyp(
-            node, token_id, NEG_INF, mass,
-            committed, pending, lm_fused, word_bonus, partial_boost,
-        )
-
-    def _flush(self, hyp: BeamHypothesis) -> BeamHypothesis:
-        """Commit the pending partial word at end of stream."""
-        if not hyp.pending:
-            return hyp
-        dlm, dbonus, dboost = self._commit_deltas(hyp.pending, hyp.committed)
-        return replace(
-            hyp,
-            committed=hyp.committed + (hyp.pending,),
-            pending="",
-            lm_fused=hyp.lm_fused + dlm,
-            word_bonus=hyp.word_bonus + dbonus,
-            partial_boost=hyp.partial_boost + dboost,
-        )
+            if child.pending:
+                self._commit(child)
+            child.pending = text
+        return child
 
     # -- frame updates ------------------------------------------------------
 
@@ -461,20 +452,7 @@ class DecoderSession:
                     frontier[key] = self._child(parent, node, tid, mass)
                 else:
                     child.log_p_nonblank = _log_add(child.log_p_nonblank, mass)
-        # The order of sorting by _rank_key: higher total first, and
-        # _Hyp.__lt__ settles exact ties.
-        ranked = heapq.nsmallest(
-            self.config.beam_width,
-            [
-                (
-                    -(_log_add(h.log_p_blank, h.log_p_nonblank)
-                      + h.lm_fused + h.word_bonus + h.partial_boost),
-                    h,
-                )
-                for h in frontier.values()
-            ],
-        )
-        self.beams = [hyp for _, hyp in ranked]
+        self.beams = _ranked(frontier.values(), self.config.beam_width)
 
     def _publish(self) -> list[BeamHypothesis]:
         """The beam as public hypotheses, in rank order.
@@ -502,6 +480,7 @@ class DecoderSession:
                 lm_fused=hyp.lm_fused,
                 word_bonus=hyp.word_bonus,
                 partial_boost=hyp.partial_boost,
+                final_boost=hyp.final_boost,
             )
             for hyp in self.beams
         ]
@@ -536,21 +515,21 @@ class DecoderSession:
         )
 
     def finalize(self) -> DecodeResult:
-        """Flush pending words, settle boost components, rank the beam."""
+        """Commit pending words, settle boost components, rank the beam."""
         if self._result is not None:
             return self._result
-        finals = [self._flush(hyp) for hyp in self._publish()]
-        if self.config.mode == "ngram" and self.trie is not None:
-            settled = []
-            for hyp in finals:
+        for hyp in self.beams:
+            if hyp.pending:
+                self._commit(hyp)
+            if self.config.mode == "ngram":
                 matches = self.trie.find_matches(hyp.committed)
                 if self.config.flat_final_boost:
-                    bonus = sum(m.weight for m in matches)
+                    hyp.final_boost = sum(m.weight for m in matches)
                 else:
-                    bonus = sum(m.weight * (m.end - m.start) for m in matches)
-                settled.append(replace(hyp, partial_boost=0.0, final_boost=bonus))
-            finals = settled
-        finals.sort(key=_rank_key)
+                    hyp.final_boost = sum(m.weight * (m.end - m.start) for m in matches)
+                hyp.partial_boost = 0.0
+        self.beams = _ranked(self.beams, self.config.beam_width)
+        finals = self._publish()
         top = finals[0]
         matches = self.trie.find_matches(top.committed) if self.trie else []
         self._result = DecodeResult(

@@ -1,8 +1,12 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the one text reader.
 
 Everything raised on bad user input derives from ToolkitError so the
 CLI can map it to a data-error exit code in one place.
 """
+
+from __future__ import annotations
+
+from pathlib import Path
 
 
 class ToolkitError(Exception):
@@ -33,3 +37,11 @@ class DataFormatError(ToolkitError):
 
 class ConfigError(ToolkitError):
     """A configuration value violates its documented constraints."""
+
+
+def read_text(path: Path, error: type[ToolkitError] = DataFormatError) -> str:
+    """The UTF-8 text of ``path``; I/O and decoding faults raise ``error``."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: {exc}") from None

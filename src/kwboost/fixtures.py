@@ -22,7 +22,7 @@ import numpy as np
 
 from .dataio import write_logits, write_manifest, write_vocab_file
 from .decoder import LogitMatrix, Vocabulary
-from .errors import DataFormatError
+from .errors import DataFormatError, read_text
 
 BLANK_TOKEN = "<blank>"
 
@@ -62,7 +62,7 @@ def load_fixture_spec(path: str | Path) -> list[UtteranceSpec]:
     """
     path = Path(path)
     specs: list[UtteranceSpec] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         try:

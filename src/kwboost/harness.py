@@ -176,9 +176,10 @@ def run_score(
             raise DataFormatError(
                 f"utterance {entry.utt_id!r} carries a decode error: {record['error']}"
             )
-        corpus.append(
-            (entry.utt_id, entry.reference.split(), str(record["text"]).split())
-        )
+        text = record.get("text")
+        if not isinstance(text, str):
+            raise DataFormatError(f"utterance {entry.utt_id!r} has no text string")
+        corpus.append((entry.utt_id, entry.reference.split(), text.split()))
     if not corpus:
         raise DataFormatError("empty corpus: manifest has no utterances")
     terms = [raw for raw, _, _ in load_keyword_list(keywords)]

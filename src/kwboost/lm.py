@@ -12,7 +12,7 @@ import re
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ArpaError
+from .errors import ArpaError, read_text
 
 NEG_INF = float("-inf")
 
@@ -79,73 +79,72 @@ def load_arpa(path: str | Path, unk_log10: float = -8.0) -> NGramLM:
     saw_data = False
     saw_end = False
 
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line == "\\data\\":
-                saw_data = True
-                continue
-            if line == "\\end\\":
-                saw_end = True
-                break
-            count_match = _COUNT_RE.match(line)
-            if count_match and section is None:
-                if not saw_data:
-                    raise ArpaError("ngram count before \\data\\", str(path), lineno)
-                declared[int(count_match.group(1))] = int(count_match.group(2))
-                continue
-            section_match = _SECTION_RE.match(line)
-            if section_match:
-                if not saw_data:
-                    raise ArpaError("section before \\data\\", str(path), lineno)
-                section = int(section_match.group(1))
-                if section != len(tables) + 1:
-                    raise ArpaError(
-                        f"unexpected \\{section}-grams: section", str(path), lineno
-                    )
-                if section not in declared:
-                    raise ArpaError(
-                        f"\\{section}-grams: has no declared count", str(path), lineno
-                    )
-                tables.append({})
-                continue
-            if section is None:
-                raise ArpaError(f"unexpected line {line!r}", str(path), lineno)
-            fields = line.split()
-            if len(fields) not in (section + 1, section + 2):
+    for lineno, line in enumerate(read_text(path, ArpaError).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        if line == "\\data\\":
+            saw_data = True
+            continue
+        if line == "\\end\\":
+            saw_end = True
+            break
+        count_match = _COUNT_RE.match(line)
+        if count_match and section is None:
+            if not saw_data:
+                raise ArpaError("ngram count before \\data\\", str(path), lineno)
+            declared[int(count_match.group(1))] = int(count_match.group(2))
+            continue
+        section_match = _SECTION_RE.match(line)
+        if section_match:
+            if not saw_data:
+                raise ArpaError("section before \\data\\", str(path), lineno)
+            section = int(section_match.group(1))
+            if section != len(tables) + 1:
                 raise ArpaError(
-                    f"expected {section + 1} or {section + 2} fields, got {len(fields)}",
-                    str(path), lineno,
+                    f"unexpected \\{section}-grams: section", str(path), lineno
                 )
+            if section not in declared:
+                raise ArpaError(
+                    f"\\{section}-grams: has no declared count", str(path), lineno
+                )
+            tables.append({})
+            continue
+        if section is None:
+            raise ArpaError(f"unexpected line {line!r}", str(path), lineno)
+        fields = line.split()
+        if len(fields) not in (section + 1, section + 2):
+            raise ArpaError(
+                f"expected {section + 1} or {section + 2} fields, got {len(fields)}",
+                str(path), lineno,
+            )
+        try:
+            prob = float(fields[0])
+        except ValueError:
+            raise ArpaError(
+                f"bad log10 probability {fields[0]!r}", str(path), lineno
+            ) from None
+        if prob > 0.0:
+            raise ArpaError(
+                f"positive log10 probability {prob}", str(path), lineno
+            )
+        backoff = 0.0
+        if len(fields) == section + 2:
             try:
-                prob = float(fields[0])
+                backoff = float(fields[-1])
             except ValueError:
                 raise ArpaError(
-                    f"bad log10 probability {fields[0]!r}", str(path), lineno
+                    f"bad back-off weight {fields[-1]!r}", str(path), lineno
                 ) from None
-            if prob > 0.0:
-                raise ArpaError(
-                    f"positive log10 probability {prob}", str(path), lineno
-                )
-            backoff = 0.0
-            if len(fields) == section + 2:
-                try:
-                    backoff = float(fields[-1])
-                except ValueError:
-                    raise ArpaError(
-                        f"bad back-off weight {fields[-1]!r}", str(path), lineno
-                    ) from None
-                words = tuple(fields[1:-1])
-            else:
-                words = tuple(fields[1:])
-            if len(words) != section:
-                raise ArpaError(
-                    f"expected a {section}-gram, got {len(words)} words",
-                    str(path), lineno,
-                )
-            tables[-1][words] = (prob, backoff)
+            words = tuple(fields[1:-1])
+        else:
+            words = tuple(fields[1:])
+        if len(words) != section:
+            raise ArpaError(
+                f"expected a {section}-gram, got {len(words)} words",
+                str(path), lineno,
+            )
+        tables[-1][words] = (prob, backoff)
 
     if not saw_data:
         raise ArpaError("missing \\data\\ header", str(path))

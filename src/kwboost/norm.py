@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DataFormatError, NormalizationError
+from .errors import DataFormatError, NormalizationError, read_text
 
 logger = logging.getLogger(__name__)
 
@@ -432,7 +432,7 @@ def load_keyword_list(path: str | Path) -> list[tuple[str, float | None, int]]:
     """
     items: list[tuple[str, float | None, int]] = []
     path = Path(path)
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
@@ -465,7 +465,7 @@ def load_exceptions(path: str | Path) -> dict[str, list[list[str]]]:
     """
     table: dict[str, list[list[str]]] = {}
     path = Path(path)
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
@@ -496,7 +496,7 @@ def load_mapping(path: str | Path) -> NormalizationMapping:
     order: list[str] = []
     variants: dict[str, list[Variant]] = {}
     meta: dict[str, tuple[float | None, int]] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         fields = line.split("\t")

@@ -1,5 +1,6 @@
 """Tests for the streaming CTC prefix beam search and its boost modes."""
 
+import copy
 import gc
 import math
 import struct
@@ -383,12 +384,18 @@ class TestAgainstReference:
 
         session = new_session(vocab, config, lm=lm, trie=trie)
         reference = RefSession(vocab, config, lm=lm, trie=trie)
+        published = []
         for lo, hi in zip(bounds, bounds[1:]):
             got = session.push_frames(frames[lo:hi])
             want = reference.push_frames(frames[lo:hi])
             assert result_view(got) == result_view(want)
             assert len(session.beams) == len(reference.beams)
+            published.append((got, copy.deepcopy(got)))
         assert result_view(session.finalize()) == result_view(reference.finalize())
+        # Finalize settles the search's own hypotheses in place; results
+        # already handed out are snapshots and must not change with them.
+        for got, snapshot in published:
+            assert got == snapshot
 
 
 def live_prefix_nodes():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from kwboost.cli import main
-from kwboost.errors import ConfigError, DataFormatError, NormalizationError
-from kwboost.fixtures import make_fixtures
+from kwboost.dataio import read_manifest, read_transcripts, read_vocab_file
+from kwboost.errors import ConfigError, DataFormatError, NormalizationError, ToolkitError
+from kwboost.fixtures import load_fixture_spec, make_fixtures
 from kwboost.harness import (
     RunConfig,
     grid_search,
@@ -20,7 +22,8 @@ from kwboost.harness import (
     run_decode,
     run_score,
 )
-from kwboost.norm import load_mapping
+from kwboost.lm import load_arpa
+from kwboost.norm import load_exceptions, load_keyword_list, load_mapping
 
 DATA = Path(__file__).parent / "data"
 CLI = "import sys; from kwboost.cli import main; sys.exit(main())"
@@ -530,6 +533,22 @@ class TestGridSearch:
             grid_search(cfg, [1.0])
 
 
+TEXT_READERS = [
+    read_vocab_file, read_manifest, read_transcripts, load_keyword_list,
+    load_exceptions, load_mapping, load_fixture_spec, load_arpa,
+]
+
+
+@pytest.mark.parametrize("reader", TEXT_READERS, ids=lambda reader: reader.__name__)
+@pytest.mark.parametrize("fault", ["missing", "not-utf8"])
+def test_text_readers_turn_io_faults_into_toolkit_errors(tmp_path, reader, fault):
+    path = tmp_path / "input.txt"
+    if fault == "not-utf8":
+        path.write_bytes(b"\xff\xfe\n")
+    with pytest.raises(ToolkitError, match=re.escape(str(path))):
+        reader(path)
+
+
 class TestCli:
     def decode_args(self, corpus, out, *extra):
         return [
@@ -667,6 +686,39 @@ class TestCli:
                 "--manifest", str(tmp_path / "missing.jsonl"),
                 "--vocab", str(corpus.vocab_path),
                 "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("kwboost: error:")
+
+    @pytest.mark.parametrize("command", ["score", "make-fixtures"])
+    def test_missing_input_exits_2(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing.jsonl")
+        if command == "score":
+            argv = ["score", "--hyps", missing, "--manifest", missing,
+                    "--keywords", str(DATA / "keywords_demo.txt")]
+        else:
+            argv = ["make-fixtures", "--spec", missing, "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("kwboost: error:")
+
+    @pytest.mark.parametrize(
+        "record", ["5", '{"id": "u1"}', '{"id": "u1", "text": null}'],
+    )
+    def test_malformed_transcript_record_exits_2(self, tmp_path, capsys, record):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(
+            json.dumps({"id": "u1", "logits": "x.ctcl", "reference": "AI lab"}) + "\n",
+            encoding="utf-8",
+        )
+        hyps = tmp_path / "hyps.jsonl"
+        hyps.write_text(record + "\n", encoding="utf-8")
+        rc = main(
+            [
+                "score",
+                "--hyps", str(hyps),
+                "--manifest", str(manifest),
+                "--keywords", str(DATA / "keywords_demo.txt"),
             ]
         )
         assert rc == 2

@@ -1,0 +1,50 @@
+"""Smoke tests: each script in scripts/ runs to completion.
+
+The scripts write their outputs under the working directory, here tmp_path.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, tmp_path, *args):
+    paths = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_demo_pipeline_prints_the_readme_table(tmp_path):
+    out = run_script("demo_pipeline.py", tmp_path)
+    rows = {
+        fields[0]: fields[1:]
+        for fields in (line.split() for line in out.splitlines())
+        if len(fields) == 4 and fields[0] in ("baseline", "default", "ngram")
+    }
+    # The WER / U-WER / B-WER columns of the table in README "How it works".
+    assert rows == {
+        "baseline": ["75.00", "66.67", "100.00"],
+        "default": ["12.50", "16.67", "0.00"],
+        "ngram": ["0.00", "0.00", "0.00"],
+    }
+
+
+def test_sweep_boost_weight_selects_a_weight(tmp_path):
+    out = run_script("sweep_boost_weight.py", tmp_path)
+    assert "<-- selected" in out
+    assert (tmp_path / "sweep_out" / "sweep.json").exists()
+
+
+def test_decoder_cost_reports_every_length(tmp_path):
+    out = run_script("decoder_cost.py", tmp_path, "--reps", "1")
+    for frames in (100, 300, 1000):
+        assert f"T={frames:5d}" in out
+    assert "ratio T=1000 / T=100" in out
