@@ -1,12 +1,21 @@
 #!/usr/bin/env python3
-"""Decoder cost per frame against utterance length.
+"""Decoder cost per frame against utterance length and on word-level tokens.
 
-Generates the benchmark's decode-long inputs (spelled 100-, 300- and
-1000-frame utterances, bigram LM, 2,000 keywords; see kwbench/gen.py),
-decodes each utterance in ngram mode with the benchmark's settings, and
-prints the median wall ms per frame of ``decoder.decode`` for each
-length.  An exact search whose frame step does not depend on the prefix
-length gives about the same figure at every T.
+The first table generates the benchmark's decode-long inputs (spelled
+100-, 300- and 1000-frame utterances, bigram LM, 2,000 keywords; see
+kwbench/gen.py), decodes each utterance in ngram mode with the
+benchmark's settings, and prints the median wall ms per frame of
+``decoder.decode`` for each length.  An exact search whose frame step
+does not depend on the prefix length gives about the same figure at
+every T.
+
+The second table decodes the benchmark's word-level tuning corpus
+(``gen.make_tune_spec`` + ``fixtures.make_fixtures``, demo keywords, no
+LM, word bonus 0, boost 2.0), where every token starts a word, in each
+mode.  It prints the median wall ms per frame over the whole corpus and
+the unigram boost lookups per frame, counted in a separate untimed
+pass: one lookup is one word commit, at most one per beam entry per
+frame.  Baseline mode boosts nothing and gives the bare search's cost.
 
 Run from the repository root with kwboost importable, for instance:
 
@@ -21,13 +30,16 @@ import time
 from pathlib import Path
 
 from kwboost.dataio import read_logits, read_manifest
-from kwboost.decoder import decode
+from kwboost.decoder import MODES, decode
+from kwboost.fixtures import make_fixtures
 from kwboost.harness import RunConfig, load_resources
 from kwboost.norm import normalize_keyword
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "kwbench"))
 import gen  # noqa: E402  (the benchmark's input generator)
+
+TUNE_UTTERANCES = 10  # the tune-grid workload's corpus size
 
 
 def parse_args() -> argparse.Namespace:
@@ -37,32 +49,75 @@ def parse_args() -> argparse.Namespace:
     return parser.parse_args()
 
 
-def main() -> None:
-    args = parse_args()
+def load(cfg: RunConfig):
+    """Resources, decode settings and logit matrices of a run config."""
+    matrices = [read_logits(e.logits_path) for e in read_manifest(cfg.manifest)]
+    return load_resources(cfg), cfg.decode_config(), matrices
+
+
+def median_seconds(matrices, resources, config, reps: int) -> float:
+    """Median wall time of decoding every matrix once."""
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        for matrix in matrices:
+            decode(matrix, resources.vocab, config, lm=resources.lm, trie=resources.trie)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def length_table(work: Path, args: argparse.Namespace) -> None:
     bundled = gen.read_keyword_raws(ROOT / "tests" / "data" / "keywords_50.txt")
-    with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        inputs = gen.make_char_inputs(
-            work, args.seed, [100, 300, 1000], bundled, 2000,
-            spoken_forms=normalize_keyword,
-        )
-        cfg = RunConfig(
-            manifest=inputs.manifest, vocab=inputs.vocab, out=work / "hyp.jsonl",
-            lm=inputs.lm, keywords=inputs.keywords, mode="ngram", boost_weight=2.0,
-        )
-        resources = load_resources(cfg)
-        config = cfg.decode_config()
-        matrices = [read_logits(e.logits_path) for e in read_manifest(cfg.manifest)]
+    inputs = gen.make_char_inputs(
+        work, args.seed, [100, 300, 1000], bundled, 2000,
+        spoken_forms=normalize_keyword,
+    )
+    resources, config, matrices = load(RunConfig(
+        manifest=inputs.manifest, vocab=inputs.vocab, out=work / "hyp.jsonl",
+        lm=inputs.lm, keywords=inputs.keywords, mode="ngram", boost_weight=2.0,
+    ))
     per_frame = {}
     for matrix in matrices:
-        times = []
-        for _ in range(args.reps):
-            start = time.perf_counter()
-            decode(matrix, resources.vocab, config, lm=resources.lm, trie=resources.trie)
-            times.append(time.perf_counter() - start)
-        per_frame[matrix.num_frames] = 1e3 * statistics.median(times) / matrix.num_frames
+        seconds = median_seconds([matrix], resources, config, args.reps)
+        per_frame[matrix.num_frames] = 1e3 * seconds / matrix.num_frames
         print(f"T={matrix.num_frames:5d}  {per_frame[matrix.num_frames]:.3f} ms/frame")
     print(f"ratio T=1000 / T=100: {per_frame[1000] / per_frame[100]:.2f}")
+
+
+def word_table(work: Path, args: argparse.Namespace) -> None:
+    spec = work / "tune_spec.jsonl"
+    gen.make_tune_spec(spec, args.seed, TUNE_UTTERANCES)
+    fixtures = make_fixtures(spec, work / "tune", seed=args.seed)
+    print()
+    print(f"word-level tuning corpus ({TUNE_UTTERANCES} utterances)")
+    print(f"{'mode':<9} {'ms/frame':>9} {'lookups/frame':>14}")
+    for mode in MODES:
+        resources, config, matrices = load(RunConfig(
+            manifest=fixtures.manifest_path, vocab=fixtures.vocab_path,
+            out=work / "unused.jsonl", keywords=ROOT / "tests" / "data" / "keywords_demo.txt",
+            mode=mode, word_bonus=0.0, boost_weight=2.0,
+        ))
+        frames = sum(matrix.num_frames for matrix in matrices)
+        seconds = median_seconds(matrices, resources, config, args.reps)
+        lookups = 0
+        if resources.trie is not None:
+            lookup = resources.trie.unigram_weight
+
+            def counted(word):
+                nonlocal lookups
+                lookups += 1
+                return lookup(word)
+
+            resources.trie.unigram_weight = counted
+            median_seconds(matrices, resources, config, 1)
+        print(f"{mode:<9} {1e3 * seconds / frames:9.3f} {lookups / frames:14.1f}")
+
+
+def main() -> None:
+    args = parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        length_table(Path(tmp), args)
+        word_table(Path(tmp), args)
 
 
 if __name__ == "__main__":

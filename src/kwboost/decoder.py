@@ -9,8 +9,11 @@ retracted at finalization, where only full keyword matches are paid.
 
 Prefixes are interned as nodes that point to their parent prefix, and
 the frame loop keys beams by (parent node, last token), so one frame
-costs the same however long the prefixes have grown.  Token tuples
-are built only for the n-best lists a result reports.  Finalization
+costs the same however long the prefixes have grown.  A frame ranks
+light records of the new prefixes and builds hypotheses only for the
+ones the beam keeps, and it commits a parent's pending word once for
+all of its word-starting children.  Token tuples are built only for
+the n-best lists a result reports.  Finalization
 commits each pending word, settles the boosts and ranks the beam in
 place, with the same commit routine and ranking as the frame loop, so
 the retraction is exact.
@@ -377,82 +380,132 @@ class DecoderSession:
 
     # -- scoring ----------------------------------------------------------
 
-    def _commit(self, hyp: _Hyp) -> None:
-        """Commit the pending word: LM fusion, word bonus, gated unigram boost."""
+    def _commit(self, hyp: _Hyp) -> tuple[tuple[str, ...], float, float, float]:
+        """Commit the pending word: LM fusion, word bonus, gated unigram boost.
+
+        Returns the committed words, lm_fused, word_bonus and
+        partial_boost that follow; ``hyp`` itself is left as it is.
+        """
         word = hyp.pending
+        lm_fused = hyp.lm_fused
         if self.lm is not None:
-            hyp.lm_fused += self._alpha_ln10 * self.lm.log10_cond(word, hyp.committed)
-        hyp.word_bonus += self.config.word_bonus
+            lm_fused += self._alpha_ln10 * self.lm.log10_cond(word, hyp.committed)
+        partial_boost = hyp.partial_boost
         if self._boosting:
             weight = self.trie.unigram_weight(word)
             if weight is not None:
-                hyp.partial_boost += weight
-        hyp.committed += (word,)
-        hyp.pending = ""
-
-    def _child(self, parent: _Hyp, node: _Node, token_id: int, mass: float) -> _Hyp:
-        """Hypothesis for parent + token holding ``mass``, with word-commit scoring."""
-        child = _Hyp(
-            node, token_id, NEG_INF, mass, parent.committed, parent.pending,
-            parent.lm_fused, parent.word_bonus, parent.partial_boost,
+                partial_boost += weight
+        return (
+            hyp.committed + (word,), lm_fused,
+            hyp.word_bonus + self.config.word_bonus, partial_boost,
         )
-        starts_word, text = self._spelling[token_id]
-        if not starts_word:
-            child.pending += text
-        else:
-            if child.pending:
-                self._commit(child)
-            child.pending = text
-        return child
 
     # -- frame updates ------------------------------------------------------
 
     def _step(self, row: list[float]) -> None:
         blank_lp = row[self.vocab.blank_index]
         floor = self.config.token_min_logp
+        spelling = self._spelling
         # Tokens below the floor never extend a prefix; blank and
         # repeat transitions of surviving prefixes are kept as is.
         candidates = [
-            (tid, row[tid])
+            (tid, row[tid], spelling[tid][0])
             for tid in self._nonblank
             if row[tid] != NEG_INF and row[tid] >= floor
         ]
-        frontier: dict[tuple, _Hyp] = {}
-        lookup = frontier.get
-        # Masses reach each slot in the order of a plain loop over
-        # (parent, token), so every sum matches the reference bit for bit.
-        for parent in self.beams:
-            p_blank, p_nonblank = parent.log_p_blank, parent.log_p_nonblank
+        # Each beam entry is its own stay slot and takes its blank and
+        # repeat masses first.  A new prefix can then only meet a stay
+        # slot (parent + token is one of the beam), whose two masses
+        # commute under _log_add, so every sum matches a plain loop over
+        # (parent, token) bit for bit.
+        parents = []
+        stays: dict[int, dict] = {}  # id(parent node) -> {token: stay slot}
+        for hyp in self.beams:
+            p_blank, p_nonblank = hyp.log_p_blank, hyp.log_p_nonblank
             acoustic = _log_add(p_blank, p_nonblank)
-            last = parent.token
-            key = (id(parent.parent), last)
-            slot = lookup(key)
-            if slot is None:
-                # Nothing reads the parent's masses after this point,
-                # so the parent becomes its own stay slot.
-                slot = frontier[key] = parent
-                slot.log_p_blank = slot.log_p_nonblank = NEG_INF
-            slot.log_p_blank = _log_add(slot.log_p_blank, acoustic + blank_lp)
-            if last is not None:
-                slot.log_p_nonblank = _log_add(
-                    slot.log_p_nonblank, p_nonblank + row[last]
-                )
-            node = parent.node
-            for tid, logp in candidates:
+            parents.append((hyp, p_blank, acoustic))
+            last = hyp.token
+            hyp.log_p_blank = acoustic + blank_lp
+            hyp.log_p_nonblank = NEG_INF if last is None else p_nonblank + row[last]
+            siblings = stays.get(id(hyp.parent))
+            if siblings is None:
+                stays[id(hyp.parent)] = {last: hyp}
+            else:
+                siblings[last] = hyp
+        # Every other child holds one mass, so its total is final here:
+        # rank light records and make hypotheses only for the winners.
+        # A child's record is (-total, seq, token, mass, fields), where
+        # fields are what it inherits: its parent node, committed words,
+        # pending head and score parts; a stay slot's is (-total, seq,
+        # slot).  The parent's pending word is committed once, for all
+        # its word-starting children.
+        records = []
+        for hyp, p_blank, acoustic in parents:
+            if acoustic == NEG_INF or not candidates:
+                continue
+            node = hyp.node
+            if node is None:
+                node = hyp.node = hyp.parent.child(hyp.token)
+            merges = stays.get(id(node))
+            last = hyp.token
+            lm_fused, bonus, boost = hyp.lm_fused, hyp.word_bonus, hyp.partial_boost
+            inherit = (node, hyp.committed, hyp.pending, lm_fused, bonus, boost)
+            start = None
+            for tid, logp, starts_word in candidates:
                 mass = (p_blank if tid == last else acoustic) + logp
                 # A repeat with no blank mass behind it contributes
                 # nothing; creating the child would waste a beam slot.
                 if mass == NEG_INF:
                     continue
-                if node is None:
-                    node = parent.node = parent.parent.child(last)
-                key = (id(node), tid)
-                child = lookup(key)
-                if child is None:
-                    frontier[key] = self._child(parent, node, tid, mass)
-                else:
-                    child.log_p_nonblank = _log_add(child.log_p_nonblank, mass)
-        self.beams = _ranked(frontier.values(), self.config.beam_width)
+                if merges is not None:
+                    stay = merges.get(tid)
+                    if stay is not None:
+                        stay.log_p_nonblank = _log_add(stay.log_p_nonblank, mass)
+                        continue
+                if not starts_word:
+                    records.append((
+                        -(mass + lm_fused + bonus + boost),
+                        len(records), tid, mass, inherit,
+                    ))
+                    continue
+                if start is None:
+                    start = inherit
+                    if hyp.pending:
+                        committed, *scores = self._commit(hyp)
+                        start = (node, committed, "", *scores)
+                    s_lm, s_bonus, s_boost = start[3:]
+                records.append((
+                    -(mass + s_lm + s_bonus + s_boost), len(records), tid, mass, start,
+                ))
+        for hyp in self.beams:
+            records.append((
+                -(_log_add(hyp.log_p_blank, hyp.log_p_nonblank)
+                  + hyp.lm_fused + hyp.word_bonus + hyp.partial_boost + hyp.final_boost),
+                len(records), hyp,
+            ))
+        width = self.config.beam_width
+        best = heapq.nsmallest(width + 1, records)
+        if all(a[0] != b[0] for a, b in zip(best, best[1:])):
+            self.beams = [self._hyp(record) for record in best[:width]]
+            return
+        # Equal totals inside the selection or at its edge: only whole
+        # hypotheses know their tie order.  Every record tied with the
+        # edge competes for the last places.
+        pool = best[:width]
+        if len(best) > width and best[width][0] == best[width - 1][0]:
+            edge = best[width][0]
+            pool = [r for r in pool if r[0] != edge] + [r for r in records if r[0] == edge]
+        self.beams = _ranked(map(self._hyp, pool), width)
+
+    def _hyp(self, record: tuple) -> _Hyp:
+        """The hypothesis a ranking record stands for."""
+        if len(record) == 3:
+            return record[2]
+        _, _, tid, mass, (node, committed, head, lm_fused, bonus, boost) = record
+        return _Hyp(
+            node, tid, NEG_INF, mass, committed, head + self._spelling[tid][1],
+            lm_fused, bonus, boost,
+        )
 
     def _publish(self) -> list[BeamHypothesis]:
         """The beam as public hypotheses, in rank order.
@@ -518,11 +571,15 @@ class DecoderSession:
         """Commit pending words, settle boost components, rank the beam."""
         if self._result is not None:
             return self._result
+        settled = {}  # hypothesis -> its full keyword matches (ngram mode)
         for hyp in self.beams:
             if hyp.pending:
-                self._commit(hyp)
+                hyp.committed, hyp.lm_fused, hyp.word_bonus, hyp.partial_boost = (
+                    self._commit(hyp)
+                )
+                hyp.pending = ""
             if self.config.mode == "ngram":
-                matches = self.trie.find_matches(hyp.committed)
+                matches = settled[hyp] = self.trie.find_matches(hyp.committed)
                 if self.config.flat_final_boost:
                     hyp.final_boost = sum(m.weight for m in matches)
                 else:
@@ -531,7 +588,9 @@ class DecoderSession:
         self.beams = _ranked(self.beams, self.config.beam_width)
         finals = self._publish()
         top = finals[0]
-        matches = self.trie.find_matches(top.committed) if self.trie else []
+        matches = settled.get(self.beams[0])
+        if matches is None:
+            matches = self.trie.find_matches(top.committed) if self.trie else []
         self._result = DecodeResult(
             words=top.committed,
             nbest=finals,

@@ -398,6 +398,78 @@ class TestAgainstReference:
             assert got == snapshot
 
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_tied_totals_straddle_the_beam_cutoff(self, mode, monkeypatch):
+        # Integer probabilities give exactly equal totals: after the
+        # first frame the empty prefix and a, b, c all hold 1/4, and a
+        # beam of two must keep the two that the tie order prefers.
+        vocab = letter_vocab("a", "b", "c")
+        counts = np.array([
+            [1, 1, 1, 1],
+            [2, 1, 1, 0],
+            [1, 1, 1, 1],
+            [0, 2, 2, 0],
+            [2, 0, 1, 1],
+        ], dtype=np.float64)
+        with np.errstate(divide="ignore"):
+            frames = np.log(counts / 4)
+        ranked = []
+        real_ranked = decoder._ranked
+        monkeypatch.setattr(
+            decoder, "_ranked",
+            lambda hyps, width: ranked.append(width) or real_ranked(hyps, width),
+        )
+        config = exact_config(beam_width=2, mode=mode)
+        trie = build_trie(build_mapping(["AB", "B2B"]), default_weight=0.0)
+        session = new_session(vocab, config, trie=trie)
+        reference = RefSession(vocab, config, trie=trie)
+        for row in frames:
+            got = session.push_frames(row[None])
+            assert result_view(got) == result_view(reference.push_frames(row[None]))
+            assert len(session.beams) == len(reference.beams)
+        # The ties sent frames through the fallback ordering.
+        assert ranked
+        assert result_view(session.finalize()) == result_view(reference.finalize())
+
+
+class TestWorkPerFrame:
+    def test_one_word_commit_per_beam_entry(self, data_dir):
+        # Every token starts a word, so each child of a parent with a
+        # pending word commits the same word: that commit is made once
+        # per parent, plus once per entry that finalize commits.
+        vocab = REF_VOCABS[2]
+        lm = load_arpa(data_dir / "tiny_bigram.arpa")
+        trie = build_trie(build_mapping(REF_KEYWORDS), default_weight=1.0)
+        calls = {}
+
+        def spy(owner, name):
+            method = getattr(owner, name)
+            calls[name] = 0
+
+            def counted(*args):
+                calls[name] += 1
+                return method(*args)
+
+            setattr(owner, name, counted)
+
+        spy(trie, "unigram_weight")
+        spy(trie, "find_matches")
+        spy(lm, "log10_cond")
+        config = DecodeConfig(beam_width=8, mode="ngram", token_min_logp=float("-inf"))
+        session = new_session(vocab, config, lm=lm, trie=trie)
+        entries = 0
+        for row in softmax_logits(np.random.default_rng(11), 12, vocab.size).data:
+            entries += len(session.beams)
+            session.push_frames(row[None])
+        finalized = len(session.beams)
+        result = session.finalize()
+        assert 0 < calls["unigram_weight"] <= entries + finalized
+        assert 0 < calls["log10_cond"] <= entries + finalized
+        # Settling matches each entry once; the winner's matches are reused.
+        assert calls["find_matches"] == finalized
+        assert result.matches == trie.find_matches(result.words)
+
+
 def live_prefix_nodes():
     return sum(isinstance(obj, decoder._Node) for obj in gc.get_objects())
 

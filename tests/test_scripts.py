@@ -48,3 +48,13 @@ def test_decoder_cost_reports_every_length(tmp_path):
     for frames in (100, 300, 1000):
         assert f"T={frames:5d}" in out
     assert "ratio T=1000 / T=100" in out
+    # The word-level table: one row per mode; baseline boosts nothing,
+    # and a boosting mode commits at most once per beam entry (50).
+    rows = {
+        fields[0]: [float(x) for x in fields[1:]]
+        for fields in (line.split() for line in out.split("word-level")[1].splitlines())
+        if len(fields) == 3 and fields[0] in ("baseline", "default", "ngram")
+    }
+    assert set(rows) == {"baseline", "default", "ngram"}
+    assert rows["baseline"][1] == 0.0
+    assert 0.0 < rows["ngram"][1] <= 50.0
