@@ -18,6 +18,9 @@ from .errors import ConfigError
 from .lm import NEG_INF, NGramLM
 from .norm import KeywordEntry, NormalizationMapping
 
+# log10 unigram probability below which a keyword word is boosted.
+DEFAULT_RARITY_THRESHOLD = -4.0
+
 
 @dataclass(frozen=True)
 class KeywordMatch:
@@ -76,7 +79,7 @@ def check_boost_settings(default_weight: float, rarity_threshold: float) -> None
 def build_trie(
     mapping: NormalizationMapping,
     lm: NGramLM | None = None,
-    rarity_threshold: float = -4.0,
+    rarity_threshold: float = DEFAULT_RARITY_THRESHOLD,
     default_weight: float = 0.0,
 ) -> BiasTrie:
     """Build the trie for a mapping, gating the unigram boost set.

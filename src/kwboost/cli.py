@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .decoder import MODES
@@ -40,48 +41,38 @@ def _add_decode_options(parser: argparse.ArgumentParser, default_mode: str) -> N
     parser.add_argument("--keywords", help="biasing keyword list (TSV)")
     parser.add_argument("--exceptions", help="normalization exceptions table (TSV)")
     parser.add_argument("--mode", choices=MODES, default=default_mode)
+    # Each knob sets the RunConfig field named by its dest; a flag left
+    # out keeps that field's default.
     parser.add_argument(
-        "--boost-weight", type=float, default=0.0,
-        help="default per-word boost weight W",
+        "--boost-weight", type=float, help="default per-word boost weight W"
     )
     parser.add_argument(
-        "--alpha", type=float, default=0.5, help="language model fusion weight"
+        "--alpha", type=float, dest="lm_weight", metavar="ALPHA",
+        help="language model fusion weight",
     )
     parser.add_argument(
-        "--beta", type=float, default=1.5, help="per-word insertion bonus"
+        "--beta", type=float, dest="word_bonus", metavar="BETA",
+        help="per-word insertion bonus",
     )
-    parser.add_argument("--beam-width", type=int, default=50)
+    parser.add_argument("--beam-width", type=int)
     parser.add_argument(
-        "--threshold", type=float, default=-4.0,
+        "--threshold", type=float, dest="rarity_threshold", metavar="THRESHOLD",
         help="log10 unigram probability below which words are boosted",
     )
     parser.add_argument(
-        "--token-floor", type=float, default=-9.21,
+        "--token-floor", type=float, dest="token_min_logp", metavar="TOKEN_FLOOR",
         help="per-frame log probability below which tokens are not expanded",
     )
     parser.add_argument(
-        "--flat-final-boost", action="store_true",
+        "--flat-final-boost", action="store_true", default=None,
         help="score full keyword matches by entry weight instead of weight x length",
     )
 
 
 def _run_config(args: argparse.Namespace, out: Path) -> RunConfig:
-    return RunConfig(
-        manifest=args.manifest,
-        vocab=args.vocab,
-        out=out,
-        lm=args.lm,
-        keywords=args.keywords,
-        exceptions=args.exceptions,
-        mode=args.mode,
-        boost_weight=args.boost_weight,
-        lm_weight=args.alpha,
-        word_bonus=args.beta,
-        beam_width=args.beam_width,
-        rarity_threshold=args.threshold,
-        token_min_logp=args.token_floor,
-        flat_final_boost=args.flat_final_boost,
-    )
+    names = {f.name for f in fields(RunConfig)}
+    given = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    return RunConfig(**{**given, "out": out})
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:

@@ -11,11 +11,16 @@ disk.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
-from .bias_trie import BiasTrie, build_trie, check_boost_settings
+from .bias_trie import (
+    DEFAULT_RARITY_THRESHOLD,
+    BiasTrie,
+    build_trie,
+    check_boost_settings,
+)
 from .dataio import (
     read_logits,
     read_manifest,
@@ -44,9 +49,10 @@ from .scoring import ScoreReport, biased_wer
 class RunConfig:
     """One decode run over a manifest.
 
-    The decoder knobs become a DecodeConfig through ``decode_config``.
-    ``boost_weight`` and ``rarity_threshold`` go to ``build_trie``:
-    the weight is the default for entries without a list weight.
+    The fields that DecodeConfig also has take its defaults, and
+    ``decode_config`` copies them by name.  ``boost_weight`` and
+    ``rarity_threshold`` go to ``build_trie``: the weight is the default
+    for entries without a list weight.
     """
 
     manifest: Path
@@ -55,16 +61,19 @@ class RunConfig:
     lm: Path | None = None
     keywords: Path | None = None
     exceptions: Path | None = None
-    mode: str = "baseline"
+    mode: str = DecodeConfig.mode
     boost_weight: float = 0.0
-    lm_weight: float = 0.5
-    word_bonus: float = 1.5
-    beam_width: int = 50
-    rarity_threshold: float = -4.0
-    token_min_logp: float = -9.21
-    flat_final_boost: bool = False
+    lm_weight: float = DecodeConfig.lm_weight
+    word_bonus: float = DecodeConfig.word_bonus
+    beam_width: int = DecodeConfig.beam_width
+    rarity_threshold: float = DEFAULT_RARITY_THRESHOLD
+    token_min_logp: float = DecodeConfig.token_min_logp
+    flat_final_boost: bool = DecodeConfig.flat_final_boost
 
     def __post_init__(self):
+        # Reject bad settings before any file is looked at.
+        self.decode_config()
+        check_boost_settings(self.boost_weight, self.rarity_threshold)
         self.manifest = Path(self.manifest)
         self.vocab = Path(self.vocab)
         self.out = Path(self.out)
@@ -76,17 +85,11 @@ class RunConfig:
         for path in (self.manifest, self.vocab, self.lm, self.keywords, self.exceptions):
             if path is not None and not path.exists():
                 raise ConfigError(f"input file not found: {path}")
-        check_boost_settings(self.boost_weight, self.rarity_threshold)
 
     def decode_config(self) -> DecodeConfig:
-        return DecodeConfig(
-            beam_width=self.beam_width,
-            lm_weight=self.lm_weight,
-            word_bonus=self.word_bonus,
-            mode=self.mode,
-            token_min_logp=self.token_min_logp,
-            flat_final_boost=self.flat_final_boost,
-        )
+        """The decoder settings, validated by DecodeConfig."""
+        names = (f.name for f in fields(DecodeConfig))
+        return DecodeConfig(**{name: getattr(self, name) for name in names})
 
 
 @dataclass
@@ -351,7 +354,7 @@ def grid_search(
     The default objective is B-WER with WER as tie-break; rate ties
     resolve to the smallest weight.  With ``per_target`` a single
     coordinate-descent sweep then refines each entry's weight over the
-    same grid, holding the others fixed.
+    same grid plus its current weight, holding the others fixed.
     """
     if not grid:
         raise ConfigError("empty weight grid")
@@ -368,10 +371,14 @@ def grid_search(
         return result
 
     mapping = resources.mapping
-    assigned = {entry.raw: best.weight for entry in mapping.entries}
+    # Each entry starts at its effective weight at the selected point.
+    assigned = {
+        entry.raw: best.weight if entry.weight is None else entry.weight
+        for entry in mapping.entries
+    }
     for entry in mapping.entries:
         candidates = []
-        for w in weights:
+        for w in sorted({*weights, assigned[entry.raw]}):
             trial = _override_weights(mapping, {**assigned, entry.raw: w})
             point = _evaluate(cfg, replace(resources, mapping=trial), corpus, best.weight)
             candidates.append((_rate_key(point, objective), w))

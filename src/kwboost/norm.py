@@ -140,13 +140,13 @@ def _segment_piece(piece: str) -> list[tuple[str, str]]:
 def _run_readings(runs: list[tuple[str, str]], idx: int) -> list[list[str]]:
     """Alternative spoken readings of one run, primary reading first."""
     kind, text = runs[idx]
+    # A lone x between digit runs ("3x4", "3X4") is the dimension separator.
+    if text in ("x", "X") and _between_digits(runs, idx):
+        return [["by"]]
     whole_piece = len(runs) == 1
     if kind == "w":
         return [[text.lower()]]
     if kind == "U":
-        # A lone x between digit runs is the dimension separator.
-        if text in ("X",) and _between_digits(runs, idx):
-            return [["by"]]
         if len(text) == 1:
             return [[text.lower()]]
         if 2 <= len(text) <= 4:
@@ -175,27 +175,26 @@ def _between_digits(runs: list[tuple[str, str]], idx: int) -> bool:
     )
 
 
-def _piece_readings(piece: str) -> list[list[str]]:
-    runs = _segment_piece(piece)
-    # Lowercase x between digits ("3x4") segments as a word run.
-    fixed: list[list[list[str]]] = []
-    for i, (kind, text) in enumerate(runs):
-        if kind == "w" and text == "x" and _between_digits(runs, i):
-            fixed.append([["by"]])
-        else:
-            fixed.append(_run_readings(runs, i))
-    combos = itertools.product(*fixed)
-    readings: list[list[str]] = []
-    seen: set[tuple[str, ...]] = set()
-    for combo in itertools.islice(combos, VARIANT_CAP * VARIANT_CAP):
-        flat = [w for part in combo for w in part]
-        key = tuple(flat)
-        if key not in seen:
-            seen.add(key)
-            readings.append(flat)
-        if len(readings) >= VARIANT_CAP:
+def _capped_product(parts: Sequence[Sequence[Sequence[str]]]) -> list[Variant]:
+    """Distinct concatenations of one reading per part, in product order.
+
+    At most VARIANT_CAP results, from at most VARIANT_CAP**2 combinations.
+    """
+    results: list[Variant] = []
+    seen: set[Variant] = set()
+    for combo in itertools.islice(itertools.product(*parts), VARIANT_CAP * VARIANT_CAP):
+        flat = tuple(itertools.chain.from_iterable(combo))
+        if flat not in seen:
+            seen.add(flat)
+            results.append(flat)
+        if len(results) >= VARIANT_CAP:
             break
-    return readings
+    return results
+
+
+def _piece_readings(piece: str) -> list[Variant]:
+    runs = _segment_piece(piece)
+    return _capped_product([_run_readings(runs, i) for i in range(len(runs))])
 
 
 def normalize_keyword(
@@ -227,17 +226,9 @@ def normalize_keyword(
         return variants
 
     per_piece = [_piece_readings(piece) for piece in key.split()]
-    variants: list[Variant] = []
-    seen: set[Variant] = set()
-    for combo in itertools.islice(
-        itertools.product(*per_piece), VARIANT_CAP * VARIANT_CAP
-    ):
-        flat = tuple(w for reading in combo for w in reading)
-        if flat and flat not in seen:
-            seen.add(flat)
-            variants.append(flat)
-        if len(variants) >= VARIANT_CAP:
-            break
+    # Only a keyword whose every piece reads as nothing yields the empty
+    # variant, and then it is the sole one.
+    variants = [v for v in _capped_product(per_piece) if v]
     if not variants:
         raise NormalizationError(f"keyword {key!r} normalizes to nothing")
     return variants

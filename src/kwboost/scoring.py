@@ -111,12 +111,8 @@ def _rate(errors: int, words: int) -> float | None:
     return 100.0 * errors / words
 
 
-@dataclass
-class UtteranceScore:
-    utt_id: str
-    ref_words: int
-    biased_ref_words: int
-    errors: ErrorCounts
+class _Rates:
+    """Rates of a scope with ``ref_words``, ``biased_ref_words`` and ``errors``."""
 
     @property
     def unbiased_ref_words(self) -> int:
@@ -133,6 +129,14 @@ class UtteranceScore:
     @property
     def b_wer(self) -> float | None:
         return _rate(self.errors.biased, self.biased_ref_words)
+
+
+@dataclass
+class UtteranceScore(_Rates):
+    utt_id: str
+    ref_words: int
+    biased_ref_words: int
+    errors: ErrorCounts
 
 
 @dataclass
@@ -147,28 +151,12 @@ class KeywordStat:
 
 
 @dataclass
-class ScoreReport:
+class ScoreReport(_Rates):
     ref_words: int
     biased_ref_words: int
     errors: ErrorCounts
     utterances: list[UtteranceScore] = field(default_factory=list)
     keywords: list[KeywordStat] = field(default_factory=list)
-
-    @property
-    def unbiased_ref_words(self) -> int:
-        return self.ref_words - self.biased_ref_words
-
-    @property
-    def wer(self) -> float | None:
-        return _rate(self.errors.total, self.ref_words)
-
-    @property
-    def u_wer(self) -> float | None:
-        return _rate(self.errors.unbiased, self.unbiased_ref_words)
-
-    @property
-    def b_wer(self) -> float | None:
-        return _rate(self.errors.biased, self.biased_ref_words)
 
     def to_dict(self) -> dict:
         def rates(scope) -> dict:

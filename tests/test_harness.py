@@ -1,15 +1,17 @@
 """Tests for the experiment harness: decode runs, scoring, list prep, tuning."""
 
+import argparse
 import json
 import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from kwboost.cli import main
+from kwboost.cli import _run_config, build_parser, main
 from kwboost.dataio import read_manifest, read_transcripts, read_vocab_file
 from kwboost.errors import ConfigError, DataFormatError, NormalizationError, ToolkitError
 from kwboost.fixtures import load_fixture_spec, make_fixtures
@@ -177,6 +179,25 @@ class TestRunConfig:
     def test_invalid_boost_settings(self, corpus, tmp_path, kwargs):
         # Rejected even in baseline mode, where no trie is built.
         with pytest.raises(ConfigError):
+            RunConfig(
+                manifest=corpus.manifest_path,
+                vocab=corpus.vocab_path,
+                out=tmp_path / "h.jsonl",
+                **kwargs,
+            )
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(beam_width=0), "beam width"),
+            (dict(lm_weight=float("inf")), "finite"),
+            (dict(token_min_logp=float("nan")), "token_min_logp"),
+            # Checked before the keyword list, so the mode itself is named.
+            (dict(mode="bogus"), "unknown mode"),
+        ],
+    )
+    def test_invalid_decoder_settings(self, corpus, tmp_path, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
             RunConfig(
                 manifest=corpus.manifest_path,
                 vocab=corpus.vocab_path,
@@ -473,6 +494,23 @@ class TestGridSearch:
         assert [p.b_wer for p in result.grid] == [100.0, 100.0]
         assert result.per_target == {"KQ": 2.0, "vv": 0.0}
 
+    def test_per_target_starts_from_list_weights(self, tmp_path):
+        # QZ's list weight 2 recovers it at every grid point, so both
+        # score WER 0.  The sweep must keep that weight: the grid alone
+        # offers 0, which deletes QZ, and 4, which lets the q trap in.
+        trap = {
+            "id": "q",
+            "text": "say hello now",
+            "reference": "say hello now",
+            "confidence": 0.9,
+            "traps": [{"after": 1, "alt": "q", "prob": 0.046}],
+        }
+        fixture_set, kw = build_corpus(tmp_path, [TUNE_SPEC[0], trap], ["QZ\t2.0"], seed=5)
+        cfg = tune_config(fixture_set, kw, tmp_path)
+        result = grid_search(cfg, [0.0, 4.0], per_target=True)
+        assert [p.wer for p in result.grid] == [0.0, 0.0]
+        assert result.per_target == {"QZ": 2.0}
+
     def test_per_target_logs_each_collision_once(self, tune_corpus, tmp_path, caplog):
         # AI and A.I. both normalize to "a i"; trials reuse the resolved
         # ownership instead of re-running collision resolution.
@@ -641,6 +679,81 @@ class TestCli:
         )
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["selected_weight"] == 2.0
+
+    @pytest.mark.parametrize("command", ["decode", "tune"])
+    def test_knob_flags_fill_run_config(self, corpus, demo_keywords, tmp_path, command):
+        out = tmp_path / "out.jsonl"
+        argv = [
+            command,
+            "--manifest", str(corpus.manifest_path),
+            "--vocab", str(corpus.vocab_path),
+            "--keywords", str(demo_keywords),
+            "--out", str(out),
+        ]
+        if command == "tune":
+            argv += ["--grid", "1"]
+        knobs = [
+            "--mode", "default",
+            "--boost-weight", "2.5",
+            "--alpha", "0.25",
+            "--beta", "0.75",
+            "--beam-width", "7",
+            "--threshold", "-3.5",
+            "--token-floor", "-6",
+            "--flat-final-boost",
+        ]
+
+        def parsed(argv):
+            return _run_config(build_parser().parse_args(argv), out)
+
+        paths = dict(
+            manifest=corpus.manifest_path, vocab=corpus.vocab_path, out=out,
+            keywords=demo_keywords,
+        )
+        assert parsed(argv) == RunConfig(
+            **paths,
+            mode="baseline" if command == "decode" else "ngram",
+            boost_weight=0.0,
+            lm_weight=0.5,
+            word_bonus=1.5,
+            beam_width=50,
+            rarity_threshold=-4.0,
+            token_min_logp=-9.21,
+            flat_final_boost=False,
+        )
+        assert parsed(argv + knobs) == RunConfig(
+            **paths,
+            mode="default",
+            boost_weight=2.5,
+            lm_weight=0.25,
+            word_bonus=0.75,
+            beam_width=7,
+            rarity_threshold=-3.5,
+            token_min_logp=-6.0,
+            flat_final_boost=True,
+        )
+
+    def test_readme_knob_table_matches_defaults(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("## Decoding knobs", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `(--[a-z-]+)` \| ([^|]+?) \|", table, re.MULTILINE)
+        assert len(rows) == 8
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        decode_flags = sub.choices["decode"]._option_string_actions
+        defaults = {f.name: f.default for f in fields(RunConfig)}
+
+        def documented(text):
+            text = text.replace("\N{MINUS SIGN}", "-")
+            if text == "off":
+                return False
+            try:
+                return float(text)
+            except ValueError:
+                return text
+
+        for flag, text in rows:
+            assert flag in decode_flags, flag
+            assert documented(text) == defaults[decode_flags[flag].dest], flag
 
     def test_prepare_list_counts_and_rejects(self, tmp_path, capsys):
         kw = tmp_path / "kw.tsv"
