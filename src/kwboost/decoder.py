@@ -8,12 +8,12 @@ partial unigram boosts steer pruning while streaming and are then
 retracted at finalization, where only full keyword matches are paid.
 
 Prefixes are interned as nodes that point to their parent prefix, and
-the frame loop keys beams by (parent node, last token), so one frame
-costs the same however long the prefixes have grown.  A frame ranks
-light records of the new prefixes and builds hypotheses only for the
-ones the beam keeps, and it commits a parent's pending word once for
-all of its word-starting children.  Token tuples are built only for
-the n-best lists a result reports.  Finalization
+each beam entry owns the node of its prefix, so one frame costs the
+same however long the prefixes have grown.  A frame ranks light
+records of the new prefixes and builds hypotheses, each with its node,
+only for the ones the beam keeps, and it commits a parent's pending
+word once for all of its word-starting children.  Token tuples are
+built only for the n-best lists a result reports.  Finalization
 commits each pending word, settles the boosts and ranks the beam in
 place, with the same commit routine and ranking as the frame loop, so
 the retraction is exact.
@@ -180,8 +180,8 @@ class DecodeConfig:
     flat_final_boost: bool = False
 
     def __post_init__(self):
-        if self.beam_width < 1:
-            raise ConfigError(f"beam width must be >= 1, got {self.beam_width}")
+        if not isinstance(self.beam_width, (int, np.integer)) or self.beam_width < 1:
+            raise ConfigError(f"beam width must be an integer >= 1, got {self.beam_width!r}")
         if not math.isfinite(self.lm_weight) or not math.isfinite(self.word_bonus):
             raise ConfigError("lm_weight and word_bonus must be finite")
         if self.mode not in MODES:
@@ -252,11 +252,10 @@ class DecodeResult:
 class _Node:
     """One token prefix: its parent prefix and its last token.
 
-    Children are held by weak reference, so a branch that no hypothesis
-    uses any more is freed.  ``child`` still finds a child that some
-    hypothesis keeps alive, so one prefix never gets two live nodes,
-    and ``(id(parent node), token)`` names a prefix uniquely.  Most
-    nodes have one child, held without a dict to save memory.
+    Each hypothesis holds its own prefix's node.  Children are weakly
+    held, so a branch no hypothesis uses is freed, and ``child`` finds a
+    live child, so one prefix never gets two live nodes.  Most nodes have
+    one child, held without a dict to save memory.
     """
 
     __slots__ = ("parent", "token", "children", "tokens", "__weakref__")
@@ -300,22 +299,17 @@ class _Node:
 class _Hyp:
     """A beam entry inside the search; results carry BeamHypothesis copies.
 
-    The prefix is the ``parent`` node plus ``token`` (both None for the
-    empty prefix), so its frontier key is ``(id(parent), token)``.
-    ``node``, the prefix's own node, is made once the prefix extends.
+    ``node`` is the entry's own prefix node, made with the entry.
     """
 
     __slots__ = (
-        "parent", "token", "node", "log_p_blank", "log_p_nonblank",
-        "committed", "pending", "lm_fused", "word_bonus", "partial_boost",
-        "final_boost",
+        "node", "log_p_blank", "log_p_nonblank", "committed", "pending",
+        "lm_fused", "word_bonus", "partial_boost", "final_boost",
     )
 
-    def __init__(self, parent, token, log_p_blank, log_p_nonblank,
+    def __init__(self, node, log_p_blank, log_p_nonblank,
                  committed, pending, lm_fused, word_bonus, partial_boost):
-        self.parent = parent
-        self.token = token
-        self.node = None
+        self.node = node
         self.log_p_blank = log_p_blank
         self.log_p_nonblank = log_p_nonblank
         self.committed = committed
@@ -325,16 +319,18 @@ class _Hyp:
         self.partial_boost = partial_boost
         self.final_boost = 0.0
 
-    def tokens(self) -> tuple[int, ...]:
-        return () if self.parent is None else self.parent.path() + (self.token,)
-
     def _tie_key(self):
         words = self.committed + (self.pending,) if self.pending else self.committed
-        return len(words), words, self.tokens()
+        return len(words), words, self.node.path()
 
     def __lt__(self, other: _Hyp) -> bool:
         # Reached only on equal totals (see _ranked).
         return self._tie_key() < other._tie_key()
+
+
+def _total(h: _Hyp) -> float:
+    return (_log_add(h.log_p_blank, h.log_p_nonblank)
+            + h.lm_fused + h.word_bonus + h.partial_boost + h.final_boost)
 
 
 def _ranked(hyps, width: int) -> list[_Hyp]:
@@ -343,11 +339,7 @@ def _ranked(hyps, width: int) -> list[_Hyp]:
     Higher total first; exact ties prefer fewer words, then the words
     in lexicographic order, then the token prefix, so the order is total.
     """
-    ranked = heapq.nsmallest(width, [
-        (-(_log_add(h.log_p_blank, h.log_p_nonblank)
-           + h.lm_fused + h.word_bonus + h.partial_boost + h.final_boost), h)
-        for h in hyps
-    ])
+    ranked = heapq.nsmallest(width, [(-_total(h), h) for h in hyps])
     return [hyp for _, hyp in ranked]
 
 
@@ -367,16 +359,14 @@ class DecoderSession:
         self.config = config
         self.lm = lm
         self.trie = trie
-        self._boosting = config.mode != "baseline" and trie is not None
+        self._boosting = config.mode != "baseline"
         self._alpha_ln10 = config.lm_weight * LN10
         self._nonblank = [i for i in range(vocab.size) if i != vocab.blank_index]
         self._spelling = vocab.spelling
         self._trace: list[tuple[tuple[str, ...], float]] = []
         self._result: DecodeResult | None = None
         self._reported: list[_Node] = []
-        root = _Hyp(None, None, 0.0, NEG_INF, (), "", 0.0, 0.0, 0.0)
-        root.node = _Node(None, None)
-        self.beams: list[_Hyp] = [root]
+        self.beams = [_Hyp(_Node(None, None), 0.0, NEG_INF, (), "", 0.0, 0.0, 0.0)]
 
     # -- scoring ----------------------------------------------------------
 
@@ -419,17 +409,18 @@ class DecoderSession:
         # commute under _log_add, so every sum matches a plain loop over
         # (parent, token) bit for bit.
         parents = []
-        stays: dict[int, dict] = {}  # id(parent node) -> {token: stay slot}
+        stays: dict[int, dict] = {}  # id(node.parent) -> {node.token: stay slot}
         for hyp in self.beams:
             p_blank, p_nonblank = hyp.log_p_blank, hyp.log_p_nonblank
             acoustic = _log_add(p_blank, p_nonblank)
             parents.append((hyp, p_blank, acoustic))
-            last = hyp.token
+            node = hyp.node
+            last = node.token
             hyp.log_p_blank = acoustic + blank_lp
             hyp.log_p_nonblank = NEG_INF if last is None else p_nonblank + row[last]
-            siblings = stays.get(id(hyp.parent))
+            siblings = stays.get(id(node.parent))
             if siblings is None:
-                stays[id(hyp.parent)] = {last: hyp}
+                stays[id(node.parent)] = {last: hyp}
             else:
                 siblings[last] = hyp
         # Every other child holds one mass, so its total is final here:
@@ -444,10 +435,8 @@ class DecoderSession:
             if acoustic == NEG_INF or not candidates:
                 continue
             node = hyp.node
-            if node is None:
-                node = hyp.node = hyp.parent.child(hyp.token)
             merges = stays.get(id(node))
-            last = hyp.token
+            last = node.token
             lm_fused, bonus, boost = hyp.lm_fused, hyp.word_bonus, hyp.partial_boost
             inherit = (node, hyp.committed, hyp.pending, lm_fused, bonus, boost)
             start = None
@@ -478,11 +467,7 @@ class DecoderSession:
                     -(mass + s_lm + s_bonus + s_boost), len(records), tid, mass, start,
                 ))
         for hyp in self.beams:
-            records.append((
-                -(_log_add(hyp.log_p_blank, hyp.log_p_nonblank)
-                  + hyp.lm_fused + hyp.word_bonus + hyp.partial_boost + hyp.final_boost),
-                len(records), hyp,
-            ))
+            records.append((-_total(hyp), len(records), hyp))
         width = self.config.beam_width
         best = heapq.nsmallest(width + 1, records)
         if all(a[0] != b[0] for a, b in zip(best, best[1:])):
@@ -503,18 +488,18 @@ class DecoderSession:
             return record[2]
         _, _, tid, mass, (node, committed, head, lm_fused, bonus, boost) = record
         return _Hyp(
-            node, tid, NEG_INF, mass, committed, head + self._spelling[tid][1],
+            node.child(tid), NEG_INF, mass, committed, head + self._spelling[tid][1],
             lm_fused, bonus, boost,
         )
 
     def _publish(self) -> list[BeamHypothesis]:
         """The beam as public hypotheses, in rank order.
 
-        The parent nodes of the beam keep their token tuples until the
-        next call, so its walks up from the next beam stop within one
-        chunk instead of at the root.
+        The beam's nodes keep their token tuples until the next call, so
+        its walks up from the next beam stop within one chunk instead of
+        at the root.
         """
-        reported = [hyp.parent for hyp in self.beams if hyp.parent is not None]
+        reported = [hyp.node for hyp in self.beams if hyp.node.parent is not None]
         for node in reported:
             if node.tokens is None:
                 node.tokens = node.path()
@@ -525,7 +510,7 @@ class DecoderSession:
         self._reported = reported
         return [
             BeamHypothesis(
-                tokens=hyp.tokens(),
+                tokens=hyp.node.tokens,
                 log_p_blank=hyp.log_p_blank,
                 log_p_nonblank=hyp.log_p_nonblank,
                 committed=hyp.committed,
@@ -572,6 +557,7 @@ class DecoderSession:
         if self._result is not None:
             return self._result
         settled = {}  # hypothesis -> its full keyword matches (ngram mode)
+        flat = self.config.flat_final_boost
         for hyp in self.beams:
             if hyp.pending:
                 hyp.committed, hyp.lm_fused, hyp.word_bonus, hyp.partial_boost = (
@@ -580,10 +566,9 @@ class DecoderSession:
                 hyp.pending = ""
             if self.config.mode == "ngram":
                 matches = settled[hyp] = self.trie.find_matches(hyp.committed)
-                if self.config.flat_final_boost:
-                    hyp.final_boost = sum(m.weight for m in matches)
-                else:
-                    hyp.final_boost = sum(m.weight * (m.end - m.start) for m in matches)
+                hyp.final_boost = sum(
+                    m.weight * (1 if flat else m.end - m.start) for m in matches
+                )
                 hyp.partial_boost = 0.0
         self.beams = _ranked(self.beams, self.config.beam_width)
         finals = self._publish()

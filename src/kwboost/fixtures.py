@@ -22,7 +22,7 @@ import numpy as np
 
 from .dataio import write_logits, write_manifest, write_vocab_file
 from .decoder import LogitMatrix, Vocabulary
-from .errors import DataFormatError, read_text
+from .errors import ConfigError, DataFormatError, read_text
 
 BLANK_TOKEN = "<blank>"
 
@@ -213,6 +213,8 @@ def make_fixtures(
     seed: int = 0,
 ) -> FixtureSet:
     """Write logit files, a manifest, and a vocabulary under out_dir."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if isinstance(specs, (str, Path)):
         specs = load_fixture_spec(specs)
     if not specs:

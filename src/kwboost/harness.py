@@ -215,18 +215,18 @@ def prepare_list(
     """
     table = load_exceptions(exceptions) if exceptions else None
     rejected: list[tuple[str, str]] = []
-    kept: list[tuple[str, float | None, int]] = []
+    kept: list[KeywordEntry] = []
     for raw, weight, priority in load_keyword_list(keywords):
         if len(raw.split()) > 1 and not split_compounds:
             rejected.append((raw, "contains whitespace (use --split-compounds)"))
             continue
         try:
-            normalize_keyword(raw, table)
+            variants = normalize_keyword(raw, table)
         except NormalizationError as exc:
             rejected.append((raw, str(exc)))
             continue
-        kept.append((raw, weight, priority))
-    mapping = build_mapping(kept, table)
+        kept.append(KeywordEntry(raw, tuple(variants), weight, priority))
+    mapping = _assemble_mapping(kept)
     if out is not None:
         save_mapping(mapping, out)
     return PrepareSummary(mapping, rejected)

@@ -317,9 +317,6 @@ class NormalizationMapping:
                 i = best[1]
         return spans
 
-    def save(self, path: str | Path) -> None:
-        save_mapping(self, path)
-
 
 def _claim_rank(entry: KeywordEntry) -> tuple[int, int, str]:
     return (entry.priority, -len(entry.raw), entry.raw)
@@ -415,6 +412,13 @@ def inverse_normalize(
 # --- file formats ---------------------------------------------------------
 
 
+def _check_weight(weight: float | None, path: Path, lineno: int) -> None:
+    if weight is not None and not 0.0 <= weight < math.inf:
+        raise DataFormatError(
+            f"{path}:{lineno}: keyword weight must be finite and >= 0, got {weight}"
+        )
+
+
 def load_keyword_list(path: str | Path) -> list[tuple[str, float | None, int]]:
     """Read a keyword list file: ``raw<TAB>weight?<TAB>priority?``.
 
@@ -439,10 +443,7 @@ def load_keyword_list(path: str | Path) -> list[tuple[str, float | None, int]]:
                 priority = int(fields[2])
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-        if weight is not None and not 0.0 <= weight < math.inf:
-            raise DataFormatError(
-                f"{path}:{lineno}: keyword weight must be finite and >= 0, got {weight}"
-            )
+        _check_weight(weight, path, lineno)
         items.append((raw, weight, priority))
     return items
 
@@ -502,6 +503,7 @@ def load_mapping(path: str | Path) -> NormalizationMapping:
             priority = int(priority_text)
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+        _check_weight(weight, path, lineno)
         if raw not in variants:
             order.append(raw)
             variants[raw] = []

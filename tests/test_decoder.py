@@ -129,11 +129,15 @@ class TestDecodeConfig:
             dict(word_bonus=float("-inf")),
             dict(token_min_logp=0.5),
             dict(token_min_logp=float("nan")),
+            dict(beam_width=2.5),
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             DecodeConfig(**kwargs)
+
+    def test_numpy_integer_beam_width(self):
+        assert DecodeConfig(beam_width=np.int64(3)).beam_width == 3
 
     def test_disable_floor_with_neg_inf(self):
         assert DecodeConfig(token_min_logp=float("-inf")).token_min_logp == float("-inf")

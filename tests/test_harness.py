@@ -776,6 +776,16 @@ class TestCli:
         assert "1 utterances ->" in capsys.readouterr().out
         assert (tmp_path / "fx" / "manifest.jsonl").exists()
 
+    def test_make_fixtures_negative_seed_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.jsonl"
+        spec.write_text('{"id": "u1", "text": "hello"}\n', encoding="utf-8")
+        out_dir = tmp_path / "fx"
+        argv = ["make-fixtures", "--spec", str(spec), "--out-dir", str(out_dir),
+                "--seed", "-1"]
+        assert main(argv) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

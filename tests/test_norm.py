@@ -356,6 +356,15 @@ class TestFileFormats:
         save_mapping(reloaded, second)
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("weight", ["nan", "-3", "inf"])
+    def test_load_mapping_rejects_bad_weights(self, tmp_path, weight):
+        path = tmp_path / "map.tsv"
+        path.write_text(
+            f"AI\ta i\t1.5\t0\nIBM\ti b m\t{weight}\t0\n", encoding="utf-8"
+        )
+        with pytest.raises(DataFormatError, match=":2: keyword weight"):
+            load_mapping(path)
+
     def test_load_mapping_restores_entries(self, tmp_path):
         mapping = build_mapping([("C3PO", 3.0, 0), "IBM"])
         path = tmp_path / "map.tsv"
