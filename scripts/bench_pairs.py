@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Interleaved benchmark pairs: a base checkout against a changed one.
+
+For each workload and seed, runs ``kwbench/run.py`` once in BASE_DIR and
+once in CHANGE_DIR, alternating which side runs first, so slow drift of
+the machine hits both sides alike.  Each run imports kwboost from its
+own checkout's ``src/``.  Prints one line per pair as it finishes, then,
+per workload and end-to-end metric, each side's median with quartiles,
+the change's median relative to the base, and the pairs the change won,
+lost and tied.  ``gain`` marks a metric where the change won at least
+nine tenths of the pairs and its median beats the base's by more than
+the distance between the base's quartiles.
+
+Make the base checkout from the parent commit with git, for instance:
+
+    mkdir -p /tmp/base && git archive HEAD | tar -x -C /tmp/base
+    python3 scripts/bench_pairs.py /tmp/base . --workload decode-long \\
+        --seeds 1 2 3 4 5 6 7 8 9 10 --seconds 30
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+
+
+def parse_args() -> argparse.Namespace:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path, help="checkout of the base commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument(
+        "--workload", action="append", choices=WORKLOADS,
+        help="workload to run (repeatable; default: all)",
+    )
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
+    parser.add_argument(
+        "--seconds", type=float, default=BENCHMARK["run_seconds"],
+        help="timed seconds per run",
+    )
+    parser.add_argument("--quick", action="store_true", help="tiny inputs, smoke test")
+    args = parser.parse_args()
+    for checkout in (args.base, args.change):
+        if not (checkout / "kwbench" / "run.py").is_file():
+            parser.error(f"{checkout} has no kwbench/run.py")
+    return args
+
+
+def run(checkout: Path, workload: str, seed: int, args: argparse.Namespace) -> dict:
+    """One benchmark run: its metric values and failed-check count."""
+    argv = [
+        sys.executable, "kwbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0",
+    ]
+    if args.quick:
+        argv.append("--quick")
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"bench_pairs: {workload} seed {seed} in {checkout} failed:\n{proc.stderr}")
+    result = json.loads(proc.stdout.splitlines()[-1])
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    return {"values": values, "failed": result["failed"]}
+
+
+def quartiles(values: list[float]) -> list[float]:
+    """First quartile, median and third quartile."""
+    if len(values) < 2:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def summarize(workload: str, pairs: list[tuple[dict, dict]]) -> None:
+    failed = [sum(side["failed"] for side in sides) for sides in zip(*pairs)]
+    print(f"\n{workload}: {len(pairs)} pairs, failed checks base {failed[0]} "
+          f"change {failed[1]}")
+    print(f"  {'metric':<13} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30} "
+          f"{'change/base':>11} {'won':>4} {'lost':>4} {'tied':>4}")
+    for name, better in BETTER.items():
+        base = [b["values"][name] for b, _ in pairs]
+        change = [c["values"][name] for _, c in pairs]
+        sign = 1.0 if better == "higher" else -1.0
+        won = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+        lost = sum(sign * (c - b) < 0 for b, c in zip(base, change))
+        bq1, bmed, bq3 = quartiles(base)
+        cq1, cmed, cq3 = quartiles(change)
+        ratio = f"{cmed / bmed:11.3f}" if bmed else f"{'-':>11}"
+        gain = won >= 0.9 * len(pairs) and sign * (cmed - bmed) > bq3 - bq1
+        print(
+            f"  {name:<13} {f'{bmed:.4g} [{bq1:.4g}, {bq3:.4g}]':>30} "
+            f"{f'{cmed:.4g} [{cq1:.4g}, {cq3:.4g}]':>30} {ratio} "
+            f"{won:4d} {lost:4d} {len(pairs) - won - lost:4d}{'  gain' if gain else ''}"
+        )
+
+
+def main() -> None:
+    args = parse_args()
+    for workload in args.workload or WORKLOADS:
+        pairs = []
+        for n, seed in enumerate(args.seeds):
+            # Even pairs run the base first, odd pairs the change.
+            order = 1 if n % 2 == 0 else -1
+            sides = [args.base, args.change][::order]
+            base, change = [run(checkout, workload, seed, args) for checkout in sides][::order]
+            pairs.append((base, change))
+            print(
+                f"{workload} seed {seed} ({'base' if order == 1 else 'change'} first): "
+                f"frames_per_s base {base['values']['frames_per_s']:.1f} "
+                f"change {change['values']['frames_per_s']:.1f}",
+                flush=True,
+            )
+        summarize(workload, pairs)
+
+
+if __name__ == "__main__":
+    main()

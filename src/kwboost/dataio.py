@@ -130,13 +130,24 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
         try:
-            utt_id = str(record["id"])
+            utt_id = record["id"]
             logits = Path(record["logits"])
-            reference = str(record["reference"])
-        except (KeyError, TypeError) as exc:
+            reference = record["reference"]
+        except (KeyError, TypeError):
             raise DataFormatError(
                 f"{path}:{lineno}: manifest records need id, logits, reference"
             ) from None
+        # bool is an int subclass; a JSON true is no utterance id.
+        if isinstance(utt_id, bool) or not isinstance(utt_id, (str, int)):
+            raise DataFormatError(
+                f"{path}:{lineno}: utterance id must be a string or an integer, "
+                f"got {utt_id!r}"
+            )
+        if not isinstance(reference, str):
+            raise DataFormatError(
+                f"{path}:{lineno}: reference must be a string, got {reference!r}"
+            )
+        utt_id = str(utt_id)
         if utt_id in seen:
             raise DataFormatError(f"{path}:{lineno}: duplicate utterance id {utt_id!r}")
         seen.add(utt_id)
@@ -164,5 +175,8 @@ def read_transcripts(path: str | Path) -> dict[str, dict]:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
         if not isinstance(record, dict) or "id" not in record:
             raise DataFormatError(f"{path}:{lineno}: expected an object with an id")
-        records[str(record["id"])] = record
+        utt_id = str(record["id"])
+        if utt_id in records:
+            raise DataFormatError(f"{path}:{lineno}: duplicate utterance id {utt_id!r}")
+        records[utt_id] = record
     return records

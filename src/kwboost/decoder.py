@@ -10,9 +10,10 @@ retracted at finalization, where only full keyword matches are paid.
 Prefixes are interned as nodes that point to their parent prefix, and
 each beam entry owns the node of its prefix, so one frame costs the
 same however long the prefixes have grown.  A frame ranks light
-records of the new prefixes and builds hypotheses, each with its node,
-only for the ones the beam keeps, and it commits a parent's pending
-word once for all of its word-starting children.  Token tuples are
+records of the new prefixes with one sort and builds hypotheses, each
+with its node, only for the ones the beam keeps.  It commits a parent's
+pending word once for all of its word-starting children, and each entry
+carries its acoustic mass, summed once per frame.  Token tuples are
 built only for the n-best lists a result reports.  Finalization
 commits each pending word, settles the boosts and ranks the beam in
 place, with the same commit routine and ranking as the frame loop, so
@@ -32,11 +33,11 @@ scaled by ln(10) when fused.
 
 from __future__ import annotations
 
-import heapq
 import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +50,8 @@ LN10 = math.log(10.0)
 NEG_INF = float("-inf")
 
 MODES = ("baseline", "default", "ngram")
+
+_NEG_TOTAL = itemgetter(0)  # the sort key of a ranking record
 
 
 def _log_add(a: float, b: float) -> float:
@@ -300,18 +303,21 @@ class _Hyp:
     """A beam entry inside the search; results carry BeamHypothesis copies.
 
     ``node`` is the entry's own prefix node, made with the entry.
+    ``acoustic`` is always ``_log_add(log_p_blank, log_p_nonblank)``,
+    kept so that each frame computes it once per entry.
     """
 
     __slots__ = (
-        "node", "log_p_blank", "log_p_nonblank", "committed", "pending",
-        "lm_fused", "word_bonus", "partial_boost", "final_boost",
+        "node", "log_p_blank", "log_p_nonblank", "acoustic", "committed",
+        "pending", "lm_fused", "word_bonus", "partial_boost", "final_boost",
     )
 
-    def __init__(self, node, log_p_blank, log_p_nonblank,
+    def __init__(self, node, log_p_blank, log_p_nonblank, acoustic,
                  committed, pending, lm_fused, word_bonus, partial_boost):
         self.node = node
         self.log_p_blank = log_p_blank
         self.log_p_nonblank = log_p_nonblank
+        self.acoustic = acoustic
         self.committed = committed
         self.pending = pending
         self.lm_fused = lm_fused
@@ -329,8 +335,7 @@ class _Hyp:
 
 
 def _total(h: _Hyp) -> float:
-    return (_log_add(h.log_p_blank, h.log_p_nonblank)
-            + h.lm_fused + h.word_bonus + h.partial_boost + h.final_boost)
+    return h.acoustic + h.lm_fused + h.word_bonus + h.partial_boost + h.final_boost
 
 
 def _ranked(hyps, width: int) -> list[_Hyp]:
@@ -339,7 +344,7 @@ def _ranked(hyps, width: int) -> list[_Hyp]:
     Higher total first; exact ties prefer fewer words, then the words
     in lexicographic order, then the token prefix, so the order is total.
     """
-    ranked = heapq.nsmallest(width, [(-_total(h), h) for h in hyps])
+    ranked = sorted([(-_total(h), h) for h in hyps])[:width]
     return [hyp for _, hyp in ranked]
 
 
@@ -366,7 +371,7 @@ class DecoderSession:
         self._trace: list[tuple[tuple[str, ...], float]] = []
         self._result: DecodeResult | None = None
         self._reported: list[_Node] = []
-        self.beams = [_Hyp(_Node(None, None), 0.0, NEG_INF, (), "", 0.0, 0.0, 0.0)]
+        self.beams = [_Hyp(_Node(None, None), 0.0, NEG_INF, 0.0, (), "", 0.0, 0.0, 0.0)]
 
     # -- scoring ----------------------------------------------------------
 
@@ -412,11 +417,10 @@ class DecoderSession:
         stays: dict[int, dict] = {}  # id(node.parent) -> {node.token: stay slot}
         for hyp in self.beams:
             p_blank, p_nonblank = hyp.log_p_blank, hyp.log_p_nonblank
-            acoustic = _log_add(p_blank, p_nonblank)
-            parents.append((hyp, p_blank, acoustic))
+            parents.append((hyp, p_blank))
             node = hyp.node
             last = node.token
-            hyp.log_p_blank = acoustic + blank_lp
+            hyp.log_p_blank = hyp.acoustic + blank_lp
             hyp.log_p_nonblank = NEG_INF if last is None else p_nonblank + row[last]
             siblings = stays.get(id(node.parent))
             if siblings is None:
@@ -425,13 +429,14 @@ class DecoderSession:
                 siblings[last] = hyp
         # Every other child holds one mass, so its total is final here:
         # rank light records and make hypotheses only for the winners.
-        # A child's record is (-total, seq, token, mass, fields), where
-        # fields are what it inherits: its parent node, committed words,
-        # pending head and score parts; a stay slot's is (-total, seq,
-        # slot).  The parent's pending word is committed once, for all
-        # its word-starting children.
+        # A child's record is (-total, token, mass, fields), where fields
+        # are what it inherits: its parent node, committed words, pending
+        # head and score parts; a stay slot's is (-total, slot).  The
+        # parent's pending word is committed once, for all its
+        # word-starting children.
         records = []
-        for hyp, p_blank, acoustic in parents:
+        for hyp, p_blank in parents:
+            acoustic = hyp.acoustic
             if acoustic == NEG_INF or not candidates:
                 continue
             node = hyp.node
@@ -452,10 +457,7 @@ class DecoderSession:
                         stay.log_p_nonblank = _log_add(stay.log_p_nonblank, mass)
                         continue
                 if not starts_word:
-                    records.append((
-                        -(mass + lm_fused + bonus + boost),
-                        len(records), tid, mass, inherit,
-                    ))
+                    records.append((-(mass + lm_fused + bonus + boost), tid, mass, inherit))
                     continue
                 if start is None:
                     start = inherit
@@ -463,13 +465,16 @@ class DecoderSession:
                         committed, *scores = self._commit(hyp)
                         start = (node, committed, "", *scores)
                     s_lm, s_bonus, s_boost = start[3:]
-                records.append((
-                    -(mass + s_lm + s_bonus + s_boost), len(records), tid, mass, start,
-                ))
+                records.append((-(mass + s_lm + s_bonus + s_boost), tid, mass, start))
+        # A stay slot's masses are final once the merges are in.
         for hyp in self.beams:
-            records.append((-_total(hyp), len(records), hyp))
+            hyp.acoustic = _log_add(hyp.log_p_blank, hyp.log_p_nonblank)
+            records.append((-_total(hyp), hyp))
         width = self.config.beam_width
-        best = heapq.nsmallest(width + 1, records)
+        # A stable sort on the total alone: floats compare fast, and
+        # equal totals keep the order they were made in.
+        records.sort(key=_NEG_TOTAL)
+        best = records[:width + 1]
         if all(a[0] != b[0] for a, b in zip(best, best[1:])):
             self.beams = [self._hyp(record) for record in best[:width]]
             return
@@ -484,12 +489,13 @@ class DecoderSession:
 
     def _hyp(self, record: tuple) -> _Hyp:
         """The hypothesis a ranking record stands for."""
-        if len(record) == 3:
-            return record[2]
-        _, _, tid, mass, (node, committed, head, lm_fused, bonus, boost) = record
+        if len(record) == 2:
+            return record[1]
+        _, tid, mass, (node, committed, head, lm_fused, bonus, boost) = record
+        # Its blank mass is -inf, so its acoustic is its one mass.
         return _Hyp(
-            node.child(tid), NEG_INF, mass, committed, head + self._spelling[tid][1],
-            lm_fused, bonus, boost,
+            node.child(tid), NEG_INF, mass, mass, committed,
+            head + self._spelling[tid][1], lm_fused, bonus, boost,
         )
 
     def _publish(self) -> list[BeamHypothesis]:

@@ -89,14 +89,14 @@ def load_arpa(path: str | Path, unk_log10: float = -8.0) -> NGramLM:
         if line == "\\end\\":
             saw_end = True
             break
-        count_match = _COUNT_RE.match(line)
-        if count_match and section is None:
+        # Counts come only before the first section, and every header
+        # line starts with a backslash: data lines skip both patterns.
+        if section is None and (count_match := _COUNT_RE.match(line)):
             if not saw_data:
                 raise ArpaError("ngram count before \\data\\", str(path), lineno)
             declared[int(count_match.group(1))] = int(count_match.group(2))
             continue
-        section_match = _SECTION_RE.match(line)
-        if section_match:
+        if line[0] == "\\" and (section_match := _SECTION_RE.match(line)):
             if not saw_data:
                 raise ArpaError("section before \\data\\", str(path), lineno)
             section = int(section_match.group(1))

@@ -508,6 +508,11 @@ def load_mapping(path: str | Path) -> NormalizationMapping:
             order.append(raw)
             variants[raw] = []
             meta[raw] = (weight, priority)
+        elif meta[raw] != (weight, priority):
+            raise DataFormatError(
+                f"{path}:{lineno}: weight and priority of {raw!r} differ from "
+                f"its earlier line {meta[raw]}"
+            )
         variants[raw].append(variant)
     entries = [
         KeywordEntry(raw, tuple(variants[raw]), meta[raw][0], meta[raw][1])

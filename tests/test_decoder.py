@@ -473,6 +473,37 @@ class TestWorkPerFrame:
         assert calls["find_matches"] == finalized
         assert result.matches == trie.find_matches(result.words)
 
+    def test_one_log_add_per_beam_entry(self, data_dir, monkeypatch):
+        # A frame adds each entry's blank and non-blank masses once, when
+        # its stay slot is ranked; the next frame reads that sum back.  A
+        # new prefix can only merge into an entry whose parent prefix is
+        # also in the beam, and each push sums the reported best once.
+        calls = 0
+        real_log_add = decoder._log_add
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return real_log_add(a, b)
+
+        monkeypatch.setattr(decoder, "_log_add", counted)
+        lm = load_arpa(data_dir / "tiny_bigram.arpa")
+        trie = build_trie(build_mapping(REF_KEYWORDS), default_weight=1.0)
+        config = DecodeConfig(beam_width=8, mode="ngram", token_min_logp=float("-inf"))
+        for vocab in REF_VOCABS:
+            session = new_session(vocab, config, lm=lm, trie=trie)
+            calls = entries = mergeable = pushes = 0
+            beam = [()]
+            for row in softmax_logits(np.random.default_rng(11), 12, vocab.size).data:
+                entries += len(beam)
+                prefixes = set(beam)
+                mergeable += sum(tokens[:-1] in prefixes for tokens in beam if tokens)
+                beam = [h.tokens for h in session.push_frames(row[None]).nbest]
+                pushes += 1
+            # Fewer merges than entries: two sums per entry break the bound.
+            assert mergeable < entries
+            assert 0 < calls <= entries + mergeable + pushes
+
 
 def live_prefix_nodes():
     return sum(isinstance(obj, decoder._Node) for obj in gc.get_objects())

@@ -363,6 +363,17 @@ class TestRunScore:
         with pytest.raises(DataFormatError, match="no hypothesis for utterance 'u2'"):
             run_score(hyps, manifest, keywords)
 
+    def test_duplicate_hypothesis_rejected(self, tmp_path):
+        hyps, manifest, keywords = self.write_pair(
+            tmp_path, [("u1", "AI lab", "AI lab")]
+        )
+        hyps.write_text(
+            hyps.read_text(encoding="utf-8") + json.dumps({"id": "u1", "text": "lab"}) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DataFormatError, match=f"{re.escape(str(hyps))}:2: duplicate"):
+            run_score(hyps, manifest, keywords)
+
     def test_error_records_are_not_scoreable(self, tmp_path):
         hyps, manifest, keywords = self.write_pair(
             tmp_path, [("u1", "AI lab", {"id": "u1", "error": "bad logits"})]
@@ -846,6 +857,43 @@ class TestCli:
         )
         assert rc == 2
         assert capsys.readouterr().err.startswith("kwboost: error:")
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"id": "u1", "logits": "x.ctcl", "reference": None},
+            {"id": "u1", "logits": "x.ctcl", "reference": 5},
+            {"id": None, "logits": "x.ctcl", "reference": "AI lab"},
+            {"id": True, "logits": "x.ctcl", "reference": "AI lab"},
+            {"id": 1.5, "logits": "x.ctcl", "reference": "AI lab"},
+        ],
+    )
+    def test_mistyped_manifest_record_exits_2(self, tmp_path, capsys, record):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        hyps = tmp_path / "hyps.jsonl"
+        hyps.write_text(
+            json.dumps({"id": str(record["id"]), "text": "None"}) + "\n", encoding="utf-8"
+        )
+        rc = main(
+            [
+                "score",
+                "--hyps", str(hyps),
+                "--manifest", str(manifest),
+                "--keywords", str(DATA / "keywords_demo.txt"),
+            ]
+        )
+        assert rc == 2
+        assert f"{manifest}:1: " in capsys.readouterr().err
+
+    def test_integer_manifest_ids_are_read_as_strings(self, tmp_path):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(
+            json.dumps({"id": 7, "logits": "x.ctcl", "reference": "AI lab"}) + "\n",
+            encoding="utf-8",
+        )
+        (entry,) = read_manifest(manifest)
+        assert (entry.utt_id, entry.reference) == ("7", "AI lab")
 
     def test_negative_boost_weight_exits_2(self, corpus, tmp_path, capsys):
         rc = main(

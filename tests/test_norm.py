@@ -365,6 +365,13 @@ class TestFileFormats:
         with pytest.raises(DataFormatError, match=":2: keyword weight"):
             load_mapping(path)
 
+    @pytest.mark.parametrize("second", ["AI\tai\t3.0\t0", "AI\tai\t1.5\t2", "AI\tai\t\t0"])
+    def test_load_mapping_rejects_conflicting_weight_or_priority(self, tmp_path, second):
+        path = tmp_path / "map.tsv"
+        path.write_text(f"AI\ta i\t1.5\t0\n{second}\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=":2: weight and priority of 'AI'"):
+            load_mapping(path)
+
     def test_load_mapping_restores_entries(self, tmp_path):
         mapping = build_mapping([("C3PO", 3.0, 0), "IBM"])
         path = tmp_path / "map.tsv"

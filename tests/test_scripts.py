@@ -58,3 +58,15 @@ def test_decoder_cost_reports_every_length(tmp_path):
     assert set(rows) == {"baseline", "default", "ngram"}
     assert rows["baseline"][1] == 0.0
     assert 0.0 < rows["ngram"][1] <= 50.0
+
+
+def test_bench_pairs_reports_every_metric(tmp_path):
+    out = run_script(
+        "bench_pairs.py", tmp_path, str(ROOT), str(ROOT),
+        "--quick", "--seconds", "0", "--workload", "tune-grid", "--seeds", "0", "1",
+    )
+    assert "tune-grid seed 0 (base first)" in out
+    assert "tune-grid seed 1 (change first)" in out
+    assert "tune-grid: 2 pairs, failed checks base 0 change 0" in out
+    for metric in ("setup_s", "frames_per_s", "wer", "u_wer", "b_wer", "peak_rss_mb"):
+        assert f"\n  {metric} " in out
