@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .decoder import LogitMatrix, Vocabulary
-from .errors import DataFormatError, read_text
+from .errors import DataFormatError, read_lines, read_text
 
 LOGIT_MAGIC = b"CTCL"
 LOGIT_VERSION = 1
@@ -36,7 +36,7 @@ def read_logits(path: str | Path) -> LogitMatrix:
     path = Path(path)
     try:
         blob = path.read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: NUL in path
         raise DataFormatError(f"{path}: {exc}") from None
     if len(blob) < _HEADER.size:
         raise DataFormatError(f"{path}: truncated header")
@@ -109,6 +109,14 @@ def read_vocab_file(path: str | Path) -> Vocabulary:
         raise DataFormatError(f"{path}: {exc}") from None
 
 
+def utterance_id(value: object) -> str:
+    """The one utterance-id rule: a string, or an integer that is not a bool."""
+    # bool is an int subclass; a JSON true is no utterance id.
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError(f"utterance id must be a string or an integer, got {value!r}")
+    return str(value)
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     utt_id: str
@@ -119,42 +127,24 @@ class ManifestEntry:
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
     """Read an utterance manifest; logit paths resolve against the manifest."""
     path = Path(path)
-    base = path.parent
-    entries: list[ManifestEntry] = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
-        if not line.strip():
-            continue
+    entries: dict[str, ManifestEntry] = {}
+
+    def parse(line: str) -> None:
+        record = json.loads(line)
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-        try:
-            utt_id = record["id"]
-            logits = Path(record["logits"])
+            utt_id = utterance_id(record["id"])
+            logits = path.parent / record["logits"]
             reference = record["reference"]
         except (KeyError, TypeError):
-            raise DataFormatError(
-                f"{path}:{lineno}: manifest records need id, logits, reference"
-            ) from None
-        # bool is an int subclass; a JSON true is no utterance id.
-        if isinstance(utt_id, bool) or not isinstance(utt_id, (str, int)):
-            raise DataFormatError(
-                f"{path}:{lineno}: utterance id must be a string or an integer, "
-                f"got {utt_id!r}"
-            )
+            raise ValueError("manifest records need id, logits, reference") from None
         if not isinstance(reference, str):
-            raise DataFormatError(
-                f"{path}:{lineno}: reference must be a string, got {reference!r}"
-            )
-        utt_id = str(utt_id)
-        if utt_id in seen:
-            raise DataFormatError(f"{path}:{lineno}: duplicate utterance id {utt_id!r}")
-        seen.add(utt_id)
-        if not logits.is_absolute():
-            logits = base / logits
-        entries.append(ManifestEntry(utt_id, logits, reference))
-    return entries
+            raise ValueError(f"reference must be a string, got {reference!r}")
+        if utt_id in entries:
+            raise ValueError(f"duplicate utterance id {utt_id!r}")
+        entries[utt_id] = ManifestEntry(utt_id, logits, reference)
+
+    read_lines(path, parse)
+    return list(entries.values())
 
 
 def write_manifest(path: str | Path, records: Iterable[dict]) -> None:
@@ -166,17 +156,15 @@ def read_transcripts(path: str | Path) -> dict[str, dict]:
     """Read a decode output file back as id -> record."""
     path = Path(path)
     records: dict[str, dict] = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+
+    def parse(line: str) -> None:
+        record = json.loads(line)
         if not isinstance(record, dict) or "id" not in record:
-            raise DataFormatError(f"{path}:{lineno}: expected an object with an id")
-        utt_id = str(record["id"])
+            raise ValueError("expected an object with an id")
+        utt_id = utterance_id(record["id"])
         if utt_id in records:
-            raise DataFormatError(f"{path}:{lineno}: duplicate utterance id {utt_id!r}")
+            raise ValueError(f"duplicate utterance id {utt_id!r}")
         records[utt_id] = record
+
+    read_lines(path, parse)
     return records

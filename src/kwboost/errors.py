@@ -1,12 +1,19 @@
 """Exception types shared across the toolkit, and the one text reader.
 
 Everything raised on bad user input derives from ToolkitError so the
-CLI can map it to a data-error exit code in one place.
+CLI can map it to a data-error exit code in one place.  ``read_text``
+reads every text file; ``read_lines`` runs every line-oriented format
+(manifests, transcripts, keyword lists, exceptions, mappings, fixture
+specs) through one loop, one skip rule and one ``<path>:<line>:``
+error location.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
 
 
 class ToolkitError(Exception):
@@ -43,5 +50,26 @@ def read_text(path: Path, error: type[ToolkitError] = DataFormatError) -> str:
     """The UTF-8 text of ``path``; I/O and decoding faults raise ``error``."""
     try:
         return path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, NUL in path
         raise error(f"{path}: {exc}") from None
+
+
+def read_lines(
+    path: Path, parse: Callable[[str], T], comments: bool = False
+) -> list[T]:
+    """``parse`` of each line of ``path`` that is not blank.
+
+    With ``comments``, lines whose first non-blank character is ``#``
+    are skipped too.  A ValueError from ``parse`` (json.JSONDecodeError
+    included) becomes a DataFormatError located at ``<path>:<line>``.
+    """
+    values = []
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+        stripped = line.lstrip()
+        if not stripped or (comments and stripped.startswith("#")):
+            continue
+        try:
+            values.append(parse(line))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+    return values

@@ -14,15 +14,16 @@ a given seed, byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .dataio import write_logits, write_manifest, write_vocab_file
+from .dataio import utterance_id, write_logits, write_manifest, write_vocab_file
 from .decoder import LogitMatrix, Vocabulary
-from .errors import ConfigError, DataFormatError, read_text
+from .errors import ConfigError, DataFormatError, read_lines
 
 BLANK_TOKEN = "<blank>"
 
@@ -54,27 +55,45 @@ class UtteranceSpec:
 
 
 def load_fixture_spec(path: str | Path) -> list[UtteranceSpec]:
-    """Read utterance specs from JSON lines.
+    """Read utterance specs from JSON lines, one ``parse_spec`` record each."""
 
-    Fields: id, text, reference (optional, defaults to text),
-    confidence (single float or one per word, default 0.95),
-    confusions ([{word, alt, prob}]), traps ([{after, alt, prob, count}]).
-    """
-    path = Path(path)
-    specs: list[UtteranceSpec] = []
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    def parse(line: str) -> UtteranceSpec:
         try:
-            record = json.loads(line)
-            specs.append(parse_spec(record))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-    return specs
+            return parse_spec(json.loads(line))
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc}") from None
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(exc) from None
+
+    return read_lines(Path(path), parse, comments=True)
+
+
+def _string(value: object, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _integer(value: object, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def parse_spec(record: dict) -> UtteranceSpec:
-    words = str(record["text"]).split()
+    """One utterance spec from its record; out-of-range values raise ValueError.
+
+    Fields: id (string or integer, filename-safe), text (string),
+    reference (string, defaults to text), confidence (one number or one
+    per word in (0, 1], default 0.95), confusions ([{word, alt, prob}],
+    prob finite and > 0) and traps ([{after, alt, prob, count}], prob in
+    (0, 0.9], count an integer >= 1, default 1).
+    """
+    utt_id = utterance_id(record["id"])
+    if not utt_id or any(sep in utt_id for sep in "/\\\0"):
+        raise ValueError(f"utterance id {utt_id!r} is not filename-safe")
+    text = _string(record["text"], "text")
+    words = text.split()
     if not words:
         raise ValueError("empty text")
     confidence = record.get("confidence", 0.95)
@@ -88,24 +107,27 @@ def parse_spec(record: dict) -> UtteranceSpec:
             )
     confusions = {}
     for item in record.get("confusions", []):
-        confusions[str(item["word"])] = (str(item["alt"]), float(item["prob"]))
+        word = _string(item["word"], "confusion word")
+        prob = float(item["prob"])
+        if not 0.0 < prob < math.inf:
+            raise ValueError(f"confusion probability {prob} outside (0, inf)")
+        confusions[word] = (_string(item["alt"], "confusion alt"), prob)
     traps = [
         Trap(
-            after=int(item["after"]),
-            alt=str(item["alt"]),
+            after=_integer(item["after"], "trap after"),
+            alt=_string(item["alt"], "trap alt"),
             prob=float(item["prob"]),
-            count=int(item.get("count", 1)),
+            count=_integer(item.get("count", 1), "trap count"),
         )
         for item in record.get("traps", [])
     ]
-    utt_id = str(record["id"])
-    if not utt_id or any(sep in utt_id for sep in "/\\"):
-        raise ValueError(f"utterance id {utt_id!r} is not filename-safe")
     for trap in traps:
         if not 0 <= trap.after < len(words):
             raise ValueError(f"trap after={trap.after} outside utterance")
         if not 0.0 < trap.prob <= 0.9:
             raise ValueError(f"trap probability {trap.prob} outside (0, 0.9]")
+        if trap.count < 1:
+            raise ValueError(f"trap count {trap.count} is below 1")
     for i, (word, conf) in enumerate(zip(words, confidence)):
         claimed = conf + (confusions[word][1] if word in confusions else 0.0)
         if not 0 < conf <= 1 or claimed > 1:
@@ -113,7 +135,7 @@ def parse_spec(record: dict) -> UtteranceSpec:
     return UtteranceSpec(
         utt_id=utt_id,
         words=words,
-        reference=str(record.get("reference", record["text"])),
+        reference=_string(record.get("reference", text), "reference"),
         confidence=confidence,
         confusions=confusions,
         traps=traps,

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DataFormatError, NormalizationError, read_text
+from .errors import NormalizationError, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -327,8 +327,12 @@ def _assemble_mapping(entries: list[KeywordEntry]) -> NormalizationMapping:
     for entry in entries:
         if entry.raw in seen_raw:
             raise NormalizationError(f"duplicate keyword {entry.raw!r}")
-        if "\t" in entry.raw or "\n" in entry.raw:
-            raise NormalizationError(f"keyword {entry.raw!r} contains a tab or newline")
+        # save_mapping writes one line per variant, and read_lines splits
+        # with str.splitlines, which also breaks at \r, \u2028 and more.
+        if "\t" in entry.raw or len(entry.raw.splitlines()) > 1:
+            raise NormalizationError(
+                f"keyword {entry.raw!r} contains a tab or line break"
+            )
         seen_raw.add(entry.raw)
 
     claims: dict[Variant, list[KeywordEntry]] = {}
@@ -412,11 +416,11 @@ def inverse_normalize(
 # --- file formats ---------------------------------------------------------
 
 
-def _check_weight(weight: float | None, path: Path, lineno: int) -> None:
-    if weight is not None and not 0.0 <= weight < math.inf:
-        raise DataFormatError(
-            f"{path}:{lineno}: keyword weight must be finite and >= 0, got {weight}"
-        )
+def _weight(text: str) -> float:
+    weight = float(text)
+    if not 0.0 <= weight < math.inf:
+        raise ValueError(f"keyword weight must be finite and >= 0, got {weight}")
+    return weight
 
 
 def load_keyword_list(path: str | Path) -> list[tuple[str, float | None, int]]:
@@ -425,27 +429,17 @@ def load_keyword_list(path: str | Path) -> list[tuple[str, float | None, int]]:
     Blank lines and lines starting with ``#`` are skipped.  A weight
     must be finite and >= 0, like ``--boost-weight``.
     """
-    items: list[tuple[str, float | None, int]] = []
-    path = Path(path)
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+
+    def parse(line: str) -> tuple[str, float | None, int]:
         fields = line.split("\t")
         raw = fields[0].strip()
         if not raw:
-            raise DataFormatError(f"{path}:{lineno}: missing keyword")
-        weight: float | None = None
-        priority = 0
-        try:
-            if len(fields) > 1 and fields[1].strip():
-                weight = float(fields[1])
-            if len(fields) > 2 and fields[2].strip():
-                priority = int(fields[2])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-        _check_weight(weight, path, lineno)
-        items.append((raw, weight, priority))
-    return items
+            raise ValueError("missing keyword")
+        weight = _weight(fields[1]) if len(fields) > 1 and fields[1].strip() else None
+        priority = int(fields[2]) if len(fields) > 2 and fields[2].strip() else 0
+        return raw, weight, priority
+
+    return read_lines(Path(path), parse, comments=True)
 
 
 def load_exceptions(path: str | Path) -> dict[str, list[list[str]]]:
@@ -456,14 +450,14 @@ def load_exceptions(path: str | Path) -> dict[str, list[list[str]]]:
     ignored (the keyword list stays authoritative for those).
     """
     table: dict[str, list[list[str]]] = {}
-    path = Path(path)
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+
+    def parse(line: str) -> None:
         fields = line.split("\t")
         if len(fields) < 2 or not fields[0].strip() or not fields[1].strip():
-            raise DataFormatError(f"{path}:{lineno}: expected raw<TAB>variant")
+            raise ValueError("expected raw<TAB>variant")
         table.setdefault(fields[0].strip(), []).append(fields[1].split())
+
+    read_lines(Path(path), parse, comments=True)
     return table
 
 
@@ -484,38 +478,25 @@ def save_mapping(mapping: NormalizationMapping, path: str | Path) -> None:
 
 def load_mapping(path: str | Path) -> NormalizationMapping:
     """Read a mapping saved by save_mapping."""
-    path = Path(path)
-    order: list[str] = []
-    variants: dict[str, list[Variant]] = {}
-    meta: dict[str, tuple[float | None, int]] = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
-        if not line.strip():
-            continue
+    entries: dict[str, KeywordEntry] = {}
+
+    def parse(line: str) -> None:
         fields = line.split("\t")
         if len(fields) != 4:
-            raise DataFormatError(f"{path}:{lineno}: expected 4 tab-separated fields")
+            raise ValueError("expected 4 tab-separated fields")
         raw, variant_text, weight_text, priority_text = fields
         variant = tuple(variant_text.split())
         if not raw or not variant:
-            raise DataFormatError(f"{path}:{lineno}: empty raw or variant")
-        try:
-            weight = float(weight_text) if weight_text else None
-            priority = int(priority_text)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-        _check_weight(weight, path, lineno)
-        if raw not in variants:
-            order.append(raw)
-            variants[raw] = []
-            meta[raw] = (weight, priority)
-        elif meta[raw] != (weight, priority):
-            raise DataFormatError(
-                f"{path}:{lineno}: weight and priority of {raw!r} differ from "
-                f"its earlier line {meta[raw]}"
+            raise ValueError("empty raw or variant")
+        weight = _weight(weight_text) if weight_text else None
+        priority = int(priority_text)
+        entry = entries.setdefault(raw, KeywordEntry(raw, (), weight, priority))
+        if (entry.weight, entry.priority) != (weight, priority):
+            raise ValueError(
+                f"weight and priority of {raw!r} differ from "
+                f"its earlier line {(entry.weight, entry.priority)}"
             )
-        variants[raw].append(variant)
-    entries = [
-        KeywordEntry(raw, tuple(variants[raw]), meta[raw][0], meta[raw][1])
-        for raw in order
-    ]
-    return _assemble_mapping(entries)
+        entry.variants += (variant,)
+
+    read_lines(Path(path), parse)
+    return _assemble_mapping(list(entries.values()))

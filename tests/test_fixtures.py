@@ -1,6 +1,7 @@
 """Tests for the synthetic logit corpus generator."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,45 @@ class TestParseSpec:
                 "claims probability",
             ),
             ({"id": "u", "text": "x", "confidence": 0.0}, "claims probability"),
+            ({"id": True, "text": "hello there"}, "utterance id must be a string"),
+            ({"id": 1.5, "text": "x"}, "utterance id must be a string"),
+            ({"id": "a\0b", "text": "x"}, "not filename-safe"),
+            ({"id": "u", "text": 5}, "text must be a string"),
+            ({"id": "u", "text": "x", "reference": None}, "reference must be a string"),
+            (
+                {"id": "u", "text": "x", "confusions": [{"word": 1, "alt": "y", "prob": 0.1}]},
+                "confusion word must be a string",
+            ),
+            (
+                {
+                    "id": "u",
+                    "text": "x",
+                    "confidence": 0.5,
+                    "confusions": [{"word": "x", "alt": "y", "prob": -0.5}],
+                },
+                "confusion probability -0.5",
+            ),
+            (
+                {
+                    "id": "u",
+                    "text": "x",
+                    "confidence": 0.5,
+                    "confusions": [{"word": "x", "alt": "y", "prob": float("nan")}],
+                },
+                "confusion probability nan",
+            ),
+            (
+                {
+                    "id": "u",
+                    "text": "x",
+                    "traps": [{"after": 0, "alt": "y", "prob": 0.2, "count": -2}],
+                },
+                "trap count -2 is below 1",
+            ),
+            (
+                {"id": "u", "text": "x y", "traps": [{"after": 0.7, "alt": "y", "prob": 0.2}]},
+                "trap after must be an integer",
+            ),
         ],
     )
     def test_invalid_specs(self, record, message):
@@ -86,6 +126,32 @@ class TestParseSpec:
         )
         with pytest.raises(DataFormatError, match=":3:"):
             load_fixture_spec(path)
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ('{"id": "u", "reference": "x"}', "missing field 'text'"),
+            ('{"id": "u", "text": "x", "confusions": 5}', "not iterable"),
+            (
+                '{"id": "u", "text": "x", "confidence": 0.5,'
+                ' "confusions": [{"word": "x", "alt": "y", "prob": NaN}]}',
+                "confusion probability nan",
+            ),
+            pytest.param(
+                '{"id": "u", "text": "x", "confidence": 1' + "0" * 400 + "}",
+                "too large",
+                id="huge-confidence",
+            ),
+        ],
+    )
+    def test_load_names_the_line_of_a_malformed_record(self, tmp_path, line, message):
+        path = tmp_path / "spec.jsonl"
+        path.write_text('{"id": "ok", "text": "fine"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}:2: ") + ".*" + message):
+            load_fixture_spec(path)
+
+    def test_integer_ids_are_read_as_strings(self):
+        assert parse_spec({"id": 7, "text": "x"}).utt_id == "7"
 
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "spec.jsonl"

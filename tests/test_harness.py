@@ -4,15 +4,19 @@ import argparse
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kwboost.cli import _run_config, build_parser, main
-from kwboost.dataio import read_manifest, read_transcripts, read_vocab_file
+from kwboost.dataio import read_logits, read_manifest, read_transcripts, read_vocab_file
 from kwboost.errors import ConfigError, DataFormatError, NormalizationError, ToolkitError
 from kwboost.fixtures import load_fixture_spec, make_fixtures
 from kwboost.harness import (
@@ -25,7 +29,13 @@ from kwboost.harness import (
     run_score,
 )
 from kwboost.lm import load_arpa
-from kwboost.norm import load_exceptions, load_keyword_list, load_mapping
+from kwboost.norm import (
+    build_mapping,
+    load_exceptions,
+    load_keyword_list,
+    load_mapping,
+    save_mapping,
+)
 
 DATA = Path(__file__).parent / "data"
 CLI = "import sys; from kwboost.cli import main; sys.exit(main())"
@@ -598,6 +608,79 @@ def test_text_readers_turn_io_faults_into_toolkit_errors(tmp_path, reader, fault
         reader(path)
 
 
+# Near-valid inputs reach the per-line parsers: JSON values over the
+# fields the JSONL formats read, tab-separated text, and .ctcl headers.
+_JSON_FIELDS = [
+    "id", "logits", "reference", "text", "confidence", "confusions", "traps",
+    "word", "alt", "prob", "after", "count",
+]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_JSON_FIELDS), inner, max_size=5),
+    max_leaves=10,
+)
+_LINES = st.lists(
+    _JSON_VALUES.map(json.dumps) | st.text(max_size=16)
+    | st.lists(st.text(max_size=6), max_size=4).map("\t".join),
+    max_size=4,
+).map(lambda lines: "\n".join(lines).encode("utf-8", "surrogatepass"))
+_LOGITS = st.builds(
+    lambda frames, tokens, body: struct.pack("<4sIII", b"CTCL", 1, frames, tokens) + body,
+    st.integers(0, 3), st.integers(0, 3), st.binary(max_size=48),
+)
+
+
+@pytest.mark.parametrize(
+    "reader", TEXT_READERS + [read_logits], ids=lambda reader: reader.__name__
+)
+@given(content=st.binary(max_size=64) | _LINES | _LOGITS)
+def test_readers_return_a_value_or_a_toolkit_error_on_any_bytes(reader, content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(content)
+        try:
+            reader(path)
+        except ToolkitError:
+            pass
+
+
+LINE_READERS = [
+    (read_manifest, '{"id": "u1", "logits": "u1.ctcl", "reference": "a"}',
+     '{"id": "u1", "logits": "u2.ctcl", "reference": "b"}'),
+    (read_transcripts, '{"id": "u1", "text": "a"}', '{"id": "u1", "text": "b"}'),
+    (load_keyword_list, "# note", "AI\tnotafloat"),
+    (load_exceptions, "# note", "lonely"),
+    (load_mapping, "AI\ta i\t\t0", "IBM\ti b m\t\tlow"),
+    (load_fixture_spec, "# note", '{"id": "u1"}'),
+]
+
+
+@pytest.mark.parametrize(
+    "reader,first,bad", LINE_READERS, ids=[r[0].__name__ for r in LINE_READERS]
+)
+def test_line_readers_name_the_bad_line_after_skipped_ones(tmp_path, reader, first, bad):
+    path = tmp_path / "input"
+    path.write_text(f"{first}\n\n{bad}\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}:3: ")):
+        reader(path)
+
+
+def test_mapping_raws_may_start_with_a_hash(tmp_path):
+    path = tmp_path / "map.tsv"
+    save_mapping(build_mapping(["#tag"]), path)
+    (entry,) = load_mapping(path).entries
+    assert (entry.raw, entry.variants) == ("#tag", (("tag",),))
+
+
+@pytest.mark.parametrize("utt_id", ["true", "null", "1.5", "[1]"])
+def test_transcript_ids_follow_the_manifest_rule(tmp_path, utt_id):
+    path = tmp_path / "hyps.jsonl"
+    path.write_text(f'{{"id": {utt_id}, "text": "a"}}\n', encoding="utf-8")
+    with pytest.raises(DataFormatError, match="utterance id must be a string or an integer"):
+        read_transcripts(path)
+
+
 class TestCli:
     def decode_args(self, corpus, out, *extra):
         return [
@@ -885,6 +968,35 @@ class TestCli:
         )
         assert rc == 2
         assert f"{manifest}:1: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["decode", "tune"])
+    def test_nul_in_logits_path_exits_2(
+        self, corpus, demo_keywords, tmp_path, capsys, command
+    ):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(
+            json.dumps({"id": "u1", "logits": "a\u0000b.ctcl", "reference": "AI"}) + "\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.jsonl"
+        argv = [command, "--manifest", str(manifest), "--vocab", str(corpus.vocab_path)]
+        if command == "decode":
+            argv += ["--out", str(out)]
+        else:
+            argv += ["--keywords", str(demo_keywords), "--grid", "1"]
+        assert main(argv) == 2
+        if command == "decode":  # the failed utterance becomes an error record
+            assert "embedded null byte" in read_records(out)[0]["error"]
+        else:
+            assert "embedded null byte" in capsys.readouterr().err
+
+    def test_make_fixtures_rejects_nul_in_id(self, tmp_path, capsys):
+        spec = tmp_path / "spec.jsonl"
+        spec.write_text('{"id": "a\\u0000b", "text": "hello"}\n', encoding="utf-8")
+        out_dir = tmp_path / "fx"
+        assert main(["make-fixtures", "--spec", str(spec), "--out-dir", str(out_dir)]) == 2
+        assert f"{spec}:1: " in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_integer_manifest_ids_are_read_as_strings(self, tmp_path):
         manifest = tmp_path / "manifest.jsonl"

@@ -207,6 +207,11 @@ class TestMapping:
         with pytest.raises(NormalizationError):
             build_mapping(["IBM", "IBM"])
 
+    @pytest.mark.parametrize("raw", ["A\tB", "A\nB", "A\rB", "A\u2028B", "A\x1cB"])
+    def test_raws_that_a_saved_mapping_cannot_hold_are_rejected(self, raw):
+        with pytest.raises(NormalizationError, match="tab or line break"):
+            build_mapping([raw])
+
     def test_entry_weights_and_priorities_carried(self):
         mapping = build_mapping([("C3PO", 3.0, 1), "AI"])
         c3po, ai = mapping.entries
