@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConfigError
-from .lm import NEG_INF, NGramLM
-from .norm import KeywordEntry, NormalizationMapping
+from .lm import NGramLM
+from .norm import NormalizationMapping
 
 # log10 unigram probability below which a keyword word is boosted.
 DEFAULT_RARITY_THRESHOLD = -4.0
@@ -33,19 +33,31 @@ class KeywordMatch:
 
 
 class BiasTrie:
-    """Variant matches with weights, plus the gated unigram boost set."""
+    """Variant matches with weights, plus the gated unigram boost set.
 
-    def __init__(self, mapping: NormalizationMapping, default_weight: float):
+    ``weights`` maps each entry's raw form to its effective weight, and
+    ``gated`` lists the (word, owning raw) pairs that passed the rarity
+    gate; a gated word's unigram boost is the largest of its owners'.
+    """
+
+    def __init__(
+        self,
+        mapping: NormalizationMapping,
+        weights: dict[str, float],
+        gated: Sequence[tuple[str, str]],
+    ):
         self.mapping = mapping
-        self.default_weight = default_weight
+        self.weights = weights
+        self.gated = gated
         self.unigram_weights: dict[str, float] = {}
+        for word, raw in gated:
+            previous = self.unigram_weights.get(word)
+            if previous is None or weights[raw] > previous:
+                self.unigram_weights[word] = weights[raw]
 
     @property
     def num_variants(self) -> int:
         return len(self.mapping.reverse)
-
-    def _weight(self, entry: KeywordEntry) -> float:
-        return entry.weight if entry.weight is not None else self.default_weight
 
     def unigram_weight(self, word: str) -> float | None:
         """Boost weight for one committed word, or None when not boosted."""
@@ -54,7 +66,7 @@ class BiasTrie:
     def find_matches(self, words: Sequence[str]) -> list[KeywordMatch]:
         """Leftmost-longest non-overlapping full variant matches."""
         return [
-            KeywordMatch(start, end, entry.raw, self._weight(entry))
+            KeywordMatch(start, end, entry.raw, self.weights[entry.raw])
             for start, end, entry in self.mapping.find_spans(words)
         ]
 
@@ -63,7 +75,7 @@ class BiasTrie:
         reverse = self.mapping.reverse
         return "".join(
             f"{' '.join(variant)}\t{reverse[variant].raw}\t"
-            f"{self._weight(reverse[variant])!r}\n"
+            f"{self.weights[reverse[variant].raw]!r}\n"
             for variant in sorted(reverse)
         )
 
@@ -87,17 +99,18 @@ def build_trie(
     A variant word enters the unigram set only when its LM unigram
     log10 probability is below ``rarity_threshold``; out-of-vocabulary
     words (probability -inf) always qualify, as does everything when no
-    LM is supplied.  When several entries share a word the maximum
-    weight wins.  Entries without a list weight use ``default_weight``.
+    LM is supplied.  Each entry's effective weight is resolved here,
+    once: its list weight, or ``default_weight`` when it has none.
     """
     check_boost_settings(default_weight, rarity_threshold)
-    trie = BiasTrie(mapping, default_weight)
+    weights = {
+        entry.raw: default_weight if entry.weight is None else entry.weight
+        for entry in mapping.entries
+    }
+    gated = []
     for variant in sorted(mapping.reverse):
-        weight = trie._weight(mapping.reverse[variant])
+        raw = mapping.reverse[variant].raw
         for word in variant:
-            rarity = lm.unigram_log10(word) if lm is not None else NEG_INF
-            if rarity < rarity_threshold:
-                previous = trie.unigram_weights.get(word)
-                if previous is None or weight > previous:
-                    trie.unigram_weights[word] = weight
-    return trie
+            if lm is None or lm.unigram_log10(word) < rarity_threshold:
+                gated.append((word, raw))
+    return BiasTrie(mapping, weights, gated)

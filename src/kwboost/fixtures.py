@@ -80,6 +80,12 @@ def _integer(value: object, what: str) -> int:
     return value
 
 
+def _number(value: object, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def parse_spec(record: dict) -> UtteranceSpec:
     """One utterance spec from its record; out-of-range values raise ValueError.
 
@@ -97,18 +103,18 @@ def parse_spec(record: dict) -> UtteranceSpec:
     if not words:
         raise ValueError("empty text")
     confidence = record.get("confidence", 0.95)
-    if isinstance(confidence, (int, float)):
-        confidence = [float(confidence)] * len(words)
-    else:
-        confidence = [float(c) for c in confidence]
+    if isinstance(confidence, list):
+        confidence = [_number(c, "confidence") for c in confidence]
         if len(confidence) != len(words):
             raise ValueError(
                 f"{len(confidence)} confidences for {len(words)} words"
             )
+    else:
+        confidence = [_number(confidence, "confidence")] * len(words)
     confusions = {}
     for item in record.get("confusions", []):
         word = _string(item["word"], "confusion word")
-        prob = float(item["prob"])
+        prob = _number(item["prob"], "confusion probability")
         if not 0.0 < prob < math.inf:
             raise ValueError(f"confusion probability {prob} outside (0, inf)")
         confusions[word] = (_string(item["alt"], "confusion alt"), prob)
@@ -116,7 +122,7 @@ def parse_spec(record: dict) -> UtteranceSpec:
         Trap(
             after=_integer(item["after"], "trap after"),
             alt=_string(item["alt"], "trap alt"),
-            prob=float(item["prob"]),
+            prob=_number(item["prob"], "trap probability"),
             count=_integer(item.get("count", 1), "trap count"),
         )
         for item in record.get("traps", [])

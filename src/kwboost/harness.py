@@ -300,8 +300,6 @@ _DevCorpus = list[tuple[str, LogitMatrix, str]]  # (id, logits, reference)
 
 def _load_dev_set(cfg: RunConfig) -> tuple[LoadedResources, _DevCorpus]:
     resources = load_resources(cfg)
-    if resources.mapping is None:
-        raise ConfigError("tuning requires a keyword list")
     entries = read_manifest(cfg.manifest)
     if not entries:
         raise DataFormatError("empty manifest: nothing to tune on")
@@ -313,15 +311,13 @@ def _load_dev_set(cfg: RunConfig) -> tuple[LoadedResources, _DevCorpus]:
 
 
 def _evaluate(
-    cfg: RunConfig, resources: LoadedResources, corpus: _DevCorpus, weight: float
+    cfg: RunConfig,
+    resources: LoadedResources,
+    corpus: _DevCorpus,
+    trie: BiasTrie,
+    weight: float,
 ) -> GridPoint:
-    """Score the corpus with a trie built from ``resources.mapping``."""
-    trie = build_trie(
-        resources.mapping,
-        lm=resources.lm,
-        rarity_threshold=cfg.rarity_threshold,
-        default_weight=weight,
-    )
+    """Score the corpus decoded with ``trie``; ``weight`` labels the point."""
     trial = replace(resources, trie=trie)
     config = cfg.decode_config()
     scored = []
@@ -343,6 +339,11 @@ def _rate_key(point: GridPoint, objective: str) -> tuple[float, float]:
     return (b, w) if objective == "b_wer" else (w, b)
 
 
+def _best(points: Sequence[GridPoint], objective: str) -> GridPoint:
+    """The point with the best rates; rate ties go to the smallest weight."""
+    return min(points, key=lambda p: _rate_key(p, objective) + (p.weight,))
+
+
 def grid_search(
     cfg: RunConfig,
     grid: Sequence[float],
@@ -360,44 +361,31 @@ def grid_search(
         raise ConfigError("empty weight grid")
     if objective not in ("b_wer", "wer"):
         raise ConfigError(f"unknown objective {objective!r}")
+    if cfg.keywords is None:
+        raise ConfigError("tuning requires a keyword list")
+    if cfg.mode == "baseline":
+        raise ConfigError("mode 'baseline' applies no boost: nothing to tune")
     weights = sorted(set(float(w) for w in grid))
     if any(w < 0 for w in weights):
         raise ConfigError("boost weights must be >= 0")
     resources, corpus = _load_dev_set(cfg)
-    points = [_evaluate(cfg, resources, corpus, w) for w in weights]
-    best = min(points, key=lambda p: _rate_key(p, objective) + (p.weight,))
+    mapping = resources.mapping
+    tries = {w: build_trie(mapping, resources.lm, cfg.rarity_threshold, w) for w in weights}
+    points = [_evaluate(cfg, resources, corpus, tries[w], w) for w in weights]
+    best = _best(points, objective)
     result = GridSearchResult(objective, points, best.weight)
     if not per_target:
         return result
 
-    mapping = resources.mapping
     # Each entry starts at its effective weight at the selected point.
-    assigned = {
-        entry.raw: best.weight if entry.weight is None else entry.weight
-        for entry in mapping.entries
-    }
-    for entry in mapping.entries:
-        candidates = []
-        for w in sorted({*weights, assigned[entry.raw]}):
-            trial = _override_weights(mapping, {**assigned, entry.raw: w})
-            point = _evaluate(cfg, replace(resources, mapping=trial), corpus, best.weight)
-            candidates.append((_rate_key(point, objective), w))
+    best_trie = tries[best.weight]
+    assigned = dict(best_trie.weights)
+    for raw in best_trie.weights:
+        trials = []
+        for w in sorted({*weights, assigned[raw]}):
+            trie = BiasTrie(mapping, {**assigned, raw: w}, best_trie.gated)
+            trials.append(_evaluate(cfg, resources, corpus, trie, w))
         # The sweep includes the current value, so this never worsens.
-        _, chosen = min(candidates)
-        assigned[entry.raw] = chosen
+        assigned[raw] = _best(trials, objective).weight
     result.per_target = assigned
     return result
-
-
-def _override_weights(
-    mapping: NormalizationMapping, weights: dict[str, float]
-) -> NormalizationMapping:
-    """``mapping`` with new entry weights; collisions stay resolved as is."""
-    entries = {
-        entry.raw: replace(entry, weight=weights.get(entry.raw, entry.weight))
-        for entry in mapping.entries
-    }
-    reverse = {
-        variant: entries[owner.raw] for variant, owner in mapping.reverse.items()
-    }
-    return NormalizationMapping(list(entries.values()), reverse, mapping.collisions)

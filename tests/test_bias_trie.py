@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kwboost.bias_trie import KeywordMatch, build_trie
+from kwboost.bias_trie import BiasTrie, KeywordMatch, build_trie
 from kwboost.errors import ConfigError
 from kwboost.lm import load_arpa
 from kwboost.norm import build_mapping, inverse_normalize
@@ -188,3 +188,31 @@ class TestAgainstBruteForce:
             trie = build_trie(build_mapping(shuffled), default_weight=1.0)
             assert trie.dump() == reference
         assert reference.count("\n") == len(reference.splitlines())
+
+
+class TestWeightTable:
+    @pytest.mark.parametrize("use_lm", [False, True])
+    @given(
+        weights=st.fixed_dictionaries(
+            {raw: st.floats(0.0, 8.0) for raw in sorted(_VARIANT_TABLE)}
+        ),
+        default_weight=st.floats(0.0, 8.0),
+        words=st.lists(st.sampled_from(_WORDS), max_size=12),
+    )
+    def test_swapped_weights_equal_list_weights(
+        self, gate_lm, use_lm, weights, default_weight, words
+    ):
+        # A trie given a new weight table over the same gate result must
+        # match a trie built from a list that carries those weights.
+        lm = gate_lm if use_lm else None
+        mapping = build_mapping(sorted(_VARIANT_TABLE), _VARIANT_TABLE)
+        trie = build_trie(mapping, lm, default_weight=default_weight)
+        swapped = BiasTrie(mapping, weights, trie.gated)
+        listed = build_mapping(
+            [(raw, weight, 0) for raw, weight in weights.items()], _VARIANT_TABLE
+        )
+        rebuilt = build_trie(listed, lm, default_weight=default_weight)
+        assert list(swapped.unigram_weights.items()) == list(
+            rebuilt.unigram_weights.items()
+        )
+        assert swapped.find_matches(words) == rebuilt.find_matches(words)

@@ -103,6 +103,11 @@ class TestLogitMatrix:
         with pytest.raises(DataFormatError, match="not normalized"):
             LogitMatrix(np.log([[0.5, 0.4]]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_log_probability_is_rejected_without_a_warning(self):
+        with pytest.raises(DataFormatError, match="not normalized"):
+            LogitMatrix(np.array([[1000.0, 0.0]]))
+
     def test_empty_is_fine(self):
         assert LogitMatrix(np.zeros((0, 4))).num_frames == 0
 

@@ -112,6 +112,23 @@ class TestParseSpec:
                 {"id": "u", "text": "x y", "traps": [{"after": 0.7, "alt": "y", "prob": 0.2}]},
                 "trap after must be an integer",
             ),
+            ({"id": "u", "text": "x", "confidence": True}, "confidence must be a number"),
+            ({"id": "u", "text": "x", "confidence": [True]}, "confidence must be a number"),
+            ({"id": "u", "text": "x", "confidence": "1"}, "confidence must be a number"),
+            ({"id": "u", "text": "x", "confidence": "0.5"}, "confidence must be a number"),
+            (
+                {
+                    "id": "u",
+                    "text": "x",
+                    "confidence": 0.5,
+                    "confusions": [{"word": "x", "alt": "y", "prob": "0.5"}],
+                },
+                "confusion probability must be a number",
+            ),
+            (
+                {"id": "u", "text": "x", "traps": [{"after": 0, "alt": "y", "prob": "0.2"}]},
+                "trap probability must be a number",
+            ),
         ],
     )
     def test_invalid_specs(self, record, message):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kwboost import harness
 from kwboost.cli import _run_config, build_parser, main
 from kwboost.dataio import read_logits, read_manifest, read_transcripts, read_vocab_file
 from kwboost.errors import ConfigError, DataFormatError, NormalizationError, ToolkitError
@@ -28,8 +29,9 @@ from kwboost.harness import (
     run_decode,
     run_score,
 )
-from kwboost.lm import load_arpa
+from kwboost.lm import NGramLM, load_arpa
 from kwboost.norm import (
+    NormalizationMapping,
     build_mapping,
     load_exceptions,
     load_keyword_list,
@@ -173,7 +175,7 @@ class TestRunConfig:
         # The boost weight reaches the decoder through the trie: the demo
         # list has no per-entry weights, so every boost is the default.
         trie = load_resources(cfg).trie
-        assert trie.default_weight == 2.5
+        assert trie.weights == {entry.raw: 2.5 for entry in trie.mapping.entries}
         assert set(trie.unigram_weights.values()) == {2.5}
         assert {m.weight for m in trie.find_matches(["a", "i"])} == {2.5}
 
@@ -546,6 +548,42 @@ class TestGridSearch:
         assert "variant a i" in warnings[0]
         assert set(result.per_target) == {"QZ", "jx", "AI", "A.I."}
 
+    def test_trials_reuse_the_gate_and_the_mapping(
+        self, corpus, demo_keywords, tmp_path, monkeypatch
+    ):
+        # The rarity gate runs once for load_resources and once per grid
+        # weight; per-target trials swap weights and rebuild nothing.
+        calls = {"gate": 0, "mapping": 0}
+        unigram_log10 = NGramLM.unigram_log10
+        post_init = NormalizationMapping.__post_init__
+
+        def gate(lm, word):
+            calls["gate"] += 1
+            return unigram_log10(lm, word)
+
+        def mapping_built(mapping):
+            calls["mapping"] += 1
+            post_init(mapping)
+
+        at_load = {}
+        load_resources = harness.load_resources
+
+        def load(cfg):
+            resources = load_resources(cfg)
+            at_load.update(calls, words=sum(map(len, resources.mapping.reverse)))
+            return resources
+
+        monkeypatch.setattr(NGramLM, "unigram_log10", gate)
+        monkeypatch.setattr(NormalizationMapping, "__post_init__", mapping_built)
+        monkeypatch.setattr(harness, "load_resources", load)
+        cfg = tune_config(corpus, demo_keywords, tmp_path, lm=DATA / "tiny_bigram.arpa")
+        grid = [0.0, 2.0, 4.0, 8.0]
+        result = grid_search(cfg, grid, per_target=True)
+        assert set(result.per_target) == {"AI", "C3PO", "356", "IBM", "E9"}
+        assert at_load["gate"] == at_load["words"] > 0
+        assert calls["gate"] == (1 + len(grid)) * at_load["words"]
+        assert calls["mapping"] == at_load["mapping"] == 1
+
     def test_undefined_b_wer_needs_wer_objective(self, tmp_path):
         fixture_set, kw = build_corpus(
             tmp_path,
@@ -582,6 +620,13 @@ class TestGridSearch:
         )
         with pytest.raises(ConfigError, match="tuning requires a keyword list"):
             grid_search(plain, [1.0])
+
+    def test_baseline_mode_has_no_boost_to_tune(self, tune_corpus, tmp_path, monkeypatch):
+        fixture_set, kw = tune_corpus
+        cfg = tune_config(fixture_set, kw, tmp_path, mode="baseline")
+        monkeypatch.setattr(harness, "load_resources", None)  # rejected before loading
+        with pytest.raises(ConfigError, match="baseline"):
+            grid_search(cfg, [0.0, 2.0], per_target=True)
 
     def test_empty_manifest_rejected(self, tune_corpus, tmp_path):
         fixture_set, kw = tune_corpus
@@ -773,6 +818,23 @@ class TestCli:
         )
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["selected_weight"] == 2.0
+
+    def test_tune_in_baseline_mode_exits_2(self, tune_corpus, tmp_path, capsys):
+        fixture_set, kw = tune_corpus
+        rc = main(
+            [
+                "tune",
+                "--manifest", str(fixture_set.manifest_path),
+                "--vocab", str(fixture_set.vocab_path),
+                "--keywords", str(kw),
+                "--mode", "baseline",
+                "--grid", "0", "2",
+                "--out", str(tmp_path / "tune.json"),
+            ]
+        )
+        assert rc == 2
+        assert "baseline" in capsys.readouterr().err
+        assert not (tmp_path / "tune.json").exists()
 
     @pytest.mark.parametrize("command", ["decode", "tune"])
     def test_knob_flags_fill_run_config(self, corpus, demo_keywords, tmp_path, command):

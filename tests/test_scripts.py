@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -37,10 +39,14 @@ def test_demo_pipeline_prints_the_readme_table(tmp_path):
     }
 
 
-def test_sweep_boost_weight_selects_a_weight(tmp_path):
-    out = run_script("sweep_boost_weight.py", tmp_path)
+@pytest.mark.parametrize("args", [[], ["--per-target"]], ids=["shared", "per-target"])
+def test_sweep_boost_weight_selects_a_weight(tmp_path, args):
+    out = run_script("sweep_boost_weight.py", tmp_path, *args)
     assert "<-- selected" in out
     assert (tmp_path / "sweep_out" / "sweep.json").exists()
+    if args:
+        listed = out.split("per-keyword weights:")[1].split("\n\n")[0].split()
+        assert listed[::2] == ["AI:", "C3PO:", "356:", "IBM:", "E9:"]
 
 
 def test_decoder_cost_reports_every_length(tmp_path):
