@@ -44,7 +44,6 @@ from .harness import (
     RunConfig,
     grid_search,
     prepare_list,
-    raw_target_mapping,
     run_decode,
     run_score,
 )
@@ -56,8 +55,8 @@ from .norm import (
     build_mapping,
     inverse_normalize,
     load_keyword_list,
-    load_mapping,
     normalize_keyword,
+    raw_target_mapping,
     save_mapping,
 )
 from .scoring import (
@@ -108,7 +107,6 @@ __all__ = [
     "inverse_normalize",
     "load_arpa",
     "load_keyword_list",
-    "load_mapping",
     "new_session",
     "normalize_keyword",
     "prepare_list",

@@ -88,6 +88,16 @@ def check_boost_settings(default_weight: float, rarity_threshold: float) -> None
         raise ConfigError("rarity threshold must be finite")
 
 
+def entry_weights(
+    mapping: NormalizationMapping, default_weight: float
+) -> dict[str, float]:
+    """Each entry's effective weight: its list weight, else ``default_weight``."""
+    return {
+        entry.raw: default_weight if entry.weight is None else entry.weight
+        for entry in mapping.entries
+    }
+
+
 def build_trie(
     mapping: NormalizationMapping,
     lm: NGramLM | None = None,
@@ -100,17 +110,13 @@ def build_trie(
     log10 probability is below ``rarity_threshold``; out-of-vocabulary
     words (probability -inf) always qualify, as does everything when no
     LM is supplied.  Each entry's effective weight is resolved here,
-    once: its list weight, or ``default_weight`` when it has none.
+    once, by ``entry_weights``.
     """
     check_boost_settings(default_weight, rarity_threshold)
-    weights = {
-        entry.raw: default_weight if entry.weight is None else entry.weight
-        for entry in mapping.entries
-    }
     gated = []
     for variant in sorted(mapping.reverse):
         raw = mapping.reverse[variant].raw
         for word in variant:
             if lm is None or lm.unigram_log10(word) < rarity_threshold:
                 gated.append((word, raw))
-    return BiasTrie(mapping, weights, gated)
+    return BiasTrie(mapping, entry_weights(mapping, default_weight), gated)

@@ -2,8 +2,9 @@
 
 Subcommands cover the full pipeline: ``decode`` (manifest -> transcripts),
 ``score`` (transcripts + references -> report), ``tune`` (boost weight
-grid search), ``prepare-list`` (raw keywords -> normalization mapping)
-and ``make-fixtures`` (synthetic logit sets for tests and demos).
+grid search), ``prepare-list`` (raw keywords -> the normalization
+mapping decode would build, for review) and ``make-fixtures``
+(synthetic logit sets for tests and demos).
 
 Exit codes: 0 success, 1 command-line usage error, 2 data error
 (unreadable or malformed inputs, decode failures).
@@ -116,19 +117,11 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_prepare_list(args: argparse.Namespace) -> int:
-    summary = prepare_list(
-        args.keywords,
-        out=args.out,
-        exceptions=args.exceptions,
-        split_compounds=args.split_compounds,
-    )
-    mapping = summary.mapping
+    mapping = prepare_list(args.keywords, out=args.out, exceptions=args.exceptions)
     print(
         f"{len(mapping.entries)} keywords, {len(mapping.reverse)} variants, "
-        f"{len(mapping.collisions)} collisions, {len(summary.rejected)} rejected"
+        f"{len(mapping.collisions)} collisions"
     )
-    for raw, reason in summary.rejected:
-        print(f"rejected {raw!r}: {reason}", file=sys.stderr)
     return 0
 
 
@@ -176,11 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     prep = sub.add_parser("prepare-list", help="normalize a raw keyword list")
     prep.add_argument("--keywords", required=True, help="raw keyword list (TSV)")
     prep.add_argument("--exceptions", help="normalization exceptions table (TSV)")
-    prep.add_argument("--out", help="mapping output path (TSV)")
-    prep.add_argument(
-        "--split-compounds", action="store_true",
-        help="keep whitespace keywords as multi-word targets",
-    )
+    prep.add_argument("--out", help="mapping output for review (TSV)")
     prep.set_defaults(func=_cmd_prepare_list)
 
     fixtures = sub.add_parser("make-fixtures", help="generate synthetic logit sets")

@@ -1,11 +1,11 @@
-"""Exception types shared across the toolkit, and the one text reader.
+"""Exception types shared across the toolkit, and its text file I/O.
 
 Everything raised on bad user input derives from ToolkitError so the
 CLI can map it to a data-error exit code in one place.  ``read_text``
-reads every text file; ``read_lines`` runs every line-oriented format
-(manifests, transcripts, keyword lists, exceptions, mappings, fixture
-specs) through one loop, one skip rule and one ``<path>:<line>:``
-error location.
+reads every text file and ``write_text`` writes every ``--out`` file;
+``read_lines`` runs every line-oriented format (manifests, transcripts,
+keyword lists, exceptions, fixture specs) through one loop, one skip
+rule and one ``<path>:<line>:`` error location.
 """
 
 from __future__ import annotations
@@ -52,6 +52,14 @@ def read_text(path: Path, error: type[ToolkitError] = DataFormatError) -> str:
         return path.read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, NUL in path
         raise error(f"{path}: {exc}") from None
+
+
+def write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8; I/O faults raise ConfigError."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: NUL in path
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def read_lines(

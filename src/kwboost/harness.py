@@ -20,6 +20,7 @@ from .bias_trie import (
     BiasTrie,
     build_trie,
     check_boost_settings,
+    entry_weights,
 )
 from .dataio import (
     read_logits,
@@ -28,18 +29,15 @@ from .dataio import (
     read_vocab_file,
 )
 from .decoder import DecodeConfig, LogitMatrix, Vocabulary, decode
-from .errors import ConfigError, DataFormatError, NormalizationError
+from .errors import ConfigError, DataFormatError, write_text
 from .lm import NGramLM, load_arpa
 from .norm import (
     ItnSpan,
-    KeywordEntry,
     NormalizationMapping,
-    _assemble_mapping,
     build_mapping,
     inverse_normalize,
     load_exceptions,
     load_keyword_list,
-    normalize_keyword,
     save_mapping,
 )
 from .scoring import ScoreReport, biased_wer
@@ -85,6 +83,8 @@ class RunConfig:
         for path in (self.manifest, self.vocab, self.lm, self.keywords, self.exceptions):
             if path is not None and not path.exists():
                 raise ConfigError(f"input file not found: {path}")
+        if not self.out.parent.is_dir():
+            raise ConfigError(f"output directory not found: {self.out}")
 
     def decode_config(self) -> DecodeConfig:
         """The decoder settings, validated by DecodeConfig."""
@@ -100,14 +100,21 @@ class LoadedResources:
     trie: BiasTrie | None
 
 
+def _read_mapping(
+    keywords: str | Path, exceptions: str | Path | None
+) -> NormalizationMapping:
+    """The one way a keyword list file becomes a mapping."""
+    table = load_exceptions(exceptions) if exceptions else None
+    return build_mapping(load_keyword_list(keywords), table)
+
+
 def load_resources(cfg: RunConfig) -> LoadedResources:
     vocab = read_vocab_file(cfg.vocab)
     lm = load_arpa(cfg.lm) if cfg.lm is not None else None
     mapping = None
     trie = None
     if cfg.keywords is not None:
-        exceptions = load_exceptions(cfg.exceptions) if cfg.exceptions else None
-        mapping = build_mapping(load_keyword_list(cfg.keywords), exceptions)
+        mapping = _read_mapping(cfg.keywords, cfg.exceptions)
         if cfg.mode != "baseline":
             trie = build_trie(
                 mapping,
@@ -156,7 +163,7 @@ def run_decode(cfg: RunConfig) -> DecodeSummary:
             record = {"id": entry.utt_id, "error": str(exc)}
             failed += 1
         lines.append(json.dumps(record, sort_keys=False))
-    cfg.out.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_text(cfg.out, "".join(line + "\n" for line in lines))
     return DecodeSummary(cfg.out, decoded, failed)
 
 
@@ -195,61 +202,20 @@ def run_score(
 # --- list preparation -------------------------------------------------------
 
 
-@dataclass
-class PrepareSummary:
-    mapping: NormalizationMapping
-    rejected: list[tuple[str, str]]  # (raw, reason)
-
-
 def prepare_list(
     keywords: str | Path,
     out: str | Path | None = None,
     exceptions: str | Path | None = None,
-    split_compounds: bool = False,
-) -> PrepareSummary:
-    """Normalize a raw keyword list into a saved mapping.
+) -> NormalizationMapping:
+    """The mapping decode and tune build from a list; ``out`` saves it.
 
-    Whitespace-carrying raws are rejected unless ``split_compounds``
-    keeps them as multi-word targets.  Entries that normalize to
-    nothing are rejected with a diagnostic; the rest build the mapping.
+    The saved file is for review only.  A list that decode rejects
+    fails here with the same error.
     """
-    table = load_exceptions(exceptions) if exceptions else None
-    rejected: list[tuple[str, str]] = []
-    kept: list[KeywordEntry] = []
-    for raw, weight, priority in load_keyword_list(keywords):
-        if len(raw.split()) > 1 and not split_compounds:
-            rejected.append((raw, "contains whitespace (use --split-compounds)"))
-            continue
-        try:
-            variants = normalize_keyword(raw, table)
-        except NormalizationError as exc:
-            rejected.append((raw, str(exc)))
-            continue
-        kept.append(KeywordEntry(raw, tuple(variants), weight, priority))
-    mapping = _assemble_mapping(kept)
+    mapping = _read_mapping(keywords, exceptions)
     if out is not None:
         save_mapping(mapping, out)
-    return PrepareSummary(mapping, rejected)
-
-
-def raw_target_mapping(
-    keywords: Sequence[tuple[str, float | None, int]] | str | Path,
-) -> NormalizationMapping:
-    """Identity mapping that skips normalization entirely.
-
-    Each raw keyword becomes its own single variant, split on
-    whitespace but otherwise verbatim (case, digits and symbols kept).
-    Useful as the degraded comparison arm when measuring what
-    normalization buys: out-of-alphabet targets can never match
-    decoder output, so boosting them changes nothing.
-    """
-    if isinstance(keywords, (str, Path)):
-        keywords = load_keyword_list(keywords)
-    entries = [
-        KeywordEntry(raw.strip(), (tuple(raw.split()),), weight, priority)
-        for raw, weight, priority in keywords
-    ]
-    return _assemble_mapping(entries)
+    return mapping
 
 
 # --- boost weight tuning -----------------------------------------------------
@@ -290,9 +256,7 @@ class GridSearchResult:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        write_text(Path(path), json.dumps(self.to_dict(), indent=2) + "\n")
 
 
 _DevCorpus = list[tuple[str, LogitMatrix, str]]  # (id, logits, reference)
@@ -366,11 +330,12 @@ def grid_search(
     if cfg.mode == "baseline":
         raise ConfigError("mode 'baseline' applies no boost: nothing to tune")
     weights = sorted(set(float(w) for w in grid))
-    if any(w < 0 for w in weights):
-        raise ConfigError("boost weights must be >= 0")
+    for w in weights:
+        check_boost_settings(w, cfg.rarity_threshold)
     resources, corpus = _load_dev_set(cfg)
-    mapping = resources.mapping
-    tries = {w: build_trie(mapping, resources.lm, cfg.rarity_threshold, w) for w in weights}
+    # Every grid weight shares the mapping and the gate load_resources ran.
+    mapping, gated = resources.mapping, resources.trie.gated
+    tries = {w: BiasTrie(mapping, entry_weights(mapping, w), gated) for w in weights}
     points = [_evaluate(cfg, resources, corpus, tries[w], w) for w in weights]
     best = _best(points, objective)
     result = GridSearchResult(objective, points, best.weight)

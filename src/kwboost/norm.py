@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import NormalizationError, read_lines
+from .errors import NormalizationError, read_lines, write_text
 
 logger = logging.getLogger(__name__)
 
@@ -327,8 +327,8 @@ def _assemble_mapping(entries: list[KeywordEntry]) -> NormalizationMapping:
     for entry in entries:
         if entry.raw in seen_raw:
             raise NormalizationError(f"duplicate keyword {entry.raw!r}")
-        # save_mapping writes one line per variant, and read_lines splits
-        # with str.splitlines, which also breaks at \r, \u2028 and more.
+        # The review file save_mapping writes keeps one tab-separated line
+        # per variant; str.splitlines also breaks at \r, \u2028 and more.
         if "\t" in entry.raw or len(entry.raw.splitlines()) > 1:
             raise NormalizationError(
                 f"keyword {entry.raw!r} contains a tab or line break"
@@ -381,6 +381,26 @@ def build_mapping(
     return _assemble_mapping(entries)
 
 
+def raw_target_mapping(
+    keywords: Sequence[tuple[str, float | None, int]] | str | Path,
+) -> NormalizationMapping:
+    """Identity mapping that skips normalization entirely.
+
+    Each raw keyword becomes its own single variant, split on
+    whitespace but otherwise verbatim (case, digits and symbols kept).
+    Useful as the degraded comparison arm when measuring what
+    normalization buys: out-of-alphabet targets can never match
+    decoder output, so boosting them changes nothing.
+    """
+    if isinstance(keywords, (str, Path)):
+        keywords = load_keyword_list(keywords)
+    entries = [
+        KeywordEntry(raw.strip(), (tuple(raw.split()),), weight, priority)
+        for raw, weight, priority in keywords
+    ]
+    return _assemble_mapping(entries)
+
+
 # --- inverse normalization -----------------------------------------------
 
 
@@ -427,11 +447,14 @@ def load_keyword_list(path: str | Path) -> list[tuple[str, float | None, int]]:
     """Read a keyword list file: ``raw<TAB>weight?<TAB>priority?``.
 
     Blank lines and lines starting with ``#`` are skipped.  A weight
-    must be finite and >= 0, like ``--boost-weight``.
+    must be finite and >= 0, like ``--boost-weight``.  A line with more
+    than three fields is rejected.
     """
 
     def parse(line: str) -> tuple[str, float | None, int]:
         fields = line.split("\t")
+        if len(fields) > 3:
+            raise ValueError("expected at most 3 tab-separated fields")
         raw = fields[0].strip()
         if not raw:
             raise ValueError("missing keyword")
@@ -462,9 +485,8 @@ def load_exceptions(path: str | Path) -> dict[str, list[list[str]]]:
 
 
 def save_mapping(mapping: NormalizationMapping, path: str | Path) -> None:
-    """Write a mapping as TSV: raw, space-joined variant, weight, priority.
-
-    One line per variant; save -> load -> save is byte-stable.
+    """Write a mapping for review as TSV: raw, space-joined variant,
+    weight, priority, one line per variant.  Nothing reads it back.
     """
     lines = []
     for entry in mapping.entries:
@@ -473,30 +495,4 @@ def save_mapping(mapping: NormalizationMapping, path: str | Path) -> None:
             lines.append(
                 f"{entry.raw}\t{' '.join(variant)}\t{weight}\t{entry.priority}"
             )
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-
-
-def load_mapping(path: str | Path) -> NormalizationMapping:
-    """Read a mapping saved by save_mapping."""
-    entries: dict[str, KeywordEntry] = {}
-
-    def parse(line: str) -> None:
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise ValueError("expected 4 tab-separated fields")
-        raw, variant_text, weight_text, priority_text = fields
-        variant = tuple(variant_text.split())
-        if not raw or not variant:
-            raise ValueError("empty raw or variant")
-        weight = _weight(weight_text) if weight_text else None
-        priority = int(priority_text)
-        entry = entries.setdefault(raw, KeywordEntry(raw, (), weight, priority))
-        if (entry.weight, entry.priority) != (weight, priority):
-            raise ValueError(
-                f"weight and priority of {raw!r} differ from "
-                f"its earlier line {(entry.weight, entry.priority)}"
-            )
-        entry.variants += (variant,)
-
-    read_lines(Path(path), parse)
-    return _assemble_mapping(list(entries.values()))
+    write_text(Path(path), "".join(line + "\n" for line in lines))

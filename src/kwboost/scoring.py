@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .errors import write_text
+
 
 @dataclass(frozen=True)
 class EditOp:
@@ -206,10 +208,7 @@ class ScoreReport(_Rates):
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n",
-            encoding="utf-8",
-        )
+        write_text(Path(path), json.dumps(self.to_dict(), indent=2) + "\n")
 
 
 def _round(value: float | None) -> float | None:

@@ -21,8 +21,13 @@ from kwboost.cli import main
 from kwboost.dataio import read_logits, read_manifest, read_vocab_file
 from kwboost.decoder import DecodeConfig, LogitMatrix, Vocabulary, decode
 from kwboost.fixtures import make_fixtures
-from kwboost.harness import RunConfig, raw_target_mapping, run_decode, run_score
-from kwboost.norm import build_mapping, inverse_normalize, load_keyword_list
+from kwboost.harness import RunConfig, run_decode, run_score
+from kwboost.norm import (
+    build_mapping,
+    inverse_normalize,
+    load_keyword_list,
+    raw_target_mapping,
+)
 from kwboost.scoring import align, biased_wer, relative_reduction
 
 from ctc_oracle import exhaustive_scores

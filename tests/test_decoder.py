@@ -235,19 +235,27 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("num_tokens", [2, 3, 4])
     @pytest.mark.parametrize("num_frames", [2, 3, 4])
     def test_full_posterior_matches_enumeration(self, num_frames, num_tokens):
-        vocab = letter_vocab(*"abcdefgh"[: num_tokens - 1])
+        # Both boundary conventions, and a blank that is not token 0.
+        vocabs = [
+            letter_vocab(*"abc"[: num_tokens - 1]),
+            Vocabulary(("_", "|", "a", "b")[:num_tokens], 0, "delimiter", "|"),
+            Vocabulary(("_", "+a", "b", "+c")[:num_tokens], 0, "prefix", "+"),
+            Vocabulary(("+a", "_", "b", "+c")[:num_tokens], 1, "prefix", "+"),
+        ]
         rng = np.random.default_rng(100 * num_frames + num_tokens)
-        for _ in range(3):
-            logits = softmax_logits(rng, num_frames, num_tokens)
-            oracle = exhaustive_scores(logits.data, blank=0)
-            result = decode(logits, vocab, exact_config())
-            got = {hyp.tokens: hyp.acoustic for hyp in result.nbest}
-            assert set(got) == set(oracle)
-            for key, mass in oracle.items():
-                assert got[key] == pytest.approx(mass, abs=1e-9)
-            best_key, best_mass, runner_up = top_two(oracle)
-            if best_mass - runner_up > 1e-9:
-                assert result.nbest[0].tokens == best_key
+        for vocab in vocabs:
+            for _ in range(3):
+                logits = softmax_logits(rng, num_frames, num_tokens)
+                oracle = exhaustive_scores(logits.data, blank=vocab.blank_index)
+                result = decode(logits, vocab, exact_config())
+                got = {hyp.tokens: hyp.acoustic for hyp in result.nbest}
+                assert set(got) == set(oracle)
+                for key, mass in oracle.items():
+                    assert got[key] == pytest.approx(mass, abs=1e-9)
+                best_key, best_mass, runner_up = top_two(oracle)
+                if best_mass - runner_up > 1e-9:
+                    assert result.nbest[0].tokens == best_key
+                    assert list(result.words) == vocab.words(best_key)
 
     def test_beam_one_is_greedy_but_valid(self):
         logits = softmax_logits(np.random.default_rng(5), 6, 3)

@@ -21,11 +21,11 @@ from kwboost.dataio import read_logits, read_manifest, read_transcripts, read_vo
 from kwboost.errors import ConfigError, DataFormatError, NormalizationError, ToolkitError
 from kwboost.fixtures import load_fixture_spec, make_fixtures
 from kwboost.harness import (
+    GridSearchResult,
     RunConfig,
     grid_search,
     load_resources,
     prepare_list,
-    raw_target_mapping,
     run_decode,
     run_score,
 )
@@ -35,9 +35,10 @@ from kwboost.norm import (
     build_mapping,
     load_exceptions,
     load_keyword_list,
-    load_mapping,
+    raw_target_mapping,
     save_mapping,
 )
+from kwboost.scoring import biased_wer
 
 DATA = Path(__file__).parent / "data"
 CLI = "import sys; from kwboost.cli import main; sys.exit(main())"
@@ -403,46 +404,50 @@ class TestRunScore:
 
 
 class TestPrepareList:
-    def test_compound_rejected_by_default(self, tmp_path):
+    def test_multi_word_keyword_is_one_target(self, tmp_path):
         kw = tmp_path / "kw.tsv"
         kw.write_text("AI\nice cream\n", encoding="utf-8")
-        summary = prepare_list(kw)
-        assert [e.raw for e in summary.mapping.entries] == ["AI"]
-        assert summary.rejected == [
-            ("ice cream", "contains whitespace (use --split-compounds)")
-        ]
+        mapping = prepare_list(kw)
+        assert [e.raw for e in mapping.entries] == ["AI", "ice cream"]
+        assert mapping.lookup(["ice", "cream"]).raw == "ice cream"
 
-    def test_split_compounds_keeps_phrase(self, tmp_path):
+    def test_multi_word_keyword_keeps_its_phrase_variant(self, tmp_path):
         kw = tmp_path / "kw.tsv"
         kw.write_text("ice cream\n", encoding="utf-8")
-        summary = prepare_list(kw, split_compounds=True)
-        entry = summary.mapping.entries[0]
+        entry = prepare_list(kw).entries[0]
         assert entry.raw == "ice cream"
         assert ("ice", "cream") in entry.variants
 
     def test_unspeakable_rejected_with_reason(self, tmp_path):
         kw = tmp_path / "kw.tsv"
         kw.write_text("!!!\nIBM\n", encoding="utf-8")
-        summary = prepare_list(kw)
-        assert [e.raw for e in summary.mapping.entries] == ["IBM"]
-        (raw, reason) = summary.rejected[0]
-        assert raw == "!!!" and reason
+        with pytest.raises(NormalizationError, match="keyword '!!!' normalizes to nothing"):
+            prepare_list(kw)
 
-    def test_saved_mapping_round_trips(self, tmp_path):
+    def test_builds_what_load_resources_builds(self, corpus, tmp_path):
+        kw = tmp_path / "kw.tsv"
+        kw.write_text("AI\t3.0\nC3PO\t\t1\nA.I.\nGIF\n", encoding="utf-8")
+        exceptions = DATA / "exceptions_demo.tsv"
+        cfg = RunConfig(
+            manifest=corpus.manifest_path, vocab=corpus.vocab_path,
+            out=tmp_path / "h.jsonl", keywords=kw, exceptions=exceptions,
+        )
+        mapping = prepare_list(kw, exceptions=exceptions)
+        assert mapping == load_resources(cfg).mapping
+        assert len(mapping.collisions) == 1
+
+    def test_out_is_the_saved_mapping(self, tmp_path):
         kw = tmp_path / "kw.tsv"
         kw.write_text("AI\t3.0\nC3PO\n", encoding="utf-8")
         out = tmp_path / "mapping.tsv"
-        summary = prepare_list(kw, out=out)
-        loaded = load_mapping(out)
-        assert [e.raw for e in loaded.entries] == ["AI", "C3PO"]
-        assert loaded.entries[0].weight == 3.0
-        assert loaded.reverse == summary.mapping.reverse
+        prepare_list(kw, out=out)
+        assert out.read_text(encoding="utf-8") == "AI\ta i\t3.0\t0\nC3PO\tc three p o\t\t0\n"
 
     def test_exceptions_table_applied(self, tmp_path):
         kw = tmp_path / "kw.tsv"
         kw.write_text("GIF\n", encoding="utf-8")
-        summary = prepare_list(kw, exceptions=DATA / "exceptions_demo.tsv")
-        assert ("jif",) in summary.mapping.entries[0].variants
+        mapping = prepare_list(kw, exceptions=DATA / "exceptions_demo.tsv")
+        assert ("jif",) in mapping.entries[0].variants
 
 
 class TestRawTargetMapping:
@@ -551,8 +556,8 @@ class TestGridSearch:
     def test_trials_reuse_the_gate_and_the_mapping(
         self, corpus, demo_keywords, tmp_path, monkeypatch
     ):
-        # The rarity gate runs once for load_resources and once per grid
-        # weight; per-target trials swap weights and rebuild nothing.
+        # The rarity gate runs once, in load_resources: every grid weight
+        # and per-target trial reuses its gated words and the mapping.
         calls = {"gate": 0, "mapping": 0}
         unigram_log10 = NGramLM.unigram_log10
         post_init = NormalizationMapping.__post_init__
@@ -581,7 +586,7 @@ class TestGridSearch:
         result = grid_search(cfg, grid, per_target=True)
         assert set(result.per_target) == {"AI", "C3PO", "356", "IBM", "E9"}
         assert at_load["gate"] == at_load["words"] > 0
-        assert calls["gate"] == (1 + len(grid)) * at_load["words"]
+        assert calls["gate"] == at_load["words"]
         assert calls["mapping"] == at_load["mapping"] == 1
 
     def test_undefined_b_wer_needs_wer_objective(self, tmp_path):
@@ -639,7 +644,7 @@ class TestGridSearch:
 
 TEXT_READERS = [
     read_vocab_file, read_manifest, read_transcripts, load_keyword_list,
-    load_exceptions, load_mapping, load_fixture_spec, load_arpa,
+    load_exceptions, load_fixture_spec, load_arpa,
 ]
 
 
@@ -651,6 +656,23 @@ def test_text_readers_turn_io_faults_into_toolkit_errors(tmp_path, reader, fault
         path.write_bytes(b"\xff\xfe\n")
     with pytest.raises(ToolkitError, match=re.escape(str(path))):
         reader(path)
+
+
+OUT_WRITERS = {
+    "run_decode": lambda corpus, path: run_decode(
+        RunConfig(manifest=corpus.manifest_path, vocab=corpus.vocab_path, out=path)
+    ),
+    "save_mapping": lambda corpus, path: save_mapping(build_mapping(["AI"]), path),
+    "ScoreReport.save": lambda corpus, path: biased_wer([("u", ["a"], ["a"])], []).save(path),
+    "GridSearchResult.save": lambda corpus, path: GridSearchResult("wer", [], 0.0).save(path),
+}
+
+
+@pytest.mark.parametrize("writer", OUT_WRITERS)
+def test_out_writers_turn_io_faults_into_toolkit_errors(corpus, tmp_path, writer):
+    # The directory exists, so RunConfig accepts it; the write itself fails.
+    with pytest.raises(ToolkitError, match=re.escape(str(tmp_path))):
+        OUT_WRITERS[writer](corpus, tmp_path)
 
 
 # Near-valid inputs reach the per-line parsers: JSON values over the
@@ -696,7 +718,6 @@ LINE_READERS = [
     (read_transcripts, '{"id": "u1", "text": "a"}', '{"id": "u1", "text": "b"}'),
     (load_keyword_list, "# note", "AI\tnotafloat"),
     (load_exceptions, "# note", "lonely"),
-    (load_mapping, "AI\ta i\t\t0", "IBM\ti b m\t\tlow"),
     (load_fixture_spec, "# note", '{"id": "u1"}'),
 ]
 
@@ -712,10 +733,10 @@ def test_line_readers_name_the_bad_line_after_skipped_ones(tmp_path, reader, fir
 
 
 def test_mapping_raws_may_start_with_a_hash(tmp_path):
+    # Nothing reads the review file back, so a '#' raw is written as is.
     path = tmp_path / "map.tsv"
     save_mapping(build_mapping(["#tag"]), path)
-    (entry,) = load_mapping(path).entries
-    assert (entry.raw, entry.variants) == ("#tag", (("tag",),))
+    assert path.read_text(encoding="utf-8") == "#tag\ttag\t\t0\n"
 
 
 @pytest.mark.parametrize("utt_id", ["true", "null", "1.5", "[1]"])
@@ -913,14 +934,77 @@ class TestCli:
 
     def test_prepare_list_counts_and_rejects(self, tmp_path, capsys):
         kw = tmp_path / "kw.tsv"
-        kw.write_text("AI\nice cream\n", encoding="utf-8")
+        kw.write_text("AI\nA.I.\nice cream\n", encoding="utf-8")
         out = tmp_path / "mapping.tsv"
-        rc = main(["prepare-list", "--keywords", str(kw), "--out", str(out)])
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "1 keywords, 1 variants, 0 collisions, 1 rejected" in captured.out
-        assert "rejected 'ice cream'" in captured.err
-        assert load_mapping(out).entries[0].raw == "AI"
+        assert main(["prepare-list", "--keywords", str(kw), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "3 keywords, 2 variants, 1 collisions\n"
+        assert out.read_text(encoding="utf-8").splitlines()[-1] == "ice cream\tice cream\t\t0"
+        kw.write_text("AI\nAI\n", encoding="utf-8")
+        assert main(["prepare-list", "--keywords", str(kw)]) == 2
+        assert capsys.readouterr().err == "kwboost: error: duplicate keyword 'AI'\n"
+
+    @pytest.mark.parametrize(
+        "keywords, error",
+        [("New York\nIBM\n", None), ("@@\nIBM\n", "keyword '@@' normalizes to nothing")],
+    )
+    def test_prepare_list_and_decode_agree(self, corpus, tmp_path, capsys, keywords, error):
+        kw = tmp_path / "kw.tsv"
+        kw.write_text(keywords, encoding="utf-8")
+        mapping_out = tmp_path / "mapping.tsv"
+        decode_argv = self.decode_args(
+            corpus, tmp_path / "hyps.jsonl", "--keywords", str(kw), "--mode", "ngram"
+        )
+        codes = [
+            main(["prepare-list", "--keywords", str(kw), "--out", str(mapping_out)]),
+            main(decode_argv),
+        ]
+        if error is not None:
+            assert codes == [2, 2]
+            assert capsys.readouterr().err.count(f"kwboost: error: {error}\n") == 2
+            return
+        assert codes == [0, 0]
+        assert "New York\tnew york\t\t0\n" in mapping_out.read_text(encoding="utf-8")
+        cfg = _run_config(build_parser().parse_args(decode_argv), tmp_path / "hyps.jsonl")
+        assert load_resources(cfg).mapping.lookup(("new", "york")).raw == "New York"
+
+    @pytest.mark.parametrize("command", ["decode", "score", "tune", "prepare-list"])
+    def test_missing_out_directory_exits_2(
+        self, corpus, demo_keywords, tmp_path, capsys, monkeypatch, command
+    ):
+        hyps = tmp_path / "hyps.jsonl"
+        assert main(self.decode_args(corpus, hyps)) == 0
+        out = tmp_path / "missing" / "out.json"
+        inputs = [
+            "--manifest", str(corpus.manifest_path),
+            "--keywords", str(demo_keywords),
+            "--out", str(out),
+        ]
+        argv = {
+            "decode": self.decode_args(corpus, out),
+            "score": ["score", "--hyps", str(hyps), *inputs],
+            "tune": ["tune", "--vocab", str(corpus.vocab_path), "--grid", "1", *inputs],
+            "prepare-list": ["prepare-list", "--keywords", str(demo_keywords), "--out", str(out)],
+        }[command]
+        # decode and tune check the directory before loading anything.
+        if command in ("decode", "tune"):
+            monkeypatch.setattr(harness, "load_resources", None)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert str(out) in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_tune_rejects_a_non_finite_grid_weight(self, tune_corpus, capsys, weight):
+        fixture_set, kw = tune_corpus
+        argv = [
+            "tune",
+            "--manifest", str(fixture_set.manifest_path),
+            "--vocab", str(fixture_set.vocab_path),
+            "--keywords", str(kw),
+            "--grid", "1", weight,
+        ]
+        assert main(argv) == 2
+        assert "boost weight must be finite" in capsys.readouterr().err
 
     def test_make_fixtures_command(self, tmp_path, capsys):
         spec = tmp_path / "spec.jsonl"
