@@ -12,10 +12,12 @@ every T.
 The second table decodes the benchmark's word-level tuning corpus
 (``gen.make_tune_spec`` + ``fixtures.make_fixtures``, demo keywords, no
 LM, word bonus 0, boost 2.0), where every token starts a word, in each
-mode.  It prints the median wall ms per frame over the whole corpus and
-the unigram boost lookups per frame, counted in a separate untimed
-pass: one lookup is one word commit, at most one per beam entry per
-frame.  Baseline mode boosts nothing and gives the bare search's cost.
+mode.  It prints the median wall ms per frame over the whole corpus,
+and two counts per frame taken in a separate untimed pass: unigram
+boost lookups (one lookup is one word commit, at most one per beam
+entry per frame) and the ranking records the frame step sorts (beam
+entries plus the children that passed its bound).  Baseline mode
+boosts nothing and gives the bare search's cost.
 
 Run from the repository root with kwboost importable, for instance:
 
@@ -28,7 +30,9 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
+from kwboost import decoder
 from kwboost.dataio import read_logits, read_manifest
 from kwboost.decoder import MODES, decode
 from kwboost.fixtures import make_fixtures
@@ -90,7 +94,7 @@ def word_table(work: Path, args: argparse.Namespace) -> None:
     fixtures = make_fixtures(spec, work / "tune", seed=args.seed)
     print()
     print(f"word-level tuning corpus ({TUNE_UTTERANCES} utterances)")
-    print(f"{'mode':<9} {'ms/frame':>9} {'lookups/frame':>14}")
+    print(f"{'mode':<9} {'ms/frame':>9} {'lookups/frame':>14} {'records/frame':>14}")
     for mode in MODES:
         resources, config, matrices = load(RunConfig(
             manifest=fixtures.manifest_path, vocab=fixtures.vocab_path,
@@ -109,8 +113,17 @@ def word_table(work: Path, args: argparse.Namespace) -> None:
                 return lookup(word)
 
             resources.trie.unigram_weight = counted
+        # Every record reaches a sort through its key, and stays alive
+        # here, so its id counts it once however often it is sorted.
+        ranked = {}
+        with mock.patch.object(
+            decoder, "_NEG_TOTAL", lambda record: ranked.setdefault(id(record), record)[0]
+        ):
             median_seconds(matrices, resources, config, 1)
-        print(f"{mode:<9} {1e3 * seconds / frames:9.3f} {lookups / frames:14.1f}")
+        print(
+            f"{mode:<9} {1e3 * seconds / frames:9.3f} {lookups / frames:14.1f}"
+            f" {len(ranked) / frames:14.1f}"
+        )
 
 
 def main() -> None:

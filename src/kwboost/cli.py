@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -101,7 +102,9 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    out = Path(args.out) if args.out else Path("tune.json")
+    # Without --out the result goes to stdout; the null device stands in
+    # for RunConfig's path and can never be an existing directory.
+    out = Path(args.out) if args.out else Path(os.devnull)
     result = grid_search(
         _run_config(args, out),
         grid=args.grid,

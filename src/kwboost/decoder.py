@@ -10,14 +10,19 @@ retracted at finalization, where only full keyword matches are paid.
 Prefixes are interned as nodes that point to their parent prefix, and
 each beam entry owns the node of its prefix, so one frame costs the
 same however long the prefixes have grown.  A frame ranks light
-records of the new prefixes with one sort and builds hypotheses, each
-with its node, only for the ones the beam keeps.  It commits a parent's
-pending word once for all of its word-starting children, and each entry
-carries its acoustic mass, summed once per frame.  Token tuples are
-built only for the n-best lists a result reports.  Finalization
-commits each pending word, settles the boosts and ranks the beam in
-place, with the same commit routine and ranking as the frame loop, so
-the retraction is exact.
+records of the new prefixes with a C-level sort and builds hypotheses,
+each with its node, only for the ones the beam keeps.  Records are made
+behind an exact gate: once the stay slots and each parent's child under
+the frame's top token are ranked, the width-th best total so far is a
+floor under the beam's last total.  A parent's word-starting and its
+continuing children are then tried in log-prob order, each run up to
+its first child below that floor, so outputs do not change.  A frame
+commits a parent's pending word once for all of its word-starting
+children, and each entry carries its acoustic mass, summed once per
+frame.  Token tuples are built only for the n-best lists a result
+reports.  Finalization commits each pending word, settles the boosts
+and ranks the beam in place, with the same commit routine and ranking
+as the frame loop, so the retraction is exact.
 
 Boost modes
     baseline  no boosting at all
@@ -34,10 +39,12 @@ scaled by ln(10) when fused.
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -48,10 +55,13 @@ from .lm import NGramLM
 
 LN10 = math.log(10.0)
 NEG_INF = float("-inf")
+INF = float("inf")
 
 MODES = ("baseline", "default", "ngram")
 
 _NEG_TOTAL = itemgetter(0)  # the sort key of a ranking record
+_LOGP = itemgetter(1)  # the sort key of a frame's candidates
+_NO_STAYS = MappingProxyType({})  # a parent with no stay slot among its children
 
 
 def _log_add(a: float, b: float) -> float:
@@ -185,8 +195,13 @@ class DecodeConfig:
     flat_final_boost: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.beam_width, (int, np.integer)) or self.beam_width < 1:
-            raise ConfigError(f"beam width must be an integer >= 1, got {self.beam_width!r}")
+        width = self.beam_width
+        if isinstance(width, bool) or not isinstance(width, numbers.Integral) or width < 1:
+            raise ConfigError(f"beam width must be an integer >= 1, got {width!r}")
+        for name in ("lm_weight", "word_bonus", "token_min_logp"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         if not math.isfinite(self.lm_weight) or not math.isfinite(self.word_bonus):
             raise ConfigError("lm_weight and word_bonus must be finite")
         if self.mode not in MODES:
@@ -410,6 +425,7 @@ class DecoderSession:
             for tid in self._nonblank
             if row[tid] != NEG_INF and row[tid] >= floor
         ]
+        candidates.sort(key=_LOGP, reverse=True)
         # Each beam entry is its own stay slot and takes its blank and
         # repeat masses first.  A new prefix can then only meet a stay
         # slot (parent + token is one of the beam), whose two masses
@@ -429,52 +445,97 @@ class DecoderSession:
                 stays[id(node.parent)] = {last: hyp}
             else:
                 siblings[last] = hyp
-        # Every other child holds one mass, so its total is final here:
-        # rank light records and make hypotheses only for the winners.
-        # A child's record is (-total, token, mass, fields), where fields
-        # are what it inherits: its parent node, committed words, pending
-        # head and score parts; a stay slot's is (-total, slot).  The
-        # parent's pending word is committed once, for all its
-        # word-starting children.
+        # Every other child holds one mass, so its total is final when it
+        # is made: rank light records and make hypotheses only for the
+        # winners.  A child's record is (-total, token, mass, fields),
+        # where fields are what it inherits: its parent node, committed
+        # words, pending head and score parts; a stay slot's is
+        # (-total, slot).  The parent's pending word is committed once,
+        # for all its word-starting children.
+        #
+        # First pass: each parent's merges, which finish the stay slots,
+        # and its child under the frame's top candidate.
         records = []
+        opened = []
+        if candidates:
+            top, top_logp, top_starts = candidates[0]
+            starting = [(tid, logp) for tid, logp, starts in candidates[1:] if starts]
+            continuing = [(tid, logp) for tid, logp, starts in candidates[1:] if not starts]
         for hyp, p_blank in parents:
             acoustic = hyp.acoustic
             if acoustic == NEG_INF or not candidates:
                 continue
             node = hyp.node
-            merges = stays.get(id(node))
             last = node.token
-            lm_fused, bonus, boost = hyp.lm_fused, hyp.word_bonus, hyp.partial_boost
-            inherit = (node, hyp.committed, hyp.pending, lm_fused, bonus, boost)
-            start = None
-            for tid, logp, starts_word in candidates:
-                mass = (p_blank if tid == last else acoustic) + logp
-                # A repeat with no blank mass behind it contributes
-                # nothing; creating the child would waste a beam slot.
-                if mass == NEG_INF:
-                    continue
-                if merges is not None:
-                    stay = merges.get(tid)
-                    if stay is not None:
+            merges = stays.get(id(node), _NO_STAYS)
+            for tid, stay in merges.items():
+                logp = row[tid]
+                if logp != NEG_INF and logp >= floor:
+                    mass = (p_blank if tid == last else acoustic) + logp
+                    # A repeat with no blank mass behind it adds nothing.
+                    if mass != NEG_INF:
                         stay.log_p_nonblank = _log_add(stay.log_p_nonblank, mass)
-                        continue
-                if not starts_word:
-                    records.append((-(mass + lm_fused + bonus + boost), tid, mass, inherit))
-                    continue
-                if start is None:
-                    start = inherit
-                    if hyp.pending:
-                        committed, *scores = self._commit(hyp)
-                        start = (node, committed, "", *scores)
-                    s_lm, s_bonus, s_boost = start[3:]
-                records.append((-(mass + s_lm + s_bonus + s_boost), tid, mass, start))
+            inherit = (node, hyp.committed, hyp.pending, hyp.lm_fused,
+                       hyp.word_bonus, hyp.partial_boost)
+            start = None
+            if top not in merges:
+                mass = (p_blank if top == last else acoustic) + top_logp
+                # Making a child with no mass would waste a beam slot.
+                if mass != NEG_INF:
+                    fields = inherit
+                    if top_starts:
+                        fields = start = self._start(hyp, inherit)
+                    records.append(
+                        (-(mass + fields[3] + fields[4] + fields[5]), top, mass, fields)
+                    )
+            opened.append((hyp, p_blank, acoustic, last, merges, inherit, start))
         # A stay slot's masses are final once the merges are in.
         for hyp in self.beams:
             hyp.acoustic = _log_add(hyp.log_p_blank, hyp.log_p_nonblank)
             records.append((-_total(hyp), hyp))
+        # Records are only ever added, so the width-th best total so far
+        # is at most the beam's final last total: a record below it can
+        # neither make the beam nor tie with its edge.  ``bound`` is that
+        # total negated, like the sort key.
         width = self.config.beam_width
-        # A stable sort on the total alone: floats compare fast, and
-        # equal totals keep the order they were made in.
+        records.sort(key=_NEG_TOTAL)
+        bound = records[width - 1][0] if len(records) >= width else INF
+        # Second pass: each parent's other candidates, word-starting and
+        # continuing ones as two runs in log-prob order.  Within a run
+        # every non-repeat child adds the same parts to a smaller mass,
+        # and IEEE + is monotone, so the first one below the bound closes
+        # the run.  A repeat's mass starts from p_blank <= acoustic: it
+        # closes nothing, and a closed run holds no repeat that passes.
+        for hyp, p_blank, acoustic, last, merges, inherit, start in opened:
+            if continuing:
+                lm_fused, bonus, boost = inherit[3:]
+                for tid, logp in continuing:
+                    if tid in merges:
+                        continue
+                    mass = (p_blank if tid == last else acoustic) + logp
+                    if mass == NEG_INF:
+                        continue
+                    neg_total = -(mass + lm_fused + bonus + boost)
+                    if neg_total <= bound:
+                        records.append((neg_total, tid, mass, inherit))
+                    elif tid != last:
+                        break
+            for tid, logp in starting:
+                if tid in merges:
+                    continue
+                mass = (p_blank if tid == last else acoustic) + logp
+                if mass == NEG_INF:
+                    continue
+                if start is None:
+                    start = self._start(hyp, inherit)
+                neg_total = -(mass + start[3] + start[4] + start[5])
+                if neg_total <= bound:
+                    records.append((neg_total, tid, mass, start))
+                elif tid != last:
+                    break
+        # A stable sort on the total alone, as floats compare fast.  The
+        # order of equal totals does not matter: the fast path below
+        # runs only without ties, and the fallback ranks whole hypotheses.
         records.sort(key=_NEG_TOTAL)
         best = records[:width + 1]
         if all(a[0] != b[0] for a, b in zip(best, best[1:])):
@@ -488,6 +549,13 @@ class DecoderSession:
             edge = best[width][0]
             pool = [r for r in pool if r[0] != edge] + [r for r in records if r[0] == edge]
         self.beams = _ranked(map(self._hyp, pool), width)
+
+    def _start(self, hyp: _Hyp, inherit: tuple) -> tuple:
+        """What a word-starting child of ``hyp`` inherits: its pending word committed."""
+        if not hyp.pending:
+            return inherit
+        committed, *scores = self._commit(hyp)
+        return (inherit[0], committed, "", *scores)
 
     def _hyp(self, record: tuple) -> _Hyp:
         """The hypothesis a ranking record stands for."""

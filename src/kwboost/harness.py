@@ -85,6 +85,9 @@ class RunConfig:
                 raise ConfigError(f"input file not found: {path}")
         if not self.out.parent.is_dir():
             raise ConfigError(f"output directory not found: {self.out}")
+        # Caught here, before anything is decoded, not at the final write.
+        if self.out.is_dir():
+            raise ConfigError(f"output path is a directory: {self.out}")
 
     def decode_config(self) -> DecodeConfig:
         """The decoder settings, validated by DecodeConfig."""

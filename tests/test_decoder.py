@@ -15,7 +15,7 @@ from ctc_oracle import exhaustive_scores, top_two
 from ref_decoder import RefSession
 from kwboost import decoder
 from kwboost.bias_trie import KeywordMatch, build_trie
-from kwboost.dataio import read_logits
+from kwboost.dataio import read_logits, read_manifest, read_vocab_file
 from kwboost.decoder import (
     MODES,
     DecodeConfig,
@@ -27,7 +27,7 @@ from kwboost.decoder import (
 )
 from kwboost.errors import ConfigError, DataFormatError
 from kwboost.lm import load_arpa
-from kwboost.norm import build_mapping
+from kwboost.norm import build_mapping, load_keyword_list
 
 LN10 = math.log(10.0)
 
@@ -135,6 +135,14 @@ class TestDecodeConfig:
             dict(token_min_logp=0.5),
             dict(token_min_logp=float("nan")),
             dict(beam_width=2.5),
+            dict(beam_width=True),
+            dict(lm_weight="0.5"),
+            dict(word_bonus="1.5"),
+            dict(token_min_logp="-9"),
+            dict(lm_weight=True),
+            dict(word_bonus=None),
+            dict(token_min_logp=False),
+            dict(beam_width=np.float64(3.0)),
         ],
     )
     def test_invalid(self, kwargs):
@@ -448,6 +456,39 @@ class TestAgainstReference:
         assert ranked
         assert result_view(session.finalize()) == result_view(reference.finalize())
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "counts, width, floor",
+        [
+            # Frame 3: parent "a" ranks its repeat "a" ahead of "b".  The
+            # repeat starts from a's small blank mass and misses the
+            # bound, but it closes nothing: "ab" makes the beam.
+            pytest.param(
+                [[0, 2, 0, 2], [3, 4, 3, 3], [0, 2, 2, 4]], 2, float("-inf"),
+                id="repeat-ahead-of-its-run",
+            ),
+            # Frame 2: "a" and "ca" set the bound; "b" and "cb" equal it
+            # exactly, and the tie order puts "b" in the beam.
+            pytest.param([[3, 0, 0, 3], [1, 3, 3, 1]], 2, -2.0, id="total-equals-bound"),
+            # Two records before the second pass and a beam of three:
+            # there is no bound, so "a" is still ranked.
+            pytest.param([[4, 2, 0, 3]], 3, float("-inf"), id="beam-wider-than-records"),
+        ],
+    )
+    def test_gate_edge_cases(self, counts, width, floor, mode):
+        vocab = letter_vocab("a", "b", "c")
+        counts = np.asarray(counts, dtype=np.float64)
+        with np.errstate(divide="ignore"):
+            frames = np.log(counts / counts.sum(axis=1, keepdims=True))
+        config = exact_config(beam_width=width, token_min_logp=floor, mode=mode)
+        trie = build_trie(build_mapping(["AB", "B2B"]), default_weight=0.0)
+        session = new_session(vocab, config, trie=trie)
+        reference = RefSession(vocab, config, trie=trie)
+        for row in frames:
+            got = session.push_frames(row[None])
+            assert result_view(got) == result_view(reference.push_frames(row[None]))
+        assert result_view(session.finalize()) == result_view(reference.finalize())
+
 
 class TestWorkPerFrame:
     def test_one_word_commit_per_beam_entry(self, data_dir):
@@ -516,6 +557,30 @@ class TestWorkPerFrame:
             # Fewer merges than entries: two sums per entry break the bound.
             assert mergeable < entries
             assert 0 < calls <= entries + mergeable + pushes
+
+    def test_records_ranked_are_gated(self, corpus, demo_keywords, monkeypatch):
+        # On the word-level tuning corpus most children of a parent lose
+        # to the beam; each parent stops at its first one past the bound
+        # instead of ranking a record for every candidate.  Each record
+        # reaching a sort is kept alive, so its id counts it once.
+        ranked = {}
+        monkeypatch.setattr(
+            decoder, "_NEG_TOTAL", lambda record: ranked.setdefault(id(record), record)[0]
+        )
+        vocab = read_vocab_file(corpus.vocab_path)
+        trie = build_trie(build_mapping(load_keyword_list(demo_keywords)), default_weight=2.0)
+        config = DecodeConfig(mode="ngram", word_bonus=0.0)
+        ungated = 0  # parents x candidates + stay slots, frame by frame
+        for entry in read_manifest(corpus.manifest_path):
+            session = new_session(vocab, config, trie=trie)
+            for row in read_logits(entry.logits_path).data:
+                candidates = sum(
+                    logp >= config.token_min_logp
+                    for tid, logp in enumerate(row) if tid != vocab.blank_index
+                )
+                ungated += len(session.beams) * (candidates + 1)
+                session.push_frames(row[None])
+        assert 0 < 3 * len(ranked) < ungated
 
 
 def live_prefix_nodes():

@@ -670,7 +670,8 @@ OUT_WRITERS = {
 
 @pytest.mark.parametrize("writer", OUT_WRITERS)
 def test_out_writers_turn_io_faults_into_toolkit_errors(corpus, tmp_path, writer):
-    # The directory exists, so RunConfig accepts it; the write itself fails.
+    # run_decode's RunConfig rejects the directory before anything is
+    # decoded; the other writers fail at the write.  Both name the path.
     with pytest.raises(ToolkitError, match=re.escape(str(tmp_path))):
         OUT_WRITERS[writer](corpus, tmp_path)
 
@@ -764,6 +765,13 @@ class TestCli:
         assert "decoded 5 utterances" in capsys.readouterr().out
         assert len(read_records(out)) == 5
 
+    def test_decode_out_directory_exits_2_and_writes_nothing(self, corpus, tmp_path, capsys):
+        out = tmp_path / "hyps"
+        out.mkdir()
+        assert main(self.decode_args(corpus, out)) == 2
+        assert f"output path is a directory: {out}" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [out]
+
     def test_decode_then_score_pipeline(self, corpus, demo_keywords, tmp_path, capsys):
         hyps = tmp_path / "hyps.jsonl"
         rc = main(
@@ -825,8 +833,11 @@ class TestCli:
         assert "selected weight 2.0" in capsys.readouterr().out
         assert json.loads(out.read_text(encoding="utf-8"))["selected_weight"] == 2.0
 
-    def test_tune_prints_json_without_out(self, tune_corpus, tmp_path, capsys):
+    def test_tune_prints_json_without_out(self, tune_corpus, tmp_path, capsys, monkeypatch):
         fixture_set, kw = tune_corpus
+        # Nothing is written, so a directory in the way does not matter.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tune.json").mkdir()
         rc = main(
             [
                 "tune",

@@ -56,14 +56,19 @@ def test_decoder_cost_reports_every_length(tmp_path):
     assert "ratio T=1000 / T=100" in out
     # The word-level table: one row per mode; baseline boosts nothing,
     # and a boosting mode commits at most once per beam entry (50).
+    table = out.split("word-level")[1]
+    assert "records/frame" in table
     rows = {
         fields[0]: [float(x) for x in fields[1:]]
-        for fields in (line.split() for line in out.split("word-level")[1].splitlines())
-        if len(fields) == 3 and fields[0] in ("baseline", "default", "ngram")
+        for fields in (line.split() for line in table.splitlines())
+        if len(fields) == 4 and fields[0] in ("baseline", "default", "ngram")
     }
     assert set(rows) == {"baseline", "default", "ngram"}
     assert rows["baseline"][1] == 0.0
     assert 0.0 < rows["ngram"][1] <= 50.0
+    # Each frame ranks its beam entries (up to 50) and the children that
+    # passed the bound, so every mode reports a positive record count.
+    assert all(values[2] > 0.0 for values in rows.values())
 
 
 def test_bench_pairs_reports_every_metric(tmp_path):
