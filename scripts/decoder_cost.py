@@ -15,7 +15,7 @@ LM, word bonus 0, boost 2.0), where every token starts a word, in each
 mode.  It prints the median wall ms per frame over the whole corpus,
 and two counts per frame taken in a separate untimed pass: unigram
 boost lookups (one lookup is one word commit, at most one per beam
-entry per frame) and the ranking records the frame step sorts (beam
+entry) and the ranking records the frame step sorts (beam
 entries plus the children that passed its bound).  Baseline mode
 boosts nothing and gives the bare search's cost.
 

@@ -16,13 +16,15 @@ behind an exact gate: once the stay slots and each parent's child under
 the frame's top token are ranked, the width-th best total so far is a
 floor under the beam's last total.  A parent's word-starting and its
 continuing children are then tried in log-prob order, each run up to
-its first child below that floor, so outputs do not change.  A frame
-commits a parent's pending word once for all of its word-starting
-children, and each entry carries its acoustic mass, summed once per
-frame.  Token tuples are built only for the n-best lists a result
-reports.  Finalization commits each pending word, settles the boosts
-and ranks the beam in place, with the same commit routine and ranking
-as the frame loop, so the retraction is exact.
+its first child below that floor, so outputs do not change.  Each
+entry holds one state tuple, what its continuing children inherit, and
+commits its pending word at most once, for the word-starting children
+of every frame it survives and for finalization.  Each entry also
+carries its acoustic mass, summed once per frame.  Token tuples are
+built only for the n-best lists a result reports.  Finalization commits
+each pending word, settles the boosts and ranks the beam in place, with
+the same commit routine and ranking as the frame loop, so the
+retraction is exact.
 
 Boost modes
     baseline  no boosting at all
@@ -41,6 +43,7 @@ from __future__ import annotations
 import math
 import numbers
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -321,38 +324,37 @@ class _Hyp:
 
     ``node`` is the entry's own prefix node, made with the entry.
     ``acoustic`` is always ``_log_add(log_p_blank, log_p_nonblank)``,
-    kept so that each frame computes it once per entry.
+    kept so that each frame computes it once per entry.  ``state`` is
+    ``(committed, pending, lm_fused, word_bonus, partial_boost)``, what
+    a continuing child inherits; ``start`` is what a word-starting child
+    inherits, that state with its pending word committed, made at most
+    once per entry (see DecoderSession._start).
     """
 
     __slots__ = (
-        "node", "log_p_blank", "log_p_nonblank", "acoustic", "committed",
-        "pending", "lm_fused", "word_bonus", "partial_boost", "final_boost",
+        "node", "log_p_blank", "log_p_nonblank", "acoustic", "state", "start",
+        "final_boost",
     )
 
-    def __init__(self, node, log_p_blank, log_p_nonblank, acoustic,
-                 committed, pending, lm_fused, word_bonus, partial_boost):
+    def __init__(self, node, log_p_blank, log_p_nonblank, acoustic, state):
         self.node = node
         self.log_p_blank = log_p_blank
         self.log_p_nonblank = log_p_nonblank
         self.acoustic = acoustic
-        self.committed = committed
-        self.pending = pending
-        self.lm_fused = lm_fused
-        self.word_bonus = word_bonus
-        self.partial_boost = partial_boost
+        self.state = state
+        self.start = None
         self.final_boost = 0.0
-
-    def _tie_key(self):
-        words = self.committed + (self.pending,) if self.pending else self.committed
-        return len(words), words, self.node.path()
-
-    def __lt__(self, other: _Hyp) -> bool:
-        # Reached only on equal totals (see _ranked).
-        return self._tie_key() < other._tie_key()
 
 
 def _total(h: _Hyp) -> float:
-    return h.acoustic + h.lm_fused + h.word_bonus + h.partial_boost + h.final_boost
+    _, _, lm_fused, bonus, boost = h.state
+    return h.acoustic + lm_fused + bonus + boost + h.final_boost
+
+
+def _tie_key(h: _Hyp) -> tuple:
+    committed, pending = h.state[:2]
+    words = committed + (pending,) if pending else committed
+    return len(words), words, h.node.path()
 
 
 def _ranked(hyps, width: int) -> list[_Hyp]:
@@ -360,9 +362,15 @@ def _ranked(hyps, width: int) -> list[_Hyp]:
 
     Higher total first; exact ties prefer fewer words, then the words
     in lexicographic order, then the token prefix, so the order is total.
+    Only entries that share their total get a tie key, each one once.
     """
-    ranked = sorted([(-_total(h), h) for h in hyps])[:width]
-    return [hyp for _, hyp in ranked]
+    scored = [(-_total(h), h) for h in hyps]
+    shared = Counter(neg_total for neg_total, _ in scored)
+    ranked = sorted(
+        (neg_total, _tie_key(h) if shared[neg_total] > 1 else (), n, h)
+        for n, (neg_total, h) in enumerate(scored)
+    )
+    return [hyp for *_, hyp in ranked[:width]]
 
 
 class DecoderSession:
@@ -388,29 +396,7 @@ class DecoderSession:
         self._trace: list[tuple[tuple[str, ...], float]] = []
         self._result: DecodeResult | None = None
         self._reported: list[_Node] = []
-        self.beams = [_Hyp(_Node(None, None), 0.0, NEG_INF, 0.0, (), "", 0.0, 0.0, 0.0)]
-
-    # -- scoring ----------------------------------------------------------
-
-    def _commit(self, hyp: _Hyp) -> tuple[tuple[str, ...], float, float, float]:
-        """Commit the pending word: LM fusion, word bonus, gated unigram boost.
-
-        Returns the committed words, lm_fused, word_bonus and
-        partial_boost that follow; ``hyp`` itself is left as it is.
-        """
-        word = hyp.pending
-        lm_fused = hyp.lm_fused
-        if self.lm is not None:
-            lm_fused += self._alpha_ln10 * self.lm.log10_cond(word, hyp.committed)
-        partial_boost = hyp.partial_boost
-        if self._boosting:
-            weight = self.trie.unigram_weight(word)
-            if weight is not None:
-                partial_boost += weight
-        return (
-            hyp.committed + (word,), lm_fused,
-            hyp.word_bonus + self.config.word_bonus, partial_boost,
-        )
+        self.beams = [_Hyp(_Node(None, None), 0.0, NEG_INF, 0.0, ((), "", 0.0, 0.0, 0.0))]
 
     # -- frame updates ------------------------------------------------------
 
@@ -447,11 +433,10 @@ class DecoderSession:
                 siblings[last] = hyp
         # Every other child holds one mass, so its total is final when it
         # is made: rank light records and make hypotheses only for the
-        # winners.  A child's record is (-total, token, mass, fields),
-        # where fields are what it inherits: its parent node, committed
-        # words, pending head and score parts; a stay slot's is
-        # (-total, slot).  The parent's pending word is committed once,
-        # for all its word-starting children.
+        # winners.  A child's record is (-total, token, mass, parent node,
+        # state), where state is what it inherits: its parent's state, or
+        # for a word-starting child its parent's start; a stay slot's is
+        # (-total, slot).  An entry's start is made once (see _start).
         #
         # First pass: each parent's merges, which finish the stay slots,
         # and its child under the frame's top candidate.
@@ -475,24 +460,21 @@ class DecoderSession:
                     # A repeat with no blank mass behind it adds nothing.
                     if mass != NEG_INF:
                         stay.log_p_nonblank = _log_add(stay.log_p_nonblank, mass)
-            inherit = (node, hyp.committed, hyp.pending, hyp.lm_fused,
-                       hyp.word_bonus, hyp.partial_boost)
-            start = None
             if top not in merges:
                 mass = (p_blank if top == last else acoustic) + top_logp
                 # Making a child with no mass would waste a beam slot.
                 if mass != NEG_INF:
-                    fields = inherit
-                    if top_starts:
-                        fields = start = self._start(hyp, inherit)
-                    records.append(
-                        (-(mass + fields[3] + fields[4] + fields[5]), top, mass, fields)
-                    )
-            opened.append((hyp, p_blank, acoustic, last, merges, inherit, start))
-        # A stay slot's masses are final once the merges are in.
+                    state = (hyp.start or self._start(hyp)) if top_starts else hyp.state
+                    _, _, lm_fused, bonus, boost = state
+                    records.append((-(mass + lm_fused + bonus + boost), top, mass, node, state))
+            opened.append((hyp, p_blank, acoustic, node, last, merges))
+        # A stay slot's masses are final once the merges are in.  Its
+        # final boost is 0.0 until finalize, so its total is summed like
+        # a child's.
         for hyp in self.beams:
-            hyp.acoustic = _log_add(hyp.log_p_blank, hyp.log_p_nonblank)
-            records.append((-_total(hyp), hyp))
+            acoustic = hyp.acoustic = _log_add(hyp.log_p_blank, hyp.log_p_nonblank)
+            _, _, lm_fused, bonus, boost = hyp.state
+            records.append((-(acoustic + lm_fused + bonus + boost), hyp))
         # Records are only ever added, so the width-th best total so far
         # is at most the beam's final last total: a record below it can
         # neither make the beam nor tie with its edge.  ``bound`` is that
@@ -506,9 +488,10 @@ class DecoderSession:
         # and IEEE + is monotone, so the first one below the bound closes
         # the run.  A repeat's mass starts from p_blank <= acoustic: it
         # closes nothing, and a closed run holds no repeat that passes.
-        for hyp, p_blank, acoustic, last, merges, inherit, start in opened:
+        for hyp, p_blank, acoustic, node, last, merges in opened:
             if continuing:
-                lm_fused, bonus, boost = inherit[3:]
+                state = hyp.state
+                _, _, lm_fused, bonus, boost = state
                 for tid, logp in continuing:
                     if tid in merges:
                         continue
@@ -517,9 +500,10 @@ class DecoderSession:
                         continue
                     neg_total = -(mass + lm_fused + bonus + boost)
                     if neg_total <= bound:
-                        records.append((neg_total, tid, mass, inherit))
+                        records.append((neg_total, tid, mass, node, state))
                     elif tid != last:
                         break
+            start = None
             for tid, logp in starting:
                 if tid in merges:
                     continue
@@ -527,10 +511,11 @@ class DecoderSession:
                 if mass == NEG_INF:
                     continue
                 if start is None:
-                    start = self._start(hyp, inherit)
-                neg_total = -(mass + start[3] + start[4] + start[5])
+                    start = hyp.start or self._start(hyp)
+                    _, _, lm_fused, bonus, boost = start
+                neg_total = -(mass + lm_fused + bonus + boost)
                 if neg_total <= bound:
-                    records.append((neg_total, tid, mass, start))
+                    records.append((neg_total, tid, mass, node, start))
                 elif tid != last:
                     break
         # A stable sort on the total alone, as floats compare fast.  The
@@ -538,7 +523,7 @@ class DecoderSession:
         # runs only without ties, and the fallback ranks whole hypotheses.
         records.sort(key=_NEG_TOTAL)
         best = records[:width + 1]
-        if all(a[0] != b[0] for a, b in zip(best, best[1:])):
+        if len(set(map(_NEG_TOTAL, best))) == len(best):
             self.beams = [self._hyp(record) for record in best[:width]]
             return
         # Equal totals inside the selection or at its edge: only whole
@@ -550,22 +535,37 @@ class DecoderSession:
             pool = [r for r in pool if r[0] != edge] + [r for r in records if r[0] == edge]
         self.beams = _ranked(map(self._hyp, pool), width)
 
-    def _start(self, hyp: _Hyp, inherit: tuple) -> tuple:
-        """What a word-starting child of ``hyp`` inherits: its pending word committed."""
-        if not hyp.pending:
-            return inherit
-        committed, *scores = self._commit(hyp)
-        return (inherit[0], committed, "", *scores)
+    def _start(self, hyp: _Hyp) -> tuple:
+        """What a word-starting child of ``hyp`` inherits: its pending word committed.
+
+        The commit is LM fusion, the word bonus and the gated unigram
+        boost.  An entry's state never changes while it stays in the
+        beam, so the result is made once and kept on the entry for every
+        later frame and for finalize.
+        """
+        start = hyp.start
+        if start is None:
+            committed, word, lm_fused, bonus, boost = start = hyp.state
+            if word:
+                if self.lm is not None:
+                    lm_fused += self._alpha_ln10 * self.lm.log10_cond(word, committed)
+                if self._boosting:
+                    weight = self.trie.unigram_weight(word)
+                    if weight is not None:
+                        boost += weight
+                start = (committed + (word,), "", lm_fused, bonus + self.config.word_bonus, boost)
+            hyp.start = start
+        return start
 
     def _hyp(self, record: tuple) -> _Hyp:
         """The hypothesis a ranking record stands for."""
         if len(record) == 2:
             return record[1]
-        _, tid, mass, (node, committed, head, lm_fused, bonus, boost) = record
+        _, tid, mass, node, (committed, head, lm_fused, bonus, boost) = record
         # Its blank mass is -inf, so its acoustic is its one mass.
         return _Hyp(
-            node.child(tid), NEG_INF, mass, mass, committed,
-            head + self._spelling[tid][1], lm_fused, bonus, boost,
+            node.child(tid), NEG_INF, mass, mass,
+            (committed, head + self._spelling[tid][1], lm_fused, bonus, boost),
         )
 
     def _publish(self) -> list[BeamHypothesis]:
@@ -585,15 +585,9 @@ class DecoderSession:
                 node.tokens = None
         self._reported = reported
         return [
+            # The state's fields are BeamHypothesis's, in its order.
             BeamHypothesis(
-                tokens=hyp.node.tokens,
-                log_p_blank=hyp.log_p_blank,
-                log_p_nonblank=hyp.log_p_nonblank,
-                committed=hyp.committed,
-                pending=hyp.pending,
-                lm_fused=hyp.lm_fused,
-                word_bonus=hyp.word_bonus,
-                partial_boost=hyp.partial_boost,
+                hyp.node.tokens, hyp.log_p_blank, hyp.log_p_nonblank, *hyp.state,
                 final_boost=hyp.final_boost,
             )
             for hyp in self.beams
@@ -635,17 +629,13 @@ class DecoderSession:
         settled = {}  # hypothesis -> its full keyword matches (ngram mode)
         flat = self.config.flat_final_boost
         for hyp in self.beams:
-            if hyp.pending:
-                hyp.committed, hyp.lm_fused, hyp.word_bonus, hyp.partial_boost = (
-                    self._commit(hyp)
-                )
-                hyp.pending = ""
+            hyp.state = self._start(hyp)
             if self.config.mode == "ngram":
-                matches = settled[hyp] = self.trie.find_matches(hyp.committed)
+                matches = settled[hyp] = self.trie.find_matches(hyp.state[0])
                 hyp.final_boost = sum(
                     m.weight * (1 if flat else m.end - m.start) for m in matches
                 )
-                hyp.partial_boost = 0.0
+                hyp.state = hyp.state[:4] + (0.0,)
         self.beams = _ranked(self.beams, self.config.beam_width)
         finals = self._publish()
         top = finals[0]

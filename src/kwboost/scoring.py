@@ -258,27 +258,28 @@ def biased_wer(
         hyp = [fold(w) for w in hyp]
         counts = ErrorCounts()
         alignment = align(ref, hyp)
-        ref_op_kinds: list[str] = []
+        # Per reference word: its op and the insertions aligned before it.
+        ref_ops: list[tuple[str, int]] = []
+        inserted = 0
         for op in alignment.ops:
-            if op.kind == "match":
-                ref_op_kinds.append("match")
-            elif op.kind == "sub":
-                ref_op_kinds.append("sub")
+            if op.kind == "ins":
+                inserted += 1
+                if op.hyp in biased_vocab:
+                    counts.ins_biased += 1
+                else:
+                    counts.ins_unbiased += 1
+                continue
+            ref_ops.append((op.kind, inserted))
+            if op.kind == "sub":
                 if op.ref in biased_vocab:
                     counts.sub_biased += 1
                 else:
                     counts.sub_unbiased += 1
             elif op.kind == "del":
-                ref_op_kinds.append("del")
                 if op.ref in biased_vocab:
                     counts.del_biased += 1
                 else:
                     counts.del_unbiased += 1
-            else:
-                if op.hyp in biased_vocab:
-                    counts.ins_biased += 1
-                else:
-                    counts.ins_unbiased += 1
         n_biased = sum(1 for w in ref if w in biased_vocab)
         utterances.append(UtteranceScore(utt_id, len(ref), n_biased, counts))
         total.add(counts)
@@ -288,8 +289,9 @@ def biased_wer(
             stat = keyword_stats[term]
             for start in _phrase_occurrences(ref, phrase):
                 stat.occurrences += 1
-                span = ref_op_kinds[start : start + len(phrase)]
-                if all(kind == "match" for kind in span):
+                # A hit: every word matched, no word inserted inside the span.
+                span = ref_ops[start : start + len(phrase)]
+                if all(kind == "match" for kind, _ in span) and span[0][1] == span[-1][1]:
                     stat.hits += 1
     if empty:
         raise ValueError("empty corpus")

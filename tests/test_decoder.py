@@ -490,11 +490,24 @@ class TestAgainstReference:
         assert result_view(session.finalize()) == result_view(reference.finalize())
 
 
+def entries_in_beams(session, frames):
+    """Push ``frames`` one at a time; every distinct entry a beam held.
+
+    The entries are returned, so they stay alive and their ids distinct.
+    """
+    seen = {}
+    for row in frames:
+        seen.update((id(hyp), hyp) for hyp in session.beams)
+        session.push_frames(row[None])
+    seen.update((id(hyp), hyp) for hyp in session.beams)
+    return list(seen.values())
+
+
 class TestWorkPerFrame:
     def test_one_word_commit_per_beam_entry(self, data_dir):
         # Every token starts a word, so each child of a parent with a
         # pending word commits the same word: that commit is made once
-        # per parent, plus once per entry that finalize commits.
+        # per entry, and its later frames and finalize reuse it.
         vocab = REF_VOCABS[2]
         lm = load_arpa(data_dir / "tiny_bigram.arpa")
         trie = build_trie(build_mapping(REF_KEYWORDS), default_weight=1.0)
@@ -515,17 +528,39 @@ class TestWorkPerFrame:
         spy(lm, "log10_cond")
         config = DecodeConfig(beam_width=8, mode="ngram", token_min_logp=float("-inf"))
         session = new_session(vocab, config, lm=lm, trie=trie)
-        entries = 0
-        for row in softmax_logits(np.random.default_rng(11), 12, vocab.size).data:
-            entries += len(session.beams)
-            session.push_frames(row[None])
+        frames = softmax_logits(np.random.default_rng(11), 12, vocab.size).data
+        entries = entries_in_beams(session, frames)
         finalized = len(session.beams)
         result = session.finalize()
-        assert 0 < calls["unigram_weight"] <= entries + finalized
-        assert 0 < calls["log10_cond"] <= entries + finalized
+        assert 0 < calls["unigram_weight"] <= len(entries)
+        assert 0 < calls["log10_cond"] <= len(entries)
         # Settling matches each entry once; the winner's matches are reused.
         assert calls["find_matches"] == finalized
         assert result.matches == trie.find_matches(result.words)
+
+    def test_stay_slots_commit_once_on_the_word_level_corpus(self, corpus, demo_keywords):
+        # An entry that stays in the beam keeps its state from frame to
+        # frame, so its word-starting children of every frame share one
+        # commit: one unigram-boost lookup per entry, not per frame.
+        vocab = read_vocab_file(corpus.vocab_path)
+        assert all(starts for starts, _ in vocab.spelling)
+        trie = build_trie(build_mapping(load_keyword_list(demo_keywords)), default_weight=2.0)
+        lookups = 0
+        unigram_weight = trie.unigram_weight
+
+        def counted(word):
+            nonlocal lookups
+            lookups += 1
+            return unigram_weight(word)
+
+        trie.unigram_weight = counted
+        config = DecodeConfig(mode="ngram", word_bonus=0.0)
+        entries = []
+        for entry in read_manifest(corpus.manifest_path):
+            session = new_session(vocab, config, trie=trie)
+            entries += entries_in_beams(session, read_logits(entry.logits_path).data)
+            session.finalize()
+        assert 0 < lookups <= len(entries)
 
     def test_one_log_add_per_beam_entry(self, data_dir, monkeypatch):
         # A frame adds each entry's blank and non-blank masses once, when

@@ -188,6 +188,27 @@ class TestBiasedWer:
         assert stat.occurrences == 1
         assert stat.hits == 1
 
+    def test_insertion_inside_a_phrase_is_a_miss(self):
+        # Both reference words align as matches; the inserted "big"
+        # between them still breaks the keyword.
+        report = biased_wer([("u1", ["New", "York"], ["New", "big", "York"])], ["New York"])
+        assert report.errors.ins_unbiased == 1
+        assert report.errors.total == 1
+        (stat,) = report.keywords
+        assert (stat.occurrences, stat.hits, stat.misses) == (1, 0, 1)
+
+    @pytest.mark.parametrize(
+        "hyp",
+        [["in", "big", "New", "York", "now"], ["in", "New", "York", "big", "now"]],
+        ids=["before", "after"],
+    )
+    def test_insertion_next_to_a_phrase_is_still_a_hit(self, hyp):
+        report = biased_wer([("u1", ["in", "New", "York", "now"], hyp)], ["New York"])
+        assert report.errors.ins_unbiased == 1
+        assert report.errors.total == 1
+        (stat,) = report.keywords
+        assert (stat.occurrences, stat.hits, stat.misses) == (1, 1, 0)
+
     def test_case_sensitive_by_default(self):
         report = biased_wer([("u1", ["ai", "now"], ["ai", "now"])], ["AI"])
         assert report.biased_ref_words == 0

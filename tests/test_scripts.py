@@ -3,6 +3,7 @@
 The scripts write their outputs under the working directory, here tmp_path.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -81,3 +82,21 @@ def test_bench_pairs_reports_every_metric(tmp_path):
     assert "tune-grid: 2 pairs, failed checks base 0 change 0" in out
     for metric in ("setup_s", "frames_per_s", "wer", "u_wer", "b_wer", "peak_rss_mb"):
         assert f"\n  {metric} " in out
+
+
+def test_bench_record_writes_both_metric_sets(tmp_path):
+    out = run_script(
+        "bench_record.py", tmp_path, "7",
+        "--quick", "--seconds", "0", "--workload", "tune-grid", "--out-dir", str(tmp_path),
+    )
+    assert "tune-grid: failed checks 0" in out
+    record = json.loads((tmp_path / "BENCH_7.json").read_text(encoding="utf-8"))
+    assert record["mode"] == "quick"
+    assert record["git_sha"] == record["machine"]["git_sha"]
+    assert isinstance(record["dirty"], bool)
+    (workload,) = record["workloads"].values()
+    assert workload["failed"] == 0 and workload["attempted"] > 0
+    assert set(workload["end_to_end"]) == {
+        "setup_s", "frames_per_s", "wer", "u_wer", "b_wer", "peak_rss_mb",
+    }
+    assert workload["per_layer"]["harness.decode.calls"]["value"] > 0
