@@ -6,7 +6,8 @@ Runs ``kwbench/run.py`` in this checkout on each workload, once with
 per-layer metrics), and writes one JSON file holding the git SHA of the
 measured code, whether the working tree had uncommitted changes, the
 machine report, and per workload its checks and both metric sets.
-Seed 0 also checks the golden output digests.
+Every run uses the golden seed 0, so each point also checks the golden
+output digests and all points measure the same inputs.
 
 Run from the repository root once the change is committed, for instance:
 
@@ -33,7 +34,6 @@ def parse_args() -> argparse.Namespace:
         "--workload", action="append", choices=WORKLOADS,
         help="workload to run (repeatable; default: all)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="input generator seed")
     parser.add_argument(
         "--seconds", type=float, default=BENCHMARK["run_seconds"],
         help="timed seconds of the --trace 0 run",
@@ -48,7 +48,7 @@ def parse_args() -> argparse.Namespace:
 def run(workload: str, trace: int, args: argparse.Namespace) -> tuple[dict, dict]:
     """One benchmark run: its report line and its result line."""
     argv = [
-        sys.executable, "kwbench/run.py", "--workload", workload, "--seed", str(args.seed),
+        sys.executable, "kwbench/run.py", "--workload", workload, "--seed", "0",
         "--seconds", str(args.seconds), "--trace", str(trace),
     ]
     if args.quick:

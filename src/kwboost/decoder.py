@@ -540,21 +540,23 @@ class DecoderSession:
 
         The commit is LM fusion, the word bonus and the gated unigram
         boost.  An entry's state never changes while it stays in the
-        beam, so the result is made once and kept on the entry for every
-        later frame and for finalize.
+        beam, so the result is kept on the entry, and every caller reads
+        ``hyp.start or self._start(hyp)``: the frame step makes it at most
+        once, and later frames and finalize reuse it.  Checking at the
+        call site instead of in here saves a method call per parent per
+        frame (tune-grid frames/s 4.0% lower without it, 0 of 6
+        interleaved 10 s pairs won, 2-vCPU Xeon VM).
         """
-        start = hyp.start
-        if start is None:
-            committed, word, lm_fused, bonus, boost = start = hyp.state
-            if word:
-                if self.lm is not None:
-                    lm_fused += self._alpha_ln10 * self.lm.log10_cond(word, committed)
-                if self._boosting:
-                    weight = self.trie.unigram_weight(word)
-                    if weight is not None:
-                        boost += weight
-                start = (committed + (word,), "", lm_fused, bonus + self.config.word_bonus, boost)
-            hyp.start = start
+        committed, word, lm_fused, bonus, boost = start = hyp.state
+        if word:
+            if self.lm is not None:
+                lm_fused += self._alpha_ln10 * self.lm.log10_cond(word, committed)
+            if self._boosting:
+                weight = self.trie.unigram_weight(word)
+                if weight is not None:
+                    boost += weight
+            start = (committed + (word,), "", lm_fused, bonus + self.config.word_bonus, boost)
+        hyp.start = start
         return start
 
     def _hyp(self, record: tuple) -> _Hyp:
@@ -584,14 +586,21 @@ class DecoderSession:
             if node not in kept:
                 node.tokens = None
         self._reported = reported
-        return [
-            # The state's fields are BeamHypothesis's, in its order.
-            BeamHypothesis(
-                hyp.node.tokens, hyp.log_p_blank, hyp.log_p_nonblank, *hyp.state,
+        published = []
+        for hyp in self.beams:
+            committed, pending, lm_fused, bonus, boost = hyp.state
+            published.append(BeamHypothesis(
+                tokens=hyp.node.tokens,
+                log_p_blank=hyp.log_p_blank,
+                log_p_nonblank=hyp.log_p_nonblank,
+                committed=committed,
+                pending=pending,
+                lm_fused=lm_fused,
+                word_bonus=bonus,
+                partial_boost=boost,
                 final_boost=hyp.final_boost,
-            )
-            for hyp in self.beams
-        ]
+            ))
+        return published
 
     # -- public API ---------------------------------------------------------
 
@@ -629,7 +638,7 @@ class DecoderSession:
         settled = {}  # hypothesis -> its full keyword matches (ngram mode)
         flat = self.config.flat_final_boost
         for hyp in self.beams:
-            hyp.state = self._start(hyp)
+            hyp.state = hyp.start or self._start(hyp)
             if self.config.mode == "ngram":
                 matches = settled[hyp] = self.trie.find_matches(hyp.state[0])
                 hyp.final_boost = sum(

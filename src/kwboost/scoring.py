@@ -258,18 +258,21 @@ def biased_wer(
         hyp = [fold(w) for w in hyp]
         counts = ErrorCounts()
         alignment = align(ref, hyp)
-        # Per reference word: its op and the insertions aligned before it.
+        # Per reference word: its op and the index of the next hypothesis
+        # word, which is its own when it is matched.
         ref_ops: list[tuple[str, int]] = []
-        inserted = 0
+        hyp_index = 0
         for op in alignment.ops:
             if op.kind == "ins":
-                inserted += 1
+                hyp_index += 1
                 if op.hyp in biased_vocab:
                     counts.ins_biased += 1
                 else:
                     counts.ins_unbiased += 1
                 continue
-            ref_ops.append((op.kind, inserted))
+            ref_ops.append((op.kind, hyp_index))
+            if op.kind != "del":
+                hyp_index += 1
             if op.kind == "sub":
                 if op.ref in biased_vocab:
                     counts.sub_biased += 1
@@ -289,9 +292,17 @@ def biased_wer(
             stat = keyword_stats[term]
             for start in _phrase_occurrences(ref, phrase):
                 stat.occurrences += 1
-                # A hit: every word matched, no word inserted inside the span.
+                # A hit: every word matched, and the hypothesis holds the
+                # whole phrase from the first word's match on.  Judging
+                # contiguity on the hypothesis side keeps a repeated word
+                # next to the phrase from counting as inside it, wherever
+                # the backtrace put the insertion.
                 span = ref_ops[start : start + len(phrase)]
-                if all(kind == "match" for kind, _ in span) and span[0][1] == span[-1][1]:
+                first = span[0][1]
+                if (
+                    all(kind == "match" for kind, _ in span)
+                    and hyp[first : first + len(phrase)] == phrase
+                ):
                     stat.hits += 1
     if empty:
         raise ValueError("empty corpus")

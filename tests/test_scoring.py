@@ -199,12 +199,19 @@ class TestBiasedWer:
 
     @pytest.mark.parametrize(
         "hyp",
-        [["in", "big", "New", "York", "now"], ["in", "New", "York", "big", "now"]],
-        ids=["before", "after"],
+        [
+            ["in", "big", "New", "York", "now"],
+            ["in", "New", "York", "big", "now"],
+            # The backtrace aligns the first "York" as the insertion, so
+            # the span's matches straddle it: still "New York" in a row.
+            ["in", "New", "York", "York", "now"],
+            ["in", "New", "New", "York", "now"],
+        ],
+        ids=["before", "after", "repeat-after", "repeat-before"],
     )
     def test_insertion_next_to_a_phrase_is_still_a_hit(self, hyp):
         report = biased_wer([("u1", ["in", "New", "York", "now"], hyp)], ["New York"])
-        assert report.errors.ins_unbiased == 1
+        assert report.errors.ins_biased + report.errors.ins_unbiased == 1
         assert report.errors.total == 1
         (stat,) = report.keywords
         assert (stat.occurrences, stat.hits, stat.misses) == (1, 1, 0)
