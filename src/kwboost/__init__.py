@@ -9,7 +9,7 @@ a biased/unbiased word-error-rate split (scoring).  The harness and the
 ``kwboost`` command tie the stages together over files on disk.
 """
 
-from .bias_trie import BiasTrie, KeywordMatch, build_trie
+from .bias_trie import BiasTrie, build_trie
 from .dataio import (
     ManifestEntry,
     read_logits,
@@ -49,8 +49,8 @@ from .harness import (
 )
 from .lm import NGramLM, load_arpa
 from .norm import (
-    ItnSpan,
     KeywordEntry,
+    KeywordMatch,
     NormalizationMapping,
     build_mapping,
     inverse_normalize,
@@ -84,7 +84,6 @@ __all__ = [
     "ErrorCounts",
     "GridPoint",
     "GridSearchResult",
-    "ItnSpan",
     "KeywordEntry",
     "KeywordMatch",
     "LogitMatrix",

@@ -5,35 +5,25 @@ The decoder consults the trie in two ways: the unigram set answers
 words are never boosted), and full-variant matching finds complete
 keyword occurrences for the finalization boost and for match reports.
 Matching is the mapping's own walk, so it always agrees with inverse
-normalization; the trie adds each owning entry's effective weight.
+normalization; each owning entry's effective weight lives only in the
+trie's ``weights`` table, keyed by the match's raw form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConfigError
 from .lm import NGramLM
-from .norm import NormalizationMapping
+from .norm import KeywordMatch, NormalizationMapping
 
 # log10 unigram probability below which a keyword word is boosted.
 DEFAULT_RARITY_THRESHOLD = -4.0
 
 
-@dataclass(frozen=True)
-class KeywordMatch:
-    """A full variant occurrence: words[start:end] belongs to ``raw``."""
-
-    start: int
-    end: int
-    raw: str
-    weight: float  # owning entry's effective boost weight
-
-
 class BiasTrie:
-    """Variant matches with weights, plus the gated unigram boost set.
+    """Variant matches and their weights, plus the gated unigram boost set.
 
     ``weights`` maps each entry's raw form to its effective weight, and
     ``gated`` lists the (word, owning raw) pairs that passed the rarity
@@ -55,29 +45,17 @@ class BiasTrie:
             if previous is None or weights[raw] > previous:
                 self.unigram_weights[word] = weights[raw]
 
-    @property
-    def num_variants(self) -> int:
-        return len(self.mapping.reverse)
-
     def unigram_weight(self, word: str) -> float | None:
         """Boost weight for one committed word, or None when not boosted."""
         return self.unigram_weights.get(word)
 
     def find_matches(self, words: Sequence[str]) -> list[KeywordMatch]:
-        """Leftmost-longest non-overlapping full variant matches."""
-        return [
-            KeywordMatch(start, end, entry.raw, self.weights[entry.raw])
-            for start, end, entry in self.mapping.find_spans(words)
-        ]
+        """Leftmost-longest non-overlapping full variant matches.
 
-    def dump(self) -> str:
-        """Deterministic text form, one line per variant in sorted order."""
-        reverse = self.mapping.reverse
-        return "".join(
-            f"{' '.join(variant)}\t{reverse[variant].raw}\t"
-            f"{self.weights[reverse[variant].raw]!r}\n"
-            for variant in sorted(reverse)
-        )
+        The traced matching layer: a method of its own so the benchmark's
+        tracer can time keyword matching apart from inverse normalization.
+        """
+        return self.mapping.find_spans(words)
 
 
 def check_boost_settings(default_weight: float, rarity_threshold: float) -> None:

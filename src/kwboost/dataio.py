@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .decoder import LogitMatrix, Vocabulary
-from .errors import DataFormatError, read_lines, read_text
+from .errors import ConfigError, DataFormatError, read_lines, read_text, write_text
 
 LOGIT_MAGIC = b"CTCL"
 LOGIT_VERSION = 1
@@ -29,7 +29,10 @@ def write_logits(path: str | Path, logits: LogitMatrix | np.ndarray) -> None:
     header = _HEADER.pack(
         LOGIT_MAGIC, LOGIT_VERSION, matrix.num_frames, matrix.num_tokens
     )
-    Path(path).write_bytes(header + frames.tobytes())
+    try:
+        Path(path).write_bytes(header + frames.tobytes())
+    except (OSError, ValueError) as exc:  # ValueError: NUL in path
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def read_logits(path: str | Path) -> LogitMatrix:
@@ -65,7 +68,7 @@ def write_vocab_file(path: str | Path, vocab: Vocabulary) -> None:
         f"#boundary={vocab.boundary_kind}:{vocab.boundary_value}",
     ]
     lines.extend(vocab.tokens)
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_text(Path(path), "".join(line + "\n" for line in lines))
 
 
 def read_vocab_file(path: str | Path) -> Vocabulary:
@@ -149,7 +152,7 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
 
 def write_manifest(path: str | Path, records: Iterable[dict]) -> None:
     lines = [json.dumps(record, sort_keys=False) for record in records]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_text(Path(path), "".join(line + "\n" for line in lines))
 
 
 def read_transcripts(path: str | Path) -> dict[str, dict]:

@@ -32,7 +32,8 @@ Boost modes
               their boost in the final ranking
     ngram     same streaming behavior, but finalization zeroes the
               partial boosts and adds entry weight x matched words for
-              each full keyword match found in the committed words
+              each full keyword match found in the committed words,
+              reading each weight from the trie's ``weights`` table
 
 Scores live in the natural-log domain; language model log10 values are
 scaled by ln(10) when fused.
@@ -52,9 +53,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .bias_trie import BiasTrie, KeywordMatch
+from .bias_trie import BiasTrie
 from .errors import ConfigError, DataFormatError
 from .lm import NGramLM
+from .norm import KeywordMatch
 
 LN10 = math.log(10.0)
 NEG_INF = float("-inf")
@@ -637,12 +639,13 @@ class DecoderSession:
             return self._result
         settled = {}  # hypothesis -> its full keyword matches (ngram mode)
         flat = self.config.flat_final_boost
+        weights = self.trie.weights if self.trie else None
         for hyp in self.beams:
             hyp.state = hyp.start or self._start(hyp)
             if self.config.mode == "ngram":
                 matches = settled[hyp] = self.trie.find_matches(hyp.state[0])
                 hyp.final_boost = sum(
-                    m.weight * (1 if flat else m.end - m.start) for m in matches
+                    weights[m.raw] * (1 if flat else m.end - m.start) for m in matches
                 )
                 hyp.state = hyp.state[:4] + (0.0,)
         self.beams = _ranked(self.beams, self.config.beam_width)

@@ -2,10 +2,11 @@
 
 Everything raised on bad user input derives from ToolkitError so the
 CLI can map it to a data-error exit code in one place.  ``read_text``
-reads every text file and ``write_text`` writes every ``--out`` file;
-``read_lines`` runs every line-oriented format (manifests, transcripts,
-keyword lists, exceptions, fixture specs) through one loop, one skip
-rule and one ``<path>:<line>:`` error location.
+reads every text file and ``write_text`` writes every text file the
+toolkit produces; ``read_lines`` runs every line-oriented format
+(manifests, transcripts, keyword lists, exceptions, fixture specs)
+through one loop, one skip rule and one ``<path>:<line>:`` error
+location.
 """
 
 from __future__ import annotations

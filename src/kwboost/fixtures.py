@@ -251,8 +251,10 @@ def make_fixtures(
     if len(set(ids)) != len(ids):
         raise DataFormatError("duplicate utterance ids in fixture spec")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "logits").mkdir(exist_ok=True)
+    try:
+        (out_dir / "logits").mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: NUL in path
+        raise ConfigError(f"{out_dir}: {exc}") from None
     vocab = _build_vocab(specs)
     vocab_path = out_dir / "vocab.txt"
     write_vocab_file(vocab_path, vocab)

@@ -32,7 +32,7 @@ from .decoder import DecodeConfig, LogitMatrix, Vocabulary, decode
 from .errors import ConfigError, DataFormatError, write_text
 from .lm import NGramLM, load_arpa
 from .norm import (
-    ItnSpan,
+    KeywordMatch,
     NormalizationMapping,
     build_mapping,
     inverse_normalize,
@@ -137,7 +137,7 @@ class DecodeSummary:
 
 def _transcribe(
     matrix: LogitMatrix, resources: LoadedResources, config: DecodeConfig
-) -> tuple[str, list[ItnSpan]]:
+) -> tuple[str, list[KeywordMatch]]:
     """Decode one utterance and map its best words to written form."""
     result = decode(matrix, resources.vocab, config, lm=resources.lm, trie=resources.trie)
     if resources.mapping is None:
@@ -158,9 +158,9 @@ def run_decode(cfg: RunConfig) -> DecodeSummary:
     lines: list[str] = []
     for entry in entries:
         try:
-            text, spans = _transcribe(read_logits(entry.logits_path), resources, config)
-            matches = [{"raw": s.raw, "start": s.start, "end": s.end} for s in spans]
-            record = {"id": entry.utt_id, "text": text, "matches": matches}
+            text, matches = _transcribe(read_logits(entry.logits_path), resources, config)
+            spans = [{"raw": m.raw, "start": m.start, "end": m.end} for m in matches]
+            record = {"id": entry.utt_id, "text": text, "matches": spans}
             decoded += 1
         except (DataFormatError, OSError) as exc:
             record = {"id": entry.utt_id, "error": str(exc)}

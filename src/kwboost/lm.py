@@ -1,13 +1,14 @@
 """Back-off n-gram language model loaded from ARPA text.
 
 The model serves two jobs: shallow fusion during decoding (queries must
-stay finite, so unknown words get a configurable floor) and the rarity
+stay finite, so unknown words get a fixed floor) and the rarity
 gate for unigram boosting (out-of-vocabulary means -inf, which always
 passes a "rarer than threshold" test).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 from typing import Sequence
@@ -15,6 +16,8 @@ from typing import Sequence
 from .errors import ArpaError, read_text
 
 NEG_INF = float("-inf")
+# log10 probability of a word the model has no unigram for.
+UNK_LOG10 = -8.0
 
 _COUNT_RE = re.compile(r"ngram\s+(\d+)\s*=\s*(\d+)\s*$")
 _SECTION_RE = re.compile(r"\\(\d+)-grams:\s*$")
@@ -28,17 +31,11 @@ class NGramLM:
     truncated from the left to order-1 words.
     """
 
-    def __init__(
-        self,
-        tables: Sequence[dict[tuple[str, ...], tuple[float, float]]],
-        unk_log10: float = -8.0,
-    ):
+    def __init__(self, tables: Sequence[dict[tuple[str, ...], tuple[float, float]]]):
         if not tables or not tables[0]:
             raise ArpaError("model has no unigrams")
         self.tables = list(tables)
         self.order = len(self.tables)
-        self.unk_log10 = float(unk_log10)
-        self.vocab = frozenset(key[0] for key in self.tables[0])
 
     def unigram_log10(self, word: str) -> float:
         """Unigram log10 probability; -inf when out of vocabulary."""
@@ -46,10 +43,11 @@ class NGramLM:
         return entry[0] if entry is not None else NEG_INF
 
     def log10_cond(self, word: str, context: Sequence[str] = ()) -> float:
-        """Conditional log10 probability with back-off; always finite.
+        """Conditional log10 probability with back-off.
 
-        Unknown words bottom out at the configured floor so fusion
-        scores never become -inf or NaN.
+        Unknown words bottom out at ``UNK_LOG10``, and the loader admits
+        only finite back-off weights and no NaN, so the result is finite
+        unless the model itself lists the word with probability -inf.
         """
         context = tuple(context)
         if self.order > 1:
@@ -64,13 +62,13 @@ class NGramLM:
         if entry is not None:
             return entry[0]
         if not context:
-            return self.unk_log10
+            return UNK_LOG10
         ctx_entry = self.tables[len(context) - 1].get(context)
         backoff = ctx_entry[1] if ctx_entry is not None else 0.0
         return backoff + self._cond(word, context[1:])
 
 
-def load_arpa(path: str | Path, unk_log10: float = -8.0) -> NGramLM:
+def load_arpa(path: str | Path) -> NGramLM:
     """Parse an ARPA file; errors carry the offending line number."""
     path = Path(path)
     declared: dict[int, int] = {}
@@ -120,6 +118,8 @@ def load_arpa(path: str | Path, unk_log10: float = -8.0) -> NGramLM:
             )
         try:
             prob = float(fields[0])
+            if math.isnan(prob):
+                raise ValueError
         except ValueError:
             raise ArpaError(
                 f"bad log10 probability {fields[0]!r}", str(path), lineno
@@ -132,6 +132,8 @@ def load_arpa(path: str | Path, unk_log10: float = -8.0) -> NGramLM:
         if len(fields) == section + 2:
             try:
                 backoff = float(fields[-1])
+                if not math.isfinite(backoff):
+                    raise ValueError
             except ValueError:
                 raise ArpaError(
                     f"bad back-off weight {fields[-1]!r}", str(path), lineno
@@ -168,4 +170,4 @@ def load_arpa(path: str | Path, unk_log10: float = -8.0) -> NGramLM:
                     f"{n}-gram {' '.join(ngram)!r} has no {n - 1}-gram context entry",
                     str(path),
                 )
-    return NGramLM(tables, unk_log10=unk_log10)
+    return NGramLM(tables)

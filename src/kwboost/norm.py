@@ -265,8 +265,17 @@ class CollisionRecord:
 
 
 # Word-trie nodes map each next word to a child node, and _END to the
-# entry owning the variant that ends there.
+# raw form of the entry owning the variant that ends there.
 _END = None
+
+
+@dataclass(frozen=True)
+class KeywordMatch:
+    """A full variant occurrence: words[start:end] belongs to entry ``raw``."""
+
+    start: int
+    end: int
+    raw: str
 
 
 @dataclass
@@ -277,7 +286,8 @@ class NormalizationMapping:
     consult, so collisions (two raws sharing a spoken variant) are
     resolved once at build time: lowest priority wins, then the longest
     raw form, then the lexicographically smallest raw form.  A word
-    trie over ``reverse``, built on construction, backs ``find_spans``.
+    trie over ``reverse``, built on construction, backs ``find_spans``,
+    the one matcher behind inverse normalization and keyword matches.
     """
 
     entries: list[KeywordEntry] = field(default_factory=list)
@@ -291,31 +301,28 @@ class NormalizationMapping:
             node = self._trie
             for word in variant:
                 node = node.setdefault(word, {})
-            node[_END] = entry
+            node[_END] = entry.raw
 
-    def lookup(self, words: Sequence[str]) -> KeywordEntry | None:
-        return self.reverse.get(tuple(words))
-
-    def find_spans(self, words: Sequence[str]) -> list[tuple[int, int, KeywordEntry]]:
+    def find_spans(self, words: Sequence[str]) -> list[KeywordMatch]:
         """Leftmost-longest non-overlapping variant occurrences.
 
         Scans left to right taking the longest variant that starts at
-        each position; returns (start, end, owning entry) per match.
+        each position, and names each match by its owning entry's raw.
         """
-        spans: list[tuple[int, int, KeywordEntry]] = []
+        matches: list[KeywordMatch] = []
         i, n = 0, len(words)
         while i < n:
-            node, j, best = self._trie, i, None
+            node, j, end = self._trie, i, 0
             while j < n and (node := node.get(words[j])) is not None:
                 j += 1
                 if _END in node:
-                    best = (i, j, node[_END])
-            if best is None:
-                i += 1
+                    end, raw = j, node[_END]
+            if end:
+                matches.append(KeywordMatch(i, end, raw))
+                i = end
             else:
-                spans.append(best)
-                i = best[1]
-        return spans
+                i += 1
+        return matches
 
 
 def _claim_rank(entry: KeywordEntry) -> tuple[int, int, str]:
@@ -404,33 +411,23 @@ def raw_target_mapping(
 # --- inverse normalization -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ItnSpan:
-    """A replaced span: words[start:end] became the raw written form."""
-
-    start: int
-    end: int
-    raw: str
-
-
 def inverse_normalize(
     words: Sequence[str], mapping: NormalizationMapping
-) -> tuple[str, list[ItnSpan]]:
+) -> tuple[str, list[KeywordMatch]]:
     """Map spoken-form words back to written form.
 
-    Spans found by ``mapping.find_spans`` are replaced by the owning
-    entry's raw form and everything else passes through.
+    Each match ``mapping.find_spans`` finds is replaced by its raw form
+    and everything else passes through; the matches are returned too.
     """
     out: list[str] = []
-    spans: list[ItnSpan] = []
+    matches = mapping.find_spans(words)
     i = 0
-    for start, end, entry in mapping.find_spans(words):
-        out.extend(words[i:start])
-        out.append(entry.raw)
-        spans.append(ItnSpan(start, end, entry.raw))
-        i = end
+    for m in matches:
+        out.extend(words[i:m.start])
+        out.append(m.raw)
+        i = m.end
     out.extend(words[i:])
-    return " ".join(out), spans
+    return " ".join(out), matches
 
 
 # --- file formats ---------------------------------------------------------

@@ -189,12 +189,13 @@ class RefSession:
         finals = [self._flush(hyp) for hyp in self.beams]
         if self.config.mode == "ngram" and self.trie is not None:
             settled = []
+            weights = self.trie.weights
             for hyp in finals:
                 matches = self.trie.find_matches(hyp.committed)
                 if self.config.flat_final_boost:
-                    bonus = sum(m.weight for m in matches)
+                    bonus = sum(weights[m.raw] for m in matches)
                 else:
-                    bonus = sum(m.weight * (m.end - m.start) for m in matches)
+                    bonus = sum(weights[m.raw] * (m.end - m.start) for m in matches)
                 settled.append(replace(hyp, partial_boost=0.0, final_boost=bonus))
             finals = settled
         finals.sort(key=_rank_key)

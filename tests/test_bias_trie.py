@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kwboost.bias_trie import BiasTrie, KeywordMatch, build_trie
+from kwboost.bias_trie import BiasTrie, build_trie
 from kwboost.errors import ConfigError
 from kwboost.lm import load_arpa
-from kwboost.norm import build_mapping, inverse_normalize
+from kwboost.norm import KeywordMatch, build_mapping, inverse_normalize
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +26,8 @@ class TestRarityGate:
     def test_gated_entry_still_matches_fully(self, gate_lm):
         trie = build_trie(build_mapping(["AI"]), gate_lm, default_weight=2.0)
         matches = trie.find_matches(["about", "a", "i", "analytics"])
-        assert matches == [KeywordMatch(1, 3, "AI", 2.0)]
+        assert matches == [KeywordMatch(1, 3, "AI")]
+        assert trie.weights == {"AI": 2.0}
 
     def test_rare_and_oov_words_pass(self, gate_lm):
         trie = build_trie(build_mapping(["C3PO"]), gate_lm, default_weight=2.0)
@@ -88,11 +89,12 @@ class TestMatching:
     def test_default_weight_fills_missing(self):
         trie = build_trie(build_mapping(["IBM"]), default_weight=1.25)
         matches = trie.find_matches(["i", "b", "m", "stock"])
-        assert matches == [KeywordMatch(0, 3, "IBM", 1.25)]
+        assert matches == [KeywordMatch(0, 3, "IBM")]
+        assert trie.weights[matches[0].raw] == 1.25
 
     def test_entry_weight_overrides_default(self):
         trie = build_trie(build_mapping([("IBM", 4.0, 0)]), default_weight=1.25)
-        assert trie.find_matches(["i", "b", "m"])[0].weight == 4.0
+        assert trie.weights[trie.find_matches(["i", "b", "m"])[0].raw] == 4.0
 
     def test_longest_match_at_each_position(self):
         table = {"LONG": [["a", "b", "c"]], "SHORT": [["a", "b"]]}
@@ -122,11 +124,6 @@ class TestMatching:
         trie = build_trie(build_mapping(["AI"]))
         assert trie.find_matches([]) == []
 
-    def test_num_variants_counts_reverse_entries(self):
-        mapping = build_mapping(["IBM", "356", "AI"])
-        trie = build_trie(mapping)
-        assert trie.num_variants == len(mapping.reverse) == 5
-
     def test_ownership_follows_collision_winner(self):
         mapping = build_mapping(["A1", "A-1"])
         trie = build_trie(mapping, default_weight=1.0)
@@ -139,14 +136,14 @@ def brute_force_matches(variants, words):
     i = 0
     while i < len(words):
         best = None
-        for variant, raw, weight in variants:
+        for variant, raw in variants:
             span = len(variant)
             if tuple(words[i : i + span]) == variant:
                 if best is None or span > best[0]:
-                    best = (span, raw, weight)
+                    best = (span, raw)
         if best is not None:
-            span, raw, weight = best
-            matches.append(KeywordMatch(i, i + span, raw, weight))
+            span, raw = best
+            matches.append(KeywordMatch(i, i + span, raw))
             i += span
         else:
             i += 1
@@ -168,26 +165,30 @@ class TestAgainstBruteForce:
     def test_find_matches_equivalence(self, words):
         mapping = build_mapping(sorted(_VARIANT_TABLE), _VARIANT_TABLE)
         trie = build_trie(mapping, default_weight=1.0)
-        variants = [
-            (variant, entry.raw, 1.0) for variant, entry in mapping.reverse.items()
-        ]
+        variants = [(variant, entry.raw) for variant, entry in mapping.reverse.items()]
         expected = brute_force_matches(variants, words)
         assert trie.find_matches(words) == expected
-        _, spans = inverse_normalize(words, mapping)
-        assert [(s.start, s.end, s.raw) for s in spans] == [
-            (m.start, m.end, m.raw) for m in expected
-        ]
+        # Inverse normalization reports the same matches, of the same type.
+        assert inverse_normalize(words, mapping)[1] == expected
 
-    def test_dump_stable_under_entry_order(self):
+    def test_trie_stable_under_entry_order(self):
         keywords = ["AI", "C3PO", "356", "IBM", "E9", "A1", "A-1"]
-        reference = build_trie(build_mapping(keywords), default_weight=1.0).dump()
+
+        def owners(trie):
+            reverse = trie.mapping.reverse
+            return [
+                (variant, reverse[variant].raw, trie.weights[reverse[variant].raw])
+                for variant in sorted(reverse)
+            ]
+
+        reference = build_trie(build_mapping(keywords), default_weight=1.0)
         rng = random.Random(3)
         for _ in range(5):
             shuffled = keywords[:]
             rng.shuffle(shuffled)
             trie = build_trie(build_mapping(shuffled), default_weight=1.0)
-            assert trie.dump() == reference
-        assert reference.count("\n") == len(reference.splitlines())
+            assert owners(trie) == owners(reference)
+            assert trie.unigram_weights == reference.unigram_weights
 
 
 class TestWeightTable:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ctc_oracle import exhaustive_scores, top_two
 from ref_decoder import RefSession
 from kwboost import decoder
-from kwboost.bias_trie import KeywordMatch, build_trie
+from kwboost.bias_trie import build_trie
 from kwboost.dataio import read_logits, read_manifest, read_vocab_file
 from kwboost.decoder import (
     MODES,
@@ -27,7 +27,7 @@ from kwboost.decoder import (
 )
 from kwboost.errors import ConfigError, DataFormatError
 from kwboost.lm import load_arpa
-from kwboost.norm import build_mapping, load_keyword_list
+from kwboost.norm import KeywordMatch, build_mapping, load_keyword_list
 
 LN10 = math.log(10.0)
 
@@ -790,7 +790,7 @@ class TestBoostModes:
             logits, vocab, ["AI"], "ngram", 2.0, beam_width=64
         )
         assert ngram.words == ("a", "i", "analytics")
-        assert ngram.matches == [KeywordMatch(0, 2, "AI", 2.0)]
+        assert ngram.matches == [KeywordMatch(0, 2, "AI")]
         top = ngram.nbest[0]
         assert top.final_boost == pytest.approx(2.0 * 2)
         assert top.partial_boost == 0.0
@@ -824,7 +824,7 @@ class TestBoostModes:
         assert partial.matches == []
         final = session.finalize()
         assert final.words == ("a", "i")
-        assert final.matches == [KeywordMatch(0, 2, "AI", 2.0)]
+        assert final.matches == [KeywordMatch(0, 2, "AI")]
 
 
 class TestShallowFusion:

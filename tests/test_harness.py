@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from kwboost import harness
 from kwboost.cli import _run_config, build_parser, main
 from kwboost.dataio import read_logits, read_manifest, read_transcripts, read_vocab_file
+from kwboost.decoder import decode
 from kwboost.errors import ConfigError, DataFormatError, NormalizationError, ToolkitError
 from kwboost.fixtures import load_fixture_spec, make_fixtures
 from kwboost.harness import (
@@ -178,7 +179,7 @@ class TestRunConfig:
         trie = load_resources(cfg).trie
         assert trie.weights == {entry.raw: 2.5 for entry in trie.mapping.entries}
         assert set(trie.unigram_weights.values()) == {2.5}
-        assert {m.weight for m in trie.find_matches(["a", "i"])} == {2.5}
+        assert {trie.weights[m.raw] for m in trie.find_matches(["a", "i"])} == {2.5}
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -257,6 +258,31 @@ class TestRunDecode:
         assert by_id["u5"]["text"] == "IBM stock rose"
         assert by_id["u3"]["text"] == "the quick brown fox"
         assert by_id["u3"]["matches"] == []
+
+    @pytest.mark.parametrize("mode", ["default", "ngram"])
+    def test_records_carry_the_decoders_matches(self, corpus, tmp_path, mode):
+        # One match type from the decoder to the output file: each record's
+        # spans are its utterance's DecodeResult.matches, field for field.
+        out = tmp_path / "hyps.jsonl"
+        cfg = self.baseline_config(corpus, out)
+        cfg.mode, cfg.boost_weight = mode, 3.0
+        run_decode(cfg)
+        resources = load_resources(cfg)
+        records = read_records(out)
+        entries = read_manifest(corpus.manifest_path)
+        assert [r["id"] for r in records] == [e.utt_id for e in entries]
+        for record, entry in zip(records, entries):
+            result = decode(
+                read_logits(entry.logits_path),
+                resources.vocab,
+                cfg.decode_config(),
+                lm=resources.lm,
+                trie=resources.trie,
+            )
+            assert record["matches"] == [
+                {"raw": m.raw, "start": m.start, "end": m.end} for m in result.matches
+            ]
+        assert sum(bool(r["matches"]) for r in records) == 4
 
     def test_default_mode_sprays_boosted_letters(self, corpus, tmp_path):
         # Unconditional unigram boosts insert the trap letter both times;
@@ -409,7 +435,7 @@ class TestPrepareList:
         kw.write_text("AI\nice cream\n", encoding="utf-8")
         mapping = prepare_list(kw)
         assert [e.raw for e in mapping.entries] == ["AI", "ice cream"]
-        assert mapping.lookup(["ice", "cream"]).raw == "ice cream"
+        assert mapping.reverse[("ice", "cream")].raw == "ice cream"
 
     def test_multi_word_keyword_keeps_its_phrase_variant(self, tmp_path):
         kw = tmp_path / "kw.tsv"
@@ -976,7 +1002,7 @@ class TestCli:
         assert codes == [0, 0]
         assert "New York\tnew york\t\t0\n" in mapping_out.read_text(encoding="utf-8")
         cfg = _run_config(build_parser().parse_args(decode_argv), tmp_path / "hyps.jsonl")
-        assert load_resources(cfg).mapping.lookup(("new", "york")).raw == "New York"
+        assert load_resources(cfg).mapping.reverse[("new", "york")].raw == "New York"
 
     @pytest.mark.parametrize("command", ["decode", "score", "tune", "prepare-list"])
     def test_missing_out_directory_exits_2(
@@ -1026,6 +1052,33 @@ class TestCli:
         assert rc == 0
         assert "1 utterances ->" in capsys.readouterr().out
         assert (tmp_path / "fx" / "manifest.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "blocked,is_file",
+        [
+            ("", True),
+            ("logits", True),
+            ("vocab.txt", False),
+            ("logits/u1.ctcl", False),
+            ("manifest.jsonl", False),
+        ],
+        ids=["out-dir-file", "logits-file", "vocab-dir", "logit-dir", "manifest-dir"],
+    )
+    def test_make_fixtures_unusable_output_exits_2(self, tmp_path, capsys, blocked, is_file):
+        # A file where a directory must go, or a directory where a file
+        # must go, is a data error naming the path, not a traceback.
+        spec = tmp_path / "spec.jsonl"
+        spec.write_text('{"id": "u1", "text": "hello"}\n', encoding="utf-8")
+        out_dir = tmp_path / "fx"
+        path = out_dir / blocked
+        if is_file:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("", encoding="utf-8")
+        else:
+            path.mkdir(parents=True)
+        argv = ["make-fixtures", "--spec", str(spec), "--out-dir", str(out_dir)]
+        assert main(argv) == 2
+        assert str(path if blocked else out_dir) in capsys.readouterr().err
 
     def test_make_fixtures_negative_seed_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "spec.jsonl"

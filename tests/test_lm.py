@@ -24,7 +24,7 @@ def write_arpa(tmp_path, text):
 class TestQueries:
     def test_shape(self, bigram):
         assert bigram.order == 2
-        assert bigram.vocab == frozenset({"a", "b", "c"})
+        assert sorted(bigram.tables[0]) == [("a",), ("b",), ("c",)]
 
     def test_unigram_lookup(self, bigram):
         assert bigram.unigram_log10("a") == pytest.approx(-0.30)
@@ -59,10 +59,6 @@ class TestQueries:
         assert bigram.log10_cond("zzz") == pytest.approx(-8.0)
         assert bigram.log10_cond("zzz", ("a",)) == pytest.approx(-8.20)
 
-    def test_custom_floor(self, data_dir):
-        lm = load_arpa(data_dir / "tiny_bigram.arpa", unk_log10=-5.0)
-        assert lm.log10_cond("zzz") == pytest.approx(-5.0)
-
     def test_unigram_model_ignores_context(self, data_dir):
         lm = load_arpa(data_dir / "gate_unigram.arpa")
         assert lm.order == 1
@@ -83,7 +79,8 @@ class TestConservation:
     @pytest.mark.parametrize("context", [(), ("a",), ("b",), ("c",)])
     def test_mass_per_context(self, data_dir, context):
         lm = load_arpa(data_dir / "normalized_bigram.arpa")
-        mass = sum(10.0 ** lm.log10_cond(w, context) for w in sorted(lm.vocab))
+        words = sorted(word for (word,) in lm.tables[0])
+        mass = sum(10.0 ** lm.log10_cond(w, context) for w in words)
         assert 0.97 <= mass <= 1.03
 
 
@@ -149,6 +146,27 @@ class TestLoader:
                 4,
             ),
             ("\\data\\\ngarbage\n\\end\\\n", "unexpected line", 2),
+            # Non-finite values would turn LM queries into NaN or inf.
+            (
+                "\\data\\\nngram 1=1\n\\1-grams:\nnan a\n\\end\\\n",
+                "bad log10 probability 'nan'",
+                4,
+            ),
+            (
+                "\\data\\\nngram 1=1\n\\1-grams:\n-0.5 a nan\n\\end\\\n",
+                "bad back-off weight 'nan'",
+                4,
+            ),
+            (
+                "\\data\\\nngram 1=1\n\\1-grams:\n-0.5 a inf\n\\end\\\n",
+                "bad back-off weight 'inf'",
+                4,
+            ),
+            (
+                "\\data\\\nngram 1=2\n\\1-grams:\n-0.5 a\n-0.5 b -inf\n\\end\\\n",
+                "bad back-off weight '-inf'",
+                5,
+            ),
         ],
     )
     def test_line_numbered_errors(self, tmp_path, text, message, lineno):
@@ -184,6 +202,13 @@ class TestLoader:
         )
         with pytest.raises(ArpaError, match="no 1-gram context entry"):
             load_arpa(write_arpa(tmp_path, text))
+
+    def test_minus_infinity_probability_is_kept(self, tmp_path):
+        # An impossible word is legal ARPA; only NaN is rejected.
+        text = "\\data\\\nngram 1=2\n\\1-grams:\n-0.5 a\n-inf b\n\\end\\\n"
+        lm = load_arpa(write_arpa(tmp_path, text))
+        assert lm.unigram_log10("b") == float("-inf")
+        assert lm.log10_cond("b", ("a",)) == float("-inf")
 
     def test_numeric_looking_word_is_a_word(self, tmp_path):
         # Field count decides: three fields in a 2-gram section are a

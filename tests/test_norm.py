@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from kwboost.errors import DataFormatError, NormalizationError, ToolkitError
 from kwboost.norm import (
     VARIANT_CAP,
-    ItnSpan,
+    KeywordMatch,
     build_mapping,
     cardinal_words,
     digit_words,
@@ -186,8 +186,7 @@ class TestMapping:
     def test_collision_prefers_longer_raw(self, caplog):
         with caplog.at_level("WARNING", logger="kwboost.norm"):
             mapping = build_mapping(["A1", "A-1"])
-        entry = mapping.lookup(["a", "one"])
-        assert entry is not None and entry.raw == "A-1"
+        assert mapping.reverse[("a", "one")].raw == "A-1"
         assert len(mapping.collisions) == 1
         record = mapping.collisions[0]
         assert record.winner == "A-1" and record.losers == ("A1",)
@@ -195,12 +194,12 @@ class TestMapping:
 
     def test_collision_priority_beats_length(self):
         mapping = build_mapping([("A1", None, 0), ("A-1", None, 1)])
-        assert mapping.lookup(["a", "one"]).raw == "A1"
+        assert mapping.reverse[("a", "one")].raw == "A1"
 
     def test_collision_raw_tiebreak_is_lexicographic(self):
         table = {"BBB": [["same"]], "AAA": [["same"]]}
         mapping = build_mapping(["BBB", "AAA"], table)
-        assert mapping.lookup(["same"]).raw == "AAA"
+        assert mapping.reverse[("same",)].raw == "AAA"
 
     def test_duplicate_raw_rejected(self):
         with pytest.raises(NormalizationError):
@@ -243,7 +242,7 @@ class TestInverseNormalize:
             ["presentation", "about", "a", "i", "analytics"], mapping
         )
         assert text == "presentation about AI analytics"
-        assert spans == [ItnSpan(2, 4, "AI")]
+        assert spans == [KeywordMatch(2, 4, "AI")]
 
     def test_longest_match_wins(self):
         table = {"LONG": [["a", "b"]], "SHORT": [["a"]]}
@@ -280,7 +279,7 @@ class TestInverseNormalize:
         for variant in entry.variants:
             text, spans = inverse_normalize(list(variant), mapping)
             assert text == entry.raw
-            assert spans == [ItnSpan(0, len(variant), entry.raw)]
+            assert spans == [KeywordMatch(0, len(variant), entry.raw)]
 
     @given(st.lists(st.sampled_from(["say", "it", "plainly", "now"]), max_size=6))
     def test_unmatched_words_pass_through_verbatim(self, words):
