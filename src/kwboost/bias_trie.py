@@ -3,7 +3,7 @@
 The decoder consults the trie in two ways: the unigram set answers
 "does committing this word deserve a partial boost" (gated so common
 words are never boosted), and full-variant matching finds complete
-keyword occurrences for the finalization boost and for match reports.
+keyword occurrences for the finalization boost.
 Matching is the mapping's own walk, so it always agrees with inverse
 normalization; each owning entry's effective weight lives only in the
 trie's ``weights`` table, keyed by the match's raw form.

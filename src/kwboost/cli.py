@@ -46,9 +46,6 @@ def _add_decode_options(parser: argparse.ArgumentParser, default_mode: str) -> N
     # Each knob sets the RunConfig field named by its dest; a flag left
     # out keeps that field's default.
     parser.add_argument(
-        "--boost-weight", type=float, help="default per-word boost weight W"
-    )
-    parser.add_argument(
         "--alpha", type=float, dest="lm_weight", metavar="ALPHA",
         help="language model fusion weight",
     )
@@ -142,6 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     decode = sub.add_parser("decode", help="decode a manifest to transcripts")
     _add_decode_options(decode, default_mode="baseline")
+    # tune takes each weightless entry's weight from its grid instead.
+    decode.add_argument(
+        "--boost-weight", type=float, help="default per-word boost weight W"
+    )
     decode.add_argument("--out", required=True, help="transcripts output (JSONL)")
     decode.set_defaults(func=_cmd_decode)
 

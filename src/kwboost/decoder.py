@@ -21,10 +21,10 @@ entry holds one state tuple, what its continuing children inherit, and
 commits its pending word at most once, for the word-starting children
 of every frame it survives and for finalization.  Each entry also
 carries its acoustic mass, summed once per frame.  Token tuples are
-built only for the n-best lists a result reports.  Finalization commits
-each pending word, settles the boosts and ranks the beam in place, with
-the same commit routine and ranking as the frame loop, so the
-retraction is exact.
+built only for the n-best lists a result reports, and a result is that
+ranked n-best alone.  Finalization commits each pending word, settles
+the boosts and ranks the beam in place, with the same commit routine
+and ranking as the frame loop, so the retraction is exact.
 
 Boost modes
     baseline  no boosting at all
@@ -56,7 +56,6 @@ import numpy as np
 from .bias_trie import BiasTrie
 from .errors import ConfigError, DataFormatError
 from .lm import NGramLM
-from .norm import KeywordMatch
 
 LN10 = math.log(10.0)
 NEG_INF = float("-inf")
@@ -252,18 +251,18 @@ class BeamHypothesis:
 
 @dataclass
 class DecodeResult:
-    """Final or streaming-partial decoder output.
+    """Final or streaming-partial decoder output: the ranked n-best.
 
-    ``partials`` records the best words and total after each pushed
-    chunk; it is a trace, not part of the canonical result, so any
-    chunking of the same frames yields the same words/nbest/matches.
+    ``words``, ``text`` and ``total`` read the top entry, whose pending
+    word is empty after finalization.  Keyword spans come from
+    ``inverse_normalize(result.words, mapping)``.
     """
 
-    words: tuple[str, ...]
     nbest: list[BeamHypothesis]
-    matches: list[KeywordMatch]
-    partials: list[tuple[tuple[str, ...], float]]
-    final: bool
+
+    @property
+    def words(self) -> tuple[str, ...]:
+        return self.nbest[0].words
 
     @property
     def text(self) -> str:
@@ -271,7 +270,7 @@ class DecodeResult:
 
     @property
     def total(self) -> float:
-        return self.nbest[0].total if self.nbest else 0.0
+        return self.nbest[0].total
 
 
 class _Node:
@@ -395,7 +394,6 @@ class DecoderSession:
         self._alpha_ln10 = config.lm_weight * LN10
         self._nonblank = [i for i in range(vocab.size) if i != vocab.blank_index]
         self._spelling = vocab.spelling
-        self._trace: list[tuple[tuple[str, ...], float]] = []
         self._result: DecodeResult | None = None
         self._reported: list[_Node] = []
         self.beams = [_Hyp(_Node(None, None), 0.0, NEG_INF, 0.0, ((), "", 0.0, 0.0, 0.0))]
@@ -622,45 +620,24 @@ class DecoderSession:
         for row in data:
             self._step(row.tolist())
         # The beam is kept in rank order, so the first entry is the best.
-        nbest = self._publish()
-        best = nbest[0]
-        self._trace.append((best.words, best.total))
-        return DecodeResult(
-            words=best.words,
-            nbest=nbest,
-            matches=[],
-            partials=list(self._trace),
-            final=False,
-        )
+        return DecodeResult(self._publish())
 
     def finalize(self) -> DecodeResult:
         """Commit pending words, settle boost components, rank the beam."""
         if self._result is not None:
             return self._result
-        settled = {}  # hypothesis -> its full keyword matches (ngram mode)
         flat = self.config.flat_final_boost
         weights = self.trie.weights if self.trie else None
         for hyp in self.beams:
             hyp.state = hyp.start or self._start(hyp)
             if self.config.mode == "ngram":
-                matches = settled[hyp] = self.trie.find_matches(hyp.state[0])
                 hyp.final_boost = sum(
-                    weights[m.raw] * (1 if flat else m.end - m.start) for m in matches
+                    weights[m.raw] * (1 if flat else m.end - m.start)
+                    for m in self.trie.find_matches(hyp.state[0])
                 )
                 hyp.state = hyp.state[:4] + (0.0,)
         self.beams = _ranked(self.beams, self.config.beam_width)
-        finals = self._publish()
-        top = finals[0]
-        matches = settled.get(self.beams[0])
-        if matches is None:
-            matches = self.trie.find_matches(top.committed) if self.trie else []
-        self._result = DecodeResult(
-            words=top.committed,
-            nbest=finals,
-            matches=matches,
-            partials=list(self._trace),
-            final=True,
-        )
+        self._result = DecodeResult(self._publish())
         return self._result
 
 

@@ -323,6 +323,8 @@ def grid_search(
     resolve to the smallest weight.  With ``per_target`` a single
     coordinate-descent sweep then refines each entry's weight over the
     same grid plus its current weight, holding the others fixed.
+    ``cfg.boost_weight`` is not read: each grid weight is the default
+    for the entries without a list weight.
     """
     if not grid:
         raise ConfigError("empty weight grid")

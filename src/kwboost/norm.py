@@ -340,6 +340,11 @@ def _assemble_mapping(entries: list[KeywordEntry]) -> NormalizationMapping:
             raise NormalizationError(
                 f"keyword {entry.raw!r} contains a tab or line break"
             )
+        if entry.weight is not None:
+            try:
+                _weight(entry.weight)
+            except ValueError as exc:
+                raise NormalizationError(f"keyword {entry.raw!r}: {exc}") from None
         seen_raw.add(entry.raw)
 
     claims: dict[Variant, list[KeywordEntry]] = {}
@@ -433,8 +438,8 @@ def inverse_normalize(
 # --- file formats ---------------------------------------------------------
 
 
-def _weight(text: str) -> float:
-    weight = float(text)
+def _weight(value: str | float) -> float:
+    weight = float(value)
     if not 0.0 <= weight < math.inf:
         raise ValueError(f"keyword weight must be finite and >= 0, got {weight}")
     return weight

@@ -50,7 +50,6 @@ class RefSession:
         self._boosting = config.mode != "baseline" and trie is not None
         self._alpha_ln10 = config.lm_weight * LN10
         self._nonblank = [i for i in range(vocab.size) if i != vocab.blank_index]
-        self._trace = []
         self._result = None
         self.beams = [
             BeamHypothesis(
@@ -172,16 +171,8 @@ class RefSession:
         data = chunk.data if isinstance(chunk, LogitMatrix) else np.asarray(chunk)
         for row in data:
             self._step(row)
-        best = min(self.beams, key=_rank_key)
-        self._trace.append((best.words, best.total))
-        nbest = [replace(hyp) for hyp in self.beams]
-        return DecodeResult(
-            words=best.words,
-            nbest=nbest,
-            matches=[],
-            partials=list(self._trace),
-            final=False,
-        )
+        # The beam is sorted by _rank_key, so the first entry is the best.
+        return DecodeResult([replace(hyp) for hyp in self.beams])
 
     def finalize(self) -> DecodeResult:
         if self._result is not None:
@@ -199,13 +190,5 @@ class RefSession:
                 settled.append(replace(hyp, partial_boost=0.0, final_boost=bonus))
             finals = settled
         finals.sort(key=_rank_key)
-        top = finals[0]
-        matches = self.trie.find_matches(top.committed) if self.trie else []
-        self._result = DecodeResult(
-            words=top.committed,
-            nbest=finals,
-            matches=matches,
-            partials=list(self._trace),
-            final=True,
-        )
+        self._result = DecodeResult(finals)
         return self._result

@@ -27,7 +27,7 @@ from kwboost.decoder import (
 )
 from kwboost.errors import ConfigError, DataFormatError
 from kwboost.lm import load_arpa
-from kwboost.norm import KeywordMatch, build_mapping, load_keyword_list
+from kwboost.norm import KeywordMatch, build_mapping, inverse_normalize, load_keyword_list
 
 LN10 = math.log(10.0)
 
@@ -196,18 +196,14 @@ class TestSessionBasics:
         result = decode(LogitMatrix(np.zeros((0, 2))), letter_vocab("a"), exact_config())
         assert result.words == ()
         assert result.total == 0.0
-        assert result.final and result.matches == []
         assert result.nbest[0].tokens == ()
 
     def test_partial_then_final(self):
         session = new_session(letter_vocab("a"), exact_config())
         partial = session.push_frames(rows([0.2, 0.8], [0.9, 0.1]))
-        assert not partial.final
-        assert partial.matches == []
+        assert partial.words == partial.nbest[0].words == ("a",)
         final = session.finalize()
-        assert final.final
-        assert len(final.partials) == 1
-        assert final.partials[0][0] == partial.words
+        assert final.words == final.nbest[0].committed == ("a",)
 
     def test_baseline_carries_no_boost(self):
         result = decode(
@@ -360,12 +356,12 @@ REF_KEYWORDS = ["AI", "AB", "B2B", "IBM"]
 def result_view(result):
     return (
         result.words,
+        result.text,
+        result.total,
         [
             (h.tokens, h.words, h.total, h.partial_boost, h.final_boost)
             for h in result.nbest
         ],
-        result.matches,
-        result.partials,
     )
 
 
@@ -534,9 +530,13 @@ class TestWorkPerFrame:
         result = session.finalize()
         assert 0 < calls["unigram_weight"] <= len(entries)
         assert 0 < calls["log10_cond"] <= len(entries)
-        # Settling matches each entry once; the winner's matches are reused.
+        # Settling matches each entry once, and nothing else matches.
         assert calls["find_matches"] == finalized
-        assert result.matches == trie.find_matches(result.words)
+        top = result.nbest[0]
+        assert top.final_boost == sum(
+            trie.weights[m.raw] * (m.end - m.start)
+            for m in trie.find_matches(result.words)
+        )
 
     def test_stay_slots_commit_once_on_the_word_level_corpus(self, corpus, demo_keywords):
         # An entry that stays in the beam keeps its state from frame to
@@ -665,18 +665,29 @@ class TestChunking:
         chunked = session.finalize()
 
         assert chunked.words == whole.words
-        assert chunked.matches == whole.matches
+        mapping = build_mapping(["AB"])
+        assert inverse_normalize(chunked.words, mapping) == inverse_normalize(
+            whole.words, mapping
+        )
         assert [(h.tokens, h.total) for h in chunked.nbest] == [
             (h.tokens, h.total) for h in whole.nbest
         ]
 
-    def test_partials_trace_one_entry_per_push(self):
-        logits = softmax_logits(np.random.default_rng(3), 6, 3)
-        session = new_session(letter_vocab("a", "b"), exact_config())
-        for t in range(6):
-            partial = session.push_frames(logits.data[t : t + 1])
-            assert len(partial.partials) == t + 1
-        assert len(session.finalize().partials) == 6
+    @given(st.sets(st.integers(min_value=1, max_value=7)))
+    def test_every_result_reads_its_top_entry(self, cut_points):
+        logits = softmax_logits(np.random.default_rng(5), 8, 3)
+        session = new_session(letter_vocab("a", "b"), exact_config(beam_width=4))
+        bounds = [0] + sorted(cut_points) + [8]
+        for lo, hi in zip(bounds, bounds[1:]):
+            partial = session.push_frames(logits.data[lo:hi])
+            top = partial.nbest[0]
+            assert partial.words == top.words
+            assert partial.text == " ".join(top.words)
+            assert partial.total == top.total
+        final = session.finalize()
+        top = final.nbest[0]
+        assert final.words == top.committed
+        assert (final.text, final.total) == (" ".join(top.committed), top.total)
 
 
 def boosted_run(logits, vocab, keywords, mode, weight, **cfg):
@@ -790,7 +801,9 @@ class TestBoostModes:
             logits, vocab, ["AI"], "ngram", 2.0, beam_width=64
         )
         assert ngram.words == ("a", "i", "analytics")
-        assert ngram.matches == [KeywordMatch(0, 2, "AI")]
+        assert build_trie(build_mapping(["AI"])).find_matches(ngram.words) == [
+            KeywordMatch(0, 2, "AI")
+        ]
         top = ngram.nbest[0]
         assert top.final_boost == pytest.approx(2.0 * 2)
         assert top.partial_boost == 0.0
@@ -810,21 +823,6 @@ class TestBoostModes:
         )
         by_words = {hyp.words: hyp for hyp in flat.nbest}
         assert by_words[("a", "i", "analytics")].final_boost == pytest.approx(2.0)
-
-    def test_matches_reported_only_at_finalization(self):
-        vocab = letter_vocab("a", "i")
-        logits = rows(
-            [0.04, 0.95, 0.01],
-            [0.95, 0.04, 0.01],
-            [0.04, 0.01, 0.95],
-        )
-        trie = build_trie(build_mapping(["AI"]), default_weight=2.0)
-        session = new_session(vocab, exact_config(mode="ngram"), trie=trie)
-        partial = session.push_frames(logits)
-        assert partial.matches == []
-        final = session.finalize()
-        assert final.words == ("a", "i")
-        assert final.matches == [KeywordMatch(0, 2, "AI")]
 
 
 class TestShallowFusion:

@@ -34,6 +34,7 @@ from kwboost.lm import NGramLM, load_arpa
 from kwboost.norm import (
     NormalizationMapping,
     build_mapping,
+    inverse_normalize,
     load_exceptions,
     load_keyword_list,
     raw_target_mapping,
@@ -262,7 +263,8 @@ class TestRunDecode:
     @pytest.mark.parametrize("mode", ["default", "ngram"])
     def test_records_carry_the_decoders_matches(self, corpus, tmp_path, mode):
         # One match type from the decoder to the output file: each record's
-        # spans are its utterance's DecodeResult.matches, field for field.
+        # spans are the inverse normalization of its utterance's decoded
+        # words, field for field.
         out = tmp_path / "hyps.jsonl"
         cfg = self.baseline_config(corpus, out)
         cfg.mode, cfg.boost_weight = mode, 3.0
@@ -279,8 +281,9 @@ class TestRunDecode:
                 lm=resources.lm,
                 trie=resources.trie,
             )
+            _, spans = inverse_normalize(result.words, resources.mapping)
             assert record["matches"] == [
-                {"raw": m.raw, "start": m.start, "end": m.end} for m in result.matches
+                {"raw": m.raw, "start": m.start, "end": m.end} for m in spans
             ]
         assert sum(bool(r["matches"]) for r in records) == 4
 
@@ -906,9 +909,10 @@ class TestCli:
         ]
         if command == "tune":
             argv += ["--grid", "1"]
-        knobs = [
+        # Only decode takes --boost-weight; tune's grid sets the weights.
+        boost = ["--boost-weight", "2.5"] if command == "decode" else []
+        knobs = boost + [
             "--mode", "default",
-            "--boost-weight", "2.5",
             "--alpha", "0.25",
             "--beta", "0.75",
             "--beam-width", "7",
@@ -938,7 +942,7 @@ class TestCli:
         assert parsed(argv + knobs) == RunConfig(
             **paths,
             mode="default",
-            boost_weight=2.5,
+            boost_weight=2.5 if command == "decode" else 0.0,
             lm_weight=0.25,
             word_bonus=0.75,
             beam_width=7,
@@ -946,6 +950,21 @@ class TestCli:
             token_min_logp=-6.0,
             flat_final_boost=True,
         )
+
+    def test_tune_rejects_boost_weight(self, corpus, demo_keywords, capsys):
+        # grid_search takes every weightless entry's weight from its grid,
+        # so a default weight would change nothing.
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "tune",
+                "--manifest", str(corpus.manifest_path),
+                "--vocab", str(corpus.vocab_path),
+                "--keywords", str(demo_keywords),
+                "--grid", "1",
+                "--boost-weight", "3",
+            ])
+        assert exit_info.value.code == 1
+        assert "unrecognized arguments: --boost-weight 3" in capsys.readouterr().err
 
     def test_readme_knob_table_matches_defaults(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")

@@ -22,6 +22,7 @@ from kwboost.norm import (
     load_exceptions,
     load_keyword_list,
     normalize_keyword,
+    raw_target_mapping,
     save_mapping,
 )
 
@@ -209,6 +210,13 @@ class TestMapping:
     def test_raws_that_a_saved_mapping_cannot_hold_are_rejected(self, raw):
         with pytest.raises(NormalizationError, match="tab or line break"):
             build_mapping([raw])
+
+    @pytest.mark.parametrize("builder", [build_mapping, raw_target_mapping])
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -5.0])
+    def test_bad_entry_weights_rejected(self, builder, weight):
+        # The Python API holds to the keyword-list file's weight rule.
+        with pytest.raises(NormalizationError, match="'AI': keyword weight must be finite"):
+            builder([("AI", weight, 0)])
 
     def test_entry_weights_and_priorities_carried(self):
         mapping = build_mapping([("C3PO", 3.0, 1), "AI"])
