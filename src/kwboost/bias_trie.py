@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import ConfigError
 from .lm import NGramLM
-from .norm import KeywordMatch, NormalizationMapping
+from .norm import KeywordMatch, NormalizationMapping, _weight
 
 # log10 unigram probability below which a keyword word is boosted.
 DEFAULT_RARITY_THRESHOLD = -4.0
@@ -28,6 +28,8 @@ class BiasTrie:
     ``weights`` maps each entry's raw form to its effective weight, and
     ``gated`` lists the (word, owning raw) pairs that passed the rarity
     gate; a gated word's unigram boost is the largest of its owners'.
+    The table must name exactly the mapping's raw forms, each with a
+    finite weight >= 0, the keyword list's rule.
     """
 
     def __init__(
@@ -36,6 +38,13 @@ class BiasTrie:
         weights: dict[str, float],
         gated: Sequence[tuple[str, str]],
     ):
+        if weights.keys() != {entry.raw for entry in mapping.entries}:
+            raise ConfigError("the weight table must name exactly the mapping's keywords")
+        for raw, weight in weights.items():
+            try:
+                _weight(weight)
+            except ValueError as exc:
+                raise ConfigError(f"keyword {raw!r}: {exc}") from None
         self.mapping = mapping
         self.weights = weights
         self.gated = gated

@@ -10,7 +10,7 @@ retracted at finalization, where only full keyword matches are paid.
 Prefixes are interned as nodes that point to their parent prefix, and
 each beam entry owns the node of its prefix, so one frame costs the
 same however long the prefixes have grown.  A frame ranks light
-records of the new prefixes with a C-level sort and builds hypotheses,
+records of the new prefixes with a C-level sort and builds entries,
 each with its node, only for the ones the beam keeps.  Records are made
 behind an exact gate: once the stay slots and each parent's child under
 the frame's top token are ranked, the width-th best total so far is a
@@ -20,9 +20,10 @@ its first child below that floor, so outputs do not change.  Each
 entry holds one state tuple, what its continuing children inherit, and
 commits its pending word at most once, for the word-starting children
 of every frame it survives and for finalization.  Each entry also
-carries its acoustic mass, summed once per frame.  Token tuples are
-built only for the n-best lists a result reports, and a result is that
-ranked n-best alone.  Finalization commits each pending word, settles
+carries its acoustic mass, summed once per frame.  There is one entry
+type, ``BeamHypothesis``: a result is the ranked n-best alone, copies
+of the beam's entries, and an entry builds its token tuple only when
+it is read.  Finalization commits each pending word, settles
 the boosts and ranks the beam in place, with the same commit routine
 and ranking as the frame loop, so the retraction is exact.
 
@@ -49,7 +50,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Sequence
 
 import numpy as np
 
@@ -128,24 +128,6 @@ class Vocabulary:
             for t in self.tokens
         )
 
-    def words(self, token_ids: Sequence[int]) -> list[str]:
-        """Detokenize a collapsed token sequence into words."""
-        committed: list[str] = []
-        pending = ""
-        for tid in token_ids:
-            if tid == self.blank_index:
-                continue
-            starts_word, text = self.spelling[tid]
-            if not starts_word:
-                pending += text
-                continue
-            if pending:
-                committed.append(pending)
-            pending = text
-        if pending:
-            committed.append(pending)
-        return committed
-
 
 def _check_rows(data: np.ndarray) -> None:
     """Reject rows that are not normalized log distributions (NaN too)."""
@@ -214,39 +196,61 @@ class DecodeConfig:
             raise ConfigError("token_min_logp must be <= 0 (or -inf to disable)")
 
 
-@dataclass
 class BeamHypothesis:
-    """One beam entry: a token prefix and its additive score parts."""
+    """One beam entry: a token prefix and its additive score parts.
 
-    tokens: tuple[int, ...]
-    log_p_blank: float
-    log_p_nonblank: float
-    committed: tuple[str, ...]
-    pending: str
-    lm_fused: float = 0.0
-    word_bonus: float = 0.0
-    partial_boost: float = 0.0
-    final_boost: float = 0.0
+    The search updates its own entries in place, so each result holds
+    copies of them (see ``copy``).  ``node`` is the entry's own prefix
+    node, made with the entry; ``tokens`` walks it to the root when it
+    is read.  Between frames ``acoustic`` is ``_log_add(log_p_blank,
+    log_p_nonblank)``, kept so that each frame computes it once per
+    entry.  ``state`` is ``(committed, pending, lm_fused, word_bonus,
+    partial_boost)``, what a continuing child inherits; ``start`` is
+    what a word-starting child inherits, that state with its pending
+    word committed, made at most once per entry (see
+    DecoderSession._start).  Entries compare by identity.
+    """
+
+    __slots__ = (
+        "node", "log_p_blank", "log_p_nonblank", "acoustic", "state", "start",
+        "final_boost",
+    )
+
+    def __init__(self, node, log_p_blank, log_p_nonblank, acoustic, state, final_boost=0.0):
+        self.node = node
+        self.log_p_blank = log_p_blank
+        self.log_p_nonblank = log_p_nonblank
+        self.acoustic = acoustic
+        self.state = state
+        self.start = None
+        self.final_boost = final_boost
+
+    committed = property(lambda self: self.state[0])
+    pending = property(lambda self: self.state[1])
+    lm_fused = property(lambda self: self.state[2])
+    word_bonus = property(lambda self: self.state[3])
+    partial_boost = property(lambda self: self.state[4])
 
     @property
-    def acoustic(self) -> float:
-        return _log_add(self.log_p_blank, self.log_p_nonblank)
-
-    @property
-    def total(self) -> float:
-        return (
-            self.acoustic
-            + self.lm_fused
-            + self.word_bonus
-            + self.partial_boost
-            + self.final_boost
-        )
+    def tokens(self) -> tuple[int, ...]:
+        return self.node.path()
 
     @property
     def words(self) -> tuple[str, ...]:
-        if self.pending:
-            return self.committed + (self.pending,)
-        return self.committed
+        committed, pending = self.state[:2]
+        return committed + (pending,) if pending else committed
+
+    @property
+    def total(self) -> float:
+        _, _, lm_fused, bonus, boost = self.state
+        return self.acoustic + lm_fused + bonus + boost + self.final_boost
+
+    def copy(self) -> BeamHypothesis:
+        """A snapshot that shares the entry's prefix node and state tuple."""
+        return BeamHypothesis(
+            self.node, self.log_p_blank, self.log_p_nonblank, self.acoustic,
+            self.state, self.final_boost,
+        )
 
 
 @dataclass
@@ -276,22 +280,20 @@ class DecodeResult:
 class _Node:
     """One token prefix: its parent prefix and its last token.
 
-    Each hypothesis holds its own prefix's node.  Children are weakly
-    held, so a branch no hypothesis uses is freed, and ``child`` finds a
-    live child, so one prefix never gets two live nodes.  Most nodes have
-    one child, held without a dict to save memory.
+    Each beam entry, and each copy a result holds, holds its own
+    prefix's node.  Children are weakly held, so a branch no entry uses
+    is freed, and ``child`` finds a live child, so one prefix never gets
+    two live nodes.  Most nodes have one child, held without a dict to
+    save memory.
     """
 
-    __slots__ = ("parent", "token", "children", "tokens", "__weakref__")
+    __slots__ = ("parent", "token", "children", "__weakref__")
 
     def __init__(self, parent: _Node | None, token: int | None):
         self.parent = parent
         self.token = token
         # None, a weak reference to the one child, or token -> reference.
         self.children: weakref.ref | dict[int, weakref.ref] | None = None
-        # The whole token tuple: always on the root, and on the nodes
-        # the session last reported (see DecoderSession._publish).
-        self.tokens: tuple[int, ...] | None = () if parent is None else None
 
     def child(self, token: int) -> _Node:
         """The live child for ``token``, made if there is none."""
@@ -310,62 +312,29 @@ class _Node:
         return node
 
     def path(self) -> tuple[int, ...]:
-        """Tokens from the root, walked up to the nearest node holding them."""
+        """Tokens from the root to this node."""
         walked = []
         node = self
-        while node.tokens is None:
+        while node.parent is not None:
             walked.append(node.token)
             node = node.parent
         walked.reverse()
-        return node.tokens + tuple(walked)
+        return tuple(walked)
 
 
-class _Hyp:
-    """A beam entry inside the search; results carry BeamHypothesis copies.
-
-    ``node`` is the entry's own prefix node, made with the entry.
-    ``acoustic`` is always ``_log_add(log_p_blank, log_p_nonblank)``,
-    kept so that each frame computes it once per entry.  ``state`` is
-    ``(committed, pending, lm_fused, word_bonus, partial_boost)``, what
-    a continuing child inherits; ``start`` is what a word-starting child
-    inherits, that state with its pending word committed, made at most
-    once per entry (see DecoderSession._start).
-    """
-
-    __slots__ = (
-        "node", "log_p_blank", "log_p_nonblank", "acoustic", "state", "start",
-        "final_boost",
-    )
-
-    def __init__(self, node, log_p_blank, log_p_nonblank, acoustic, state):
-        self.node = node
-        self.log_p_blank = log_p_blank
-        self.log_p_nonblank = log_p_nonblank
-        self.acoustic = acoustic
-        self.state = state
-        self.start = None
-        self.final_boost = 0.0
+def _tie_key(h: BeamHypothesis) -> tuple:
+    words = h.words
+    return len(words), words, h.tokens
 
 
-def _total(h: _Hyp) -> float:
-    _, _, lm_fused, bonus, boost = h.state
-    return h.acoustic + lm_fused + bonus + boost + h.final_boost
-
-
-def _tie_key(h: _Hyp) -> tuple:
-    committed, pending = h.state[:2]
-    words = committed + (pending,) if pending else committed
-    return len(words), words, h.node.path()
-
-
-def _ranked(hyps, width: int) -> list[_Hyp]:
+def _ranked(hyps, width: int) -> list[BeamHypothesis]:
     """The best ``width`` hypotheses, best first.
 
     Higher total first; exact ties prefer fewer words, then the words
     in lexicographic order, then the token prefix, so the order is total.
     Only entries that share their total get a tie key, each one once.
     """
-    scored = [(-_total(h), h) for h in hyps]
+    scored = [(-h.total, h) for h in hyps]
     shared = Counter(neg_total for neg_total, _ in scored)
     ranked = sorted(
         (neg_total, _tie_key(h) if shared[neg_total] > 1 else (), n, h)
@@ -395,8 +364,9 @@ class DecoderSession:
         self._nonblank = [i for i in range(vocab.size) if i != vocab.blank_index]
         self._spelling = vocab.spelling
         self._result: DecodeResult | None = None
-        self._reported: list[_Node] = []
-        self.beams = [_Hyp(_Node(None, None), 0.0, NEG_INF, 0.0, ((), "", 0.0, 0.0, 0.0))]
+        self.beams = [
+            BeamHypothesis(_Node(None, None), 0.0, NEG_INF, 0.0, ((), "", 0.0, 0.0, 0.0))
+        ]
 
     # -- frame updates ------------------------------------------------------
 
@@ -535,7 +505,7 @@ class DecoderSession:
             pool = [r for r in pool if r[0] != edge] + [r for r in records if r[0] == edge]
         self.beams = _ranked(map(self._hyp, pool), width)
 
-    def _start(self, hyp: _Hyp) -> tuple:
+    def _start(self, hyp: BeamHypothesis) -> tuple:
         """What a word-starting child of ``hyp`` inherits: its pending word committed.
 
         The commit is LM fusion, the word bonus and the gated unigram
@@ -559,48 +529,16 @@ class DecoderSession:
         hyp.start = start
         return start
 
-    def _hyp(self, record: tuple) -> _Hyp:
-        """The hypothesis a ranking record stands for."""
+    def _hyp(self, record: tuple) -> BeamHypothesis:
+        """The beam entry a ranking record stands for."""
         if len(record) == 2:
             return record[1]
         _, tid, mass, node, (committed, head, lm_fused, bonus, boost) = record
         # Its blank mass is -inf, so its acoustic is its one mass.
-        return _Hyp(
+        return BeamHypothesis(
             node.child(tid), NEG_INF, mass, mass,
             (committed, head + self._spelling[tid][1], lm_fused, bonus, boost),
         )
-
-    def _publish(self) -> list[BeamHypothesis]:
-        """The beam as public hypotheses, in rank order.
-
-        The beam's nodes keep their token tuples until the next call, so
-        its walks up from the next beam stop within one chunk instead of
-        at the root.
-        """
-        reported = [hyp.node for hyp in self.beams if hyp.node.parent is not None]
-        for node in reported:
-            if node.tokens is None:
-                node.tokens = node.path()
-        kept = set(reported)
-        for node in self._reported:
-            if node not in kept:
-                node.tokens = None
-        self._reported = reported
-        published = []
-        for hyp in self.beams:
-            committed, pending, lm_fused, bonus, boost = hyp.state
-            published.append(BeamHypothesis(
-                tokens=hyp.node.tokens,
-                log_p_blank=hyp.log_p_blank,
-                log_p_nonblank=hyp.log_p_nonblank,
-                committed=committed,
-                pending=pending,
-                lm_fused=lm_fused,
-                word_bonus=bonus,
-                partial_boost=boost,
-                final_boost=hyp.final_boost,
-            ))
-        return published
 
     # -- public API ---------------------------------------------------------
 
@@ -620,7 +558,7 @@ class DecoderSession:
         for row in data:
             self._step(row.tolist())
         # The beam is kept in rank order, so the first entry is the best.
-        return DecodeResult(self._publish())
+        return DecodeResult([hyp.copy() for hyp in self.beams])
 
     def finalize(self) -> DecodeResult:
         """Commit pending words, settle boost components, rank the beam."""
@@ -637,7 +575,7 @@ class DecoderSession:
                 )
                 hyp.state = hyp.state[:4] + (0.0,)
         self.beams = _ranked(self.beams, self.config.beam_width)
-        self._result = DecodeResult(self._publish())
+        self._result = DecodeResult([hyp.copy() for hyp in self.beams])
         return self._result
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -340,11 +341,17 @@ def _assemble_mapping(entries: list[KeywordEntry]) -> NormalizationMapping:
             raise NormalizationError(
                 f"keyword {entry.raw!r} contains a tab or line break"
             )
-        if entry.weight is not None:
-            try:
-                _weight(entry.weight)
-            except ValueError as exc:
-                raise NormalizationError(f"keyword {entry.raw!r}: {exc}") from None
+        priority = entry.priority
+        try:
+            # A plain int skips the ABC check, the slow part of this test.
+            if type(priority) is not int:
+                if isinstance(priority, bool) or not isinstance(priority, numbers.Integral):
+                    raise ValueError(f"keyword priority must be an integer, got {priority!r}")
+                entry.priority = int(priority)
+            if entry.weight is not None:
+                entry.weight = _weight(entry.weight)
+        except ValueError as exc:
+            raise NormalizationError(f"keyword {entry.raw!r}: {exc}") from None
         seen_raw.add(entry.raw)
 
     claims: dict[Variant, list[KeywordEntry]] = {}
@@ -438,11 +445,16 @@ def inverse_normalize(
 # --- file formats ---------------------------------------------------------
 
 
-def _weight(value: str | float) -> float:
-    weight = float(value)
-    if not 0.0 <= weight < math.inf:
-        raise ValueError(f"keyword weight must be finite and >= 0, got {weight}")
-    return weight
+def _weight(value: float) -> float:
+    """A boost weight as a float: a real number, not a bool, finite and >= 0."""
+    # A plain float skips the ABC check, the slow part of this test.
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"keyword weight must be a real number, got {value!r}")
+        value = float(value)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"keyword weight must be finite and >= 0, got {value}")
+    return value
 
 
 def load_keyword_list(path: str | Path) -> list[tuple[str, float | None, int]]:
@@ -460,7 +472,7 @@ def load_keyword_list(path: str | Path) -> list[tuple[str, float | None, int]]:
         raw = fields[0].strip()
         if not raw:
             raise ValueError("missing keyword")
-        weight = _weight(fields[1]) if len(fields) > 1 and fields[1].strip() else None
+        weight = _weight(float(fields[1])) if len(fields) > 1 and fields[1].strip() else None
         priority = int(fields[2]) if len(fields) > 2 and fields[2].strip() else 0
         return raw, weight, priority
 

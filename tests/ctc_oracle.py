@@ -3,7 +3,8 @@
 Enumerates every frame-level path, collapses it (merge repeats, drop
 blanks), and sums path probabilities per collapsed label sequence.
 The path table for a given (frames, vocabulary, blank) shape is cached
-because it does not depend on the logit values.
+because it does not depend on the logit values.  ``detokenize`` turns
+a label sequence into the words the decoder should report for it.
 """
 
 from functools import lru_cache
@@ -20,6 +21,25 @@ def collapse(path, blank):
             out.append(tid)
         prev = tid
     return tuple(out)
+
+
+def detokenize(vocab, token_ids):
+    """Detokenize a collapsed token sequence into words."""
+    committed = []
+    pending = ""
+    for tid in token_ids:
+        if tid == vocab.blank_index:
+            continue
+        starts_word, text = vocab.spelling[tid]
+        if not starts_word:
+            pending += text
+            continue
+        if pending:
+            committed.append(pending)
+        pending = text
+    if pending:
+        committed.append(pending)
+    return committed
 
 
 @lru_cache(maxsize=None)

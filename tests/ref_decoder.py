@@ -1,9 +1,10 @@
 """Frozen tuple-keyed prefix beam search, the decoder's differential reference.
 
 This is the straightforward form of ``kwboost.decoder.DecoderSession``:
-every hypothesis is a ``BeamHypothesis`` keyed by its full token tuple,
-and every frame sorts the whole frontier.  It is slow (O(prefix) work
-per candidate) but easy to check by eye, so the fast session must
+every hypothesis is a plain ``BeamHypothesis`` record of this file's
+own, not the decoder's entry type, keyed by its full token tuple, and
+every frame sorts the whole frontier.  It is slow (O(prefix) work per
+candidate) but easy to check by eye, so the fast session must
 reproduce its beams, n-best lists and totals exactly.  Do not optimise
 this file; change it only when the decoder's semantics change on
 purpose.
@@ -12,11 +13,11 @@ purpose.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from kwboost.decoder import BeamHypothesis, DecodeResult, LogitMatrix
+from kwboost.decoder import DecodeResult, LogitMatrix
 
 LN10 = math.log(10.0)
 NEG_INF = float("-inf")
@@ -30,6 +31,41 @@ def _log_add(a: float, b: float) -> float:
     if a < b:
         a, b = b, a
     return a + math.log1p(math.exp(b - a))
+
+
+@dataclass
+class BeamHypothesis:
+    """One beam entry: a token prefix and its additive score parts."""
+
+    tokens: tuple[int, ...]
+    log_p_blank: float
+    log_p_nonblank: float
+    committed: tuple[str, ...]
+    pending: str
+    lm_fused: float = 0.0
+    word_bonus: float = 0.0
+    partial_boost: float = 0.0
+    final_boost: float = 0.0
+
+    @property
+    def acoustic(self) -> float:
+        return _log_add(self.log_p_blank, self.log_p_nonblank)
+
+    @property
+    def total(self) -> float:
+        return (
+            self.acoustic
+            + self.lm_fused
+            + self.word_bonus
+            + self.partial_boost
+            + self.final_boost
+        )
+
+    @property
+    def words(self) -> tuple[str, ...]:
+        if self.pending:
+            return self.committed + (self.pending,)
+        return self.committed
 
 
 def _rank_key(hyp: BeamHypothesis):

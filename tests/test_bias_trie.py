@@ -1,5 +1,6 @@
 """Tests for the keyword variant trie and the rarity-gated unigram set."""
 
+import math
 import random
 
 import pytest
@@ -217,3 +218,23 @@ class TestWeightTable:
             rebuilt.unigram_weights.items()
         )
         assert swapped.find_matches(words) == rebuilt.find_matches(words)
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ({"AB": 1.0}, "exactly the mapping's keywords"),
+            ({"AB": 1.0, "CD": 1.0, "EF": 1.0}, "exactly the mapping's keywords"),
+            ({"AB": 1.0, "CD": math.nan}, "'CD': keyword weight must be finite"),
+            ({"AB": 1.0, "CD": math.inf}, "'CD': keyword weight must be finite"),
+            ({"AB": 1.0, "CD": -1.0}, "'CD': keyword weight must be finite"),
+            ({"AB": 1.0, "CD": "1.0"}, "'CD': keyword weight must be a real number"),
+            ({"AB": 1.0, "CD": True}, "'CD': keyword weight must be a real number"),
+        ],
+    )
+    def test_trial_table_is_checked(self, weights, message):
+        # A trial table holds to the keyword list's weight rule, so no
+        # total can turn NaN and no gated word can miss its weight.
+        mapping = build_mapping(["AB", "CD"])
+        gated = build_trie(mapping).gated
+        with pytest.raises(ConfigError, match=message):
+            BiasTrie(mapping, weights, gated)

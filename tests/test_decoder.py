@@ -1,6 +1,5 @@
 """Tests for the streaming CTC prefix beam search and its boost modes."""
 
-import copy
 import gc
 import math
 import struct
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctc_oracle import exhaustive_scores, top_two
+from ctc_oracle import detokenize, exhaustive_scores, top_two
 from ref_decoder import RefSession
 from kwboost import decoder
 from kwboost.bias_trie import build_trie
@@ -58,21 +57,21 @@ def exact_config(**overrides):
 class TestVocabulary:
     def test_prefix_marker_words(self):
         vocab = Vocabulary(("_", "+he", "llo", "+out"), 0, "prefix", "+")
-        assert vocab.words([1, 2, 3]) == ["hello", "out"]
-        assert vocab.words([0, 1, 0, 2]) == ["hello"]
+        assert detokenize(vocab, [1, 2, 3]) == ["hello", "out"]
+        assert detokenize(vocab, [0, 1, 0, 2]) == ["hello"]
 
     def test_empty_prefix_makes_every_token_a_word(self):
         vocab = letter_vocab("a", "b")
-        assert vocab.words([1, 2, 1]) == ["a", "b", "a"]
+        assert detokenize(vocab, [1, 2, 1]) == ["a", "b", "a"]
 
     def test_delimiter_words(self):
         vocab = Vocabulary(("_", " ", "h", "i"), 0, "delimiter", " ")
-        assert vocab.words([2, 3, 1, 2]) == ["hi", "h"]
-        assert vocab.words([1, 1]) == []
+        assert detokenize(vocab, [2, 3, 1, 2]) == ["hi", "h"]
+        assert detokenize(vocab, [1, 1]) == []
 
     def test_blank_never_contributes(self):
         vocab = Vocabulary(("_", " ", "h", "i"), 0, "delimiter", " ")
-        assert vocab.words([0, 2, 0, 0, 3, 0]) == ["hi"]
+        assert detokenize(vocab, [0, 2, 0, 0, 3, 0]) == ["hi"]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -259,7 +258,7 @@ class TestAgainstOracle:
                 best_key, best_mass, runner_up = top_two(oracle)
                 if best_mass - runner_up > 1e-9:
                     assert result.nbest[0].tokens == best_key
-                    assert list(result.words) == vocab.words(best_key)
+                    assert list(result.words) == detokenize(vocab, best_key)
 
     def test_beam_one_is_greedy_but_valid(self):
         logits = softmax_logits(np.random.default_rng(5), 6, 3)
@@ -411,12 +410,12 @@ class TestAgainstReference:
             want = reference.push_frames(frames[lo:hi])
             assert result_view(got) == result_view(want)
             assert len(session.beams) == len(reference.beams)
-            published.append((got, copy.deepcopy(got)))
+            published.append((got, result_view(got)))
         assert result_view(session.finalize()) == result_view(reference.finalize())
         # Finalize settles the search's own hypotheses in place; results
         # already handed out are snapshots and must not change with them.
         for got, snapshot in published:
-            assert got == snapshot
+            assert result_view(got) == snapshot
 
 
     @pytest.mark.parametrize("mode", MODES)
@@ -642,6 +641,19 @@ class TestMemory:
             assert alive() is None
             decode(logits, vocab, config, trie=trie)
             del result
+            assert live_prefix_nodes() == nodes_before
+            # A held partial is a snapshot: later pushes, finalize and the
+            # session's end leave its entries as published, tokens too,
+            # and dropping it frees the prefix nodes it kept alive.
+            session = new_session(vocab, config, trie=trie)
+            partial = session.push_frames(logits.data[:7])
+            published = result_view(partial)
+            session.push_frames(logits.data[7:])
+            session.finalize()
+            del session
+            assert result_view(partial) == published
+            assert live_prefix_nodes() > nodes_before
+            del partial
             assert live_prefix_nodes() == nodes_before
             # Nothing the decoder made sits in a reference cycle.
             assert gc.collect() == 0

@@ -218,11 +218,30 @@ class TestMapping:
         with pytest.raises(NormalizationError, match="'AI': keyword weight must be finite"):
             builder([("AI", weight, 0)])
 
+    @pytest.mark.parametrize("builder", [build_mapping, raw_target_mapping])
+    @pytest.mark.parametrize(
+        "items, message",
+        [
+            ([("AI", "2.0", 0)], "'AI': keyword weight must be a real number"),
+            ([("AI", True, 0)], "'AI': keyword weight must be a real number"),
+            ([("AI", None, "1"), ("A I", None, 0)], "'AI': keyword priority must be an integer"),
+            ([("AI", None, 1.0)], "'AI': keyword priority must be an integer"),
+            ([("AI", None, False)], "'AI': keyword priority must be an integer"),
+        ],
+    )
+    def test_entry_fields_of_the_wrong_type_rejected(self, builder, items, message):
+        # A string weight would break the decoder's boost sums, and a
+        # string priority the collision ranking.
+        with pytest.raises(NormalizationError, match=message):
+            builder(items)
+
     def test_entry_weights_and_priorities_carried(self):
-        mapping = build_mapping([("C3PO", 3.0, 1), "AI"])
-        c3po, ai = mapping.entries
+        mapping = build_mapping([("C3PO", 3.0, 1), "AI", ("IBM", 2, 2)])
+        c3po, ai, ibm = mapping.entries
         assert (c3po.weight, c3po.priority) == (3.0, 1)
         assert (ai.weight, ai.priority) == (None, 0)
+        # An integer weight is stored as the float it stands for.
+        assert (ibm.weight, ibm.priority) == (2.0, 2) and type(ibm.weight) is float
 
     def test_reverse_covers_every_variant(self):
         mapping = build_mapping(["IBM", "356", "C3PO"])
