@@ -13,11 +13,15 @@ The second table decodes the benchmark's word-level tuning corpus
 (``gen.make_tune_spec`` + ``fixtures.make_fixtures``, demo keywords, no
 LM, word bonus 0, boost 2.0), where every token starts a word, in each
 mode.  It prints the median wall ms per frame over the whole corpus,
-and two counts per frame taken in a separate untimed pass: unigram
-boost lookups (one lookup is one word commit, at most one per beam
-entry) and the ranking records the frame step sorts (beam
-entries plus the children that passed its bound).  Baseline mode
-boosts nothing and gives the bare search's cost.
+and four counts per frame taken in a separate untimed pass that pushes
+one frame at a time: unigram boost lookups (one lookup is one word
+commit, at most one per beam entry), the ranking records the frame
+step sorts (beam entries plus the children that passed its bound),
+merges (beam entries whose parent prefix is also in the beam: the
+stay slots a new prefix can merge into) and new prefixes (entries of
+the next beam that were not in the last one).  The last two are read
+from the beams' tokens.  Baseline mode boosts nothing and gives the
+bare search's cost.
 
 Run from the repository root with kwboost importable, for instance:
 
@@ -34,7 +38,7 @@ from unittest import mock
 
 from kwboost import decoder
 from kwboost.dataio import read_logits, read_manifest
-from kwboost.decoder import MODES, decode
+from kwboost.decoder import MODES, decode, new_session
 from kwboost.fixtures import make_fixtures
 from kwboost.harness import RunConfig, load_resources
 from kwboost.norm import normalize_keyword
@@ -94,7 +98,10 @@ def word_table(work: Path, args: argparse.Namespace) -> None:
     fixtures = make_fixtures(spec, work / "tune", seed=args.seed)
     print()
     print(f"word-level tuning corpus ({TUNE_UTTERANCES} utterances)")
-    print(f"{'mode':<9} {'ms/frame':>9} {'lookups/frame':>14} {'records/frame':>14}")
+    print(
+        f"{'mode':<9} {'ms/frame':>9} {'lookups/frame':>14} {'records/frame':>14}"
+        f" {'merges/frame':>13} {'new/frame':>10}"
+    )
     for mode in MODES:
         resources, config, matrices = load(RunConfig(
             manifest=fixtures.manifest_path, vocab=fixtures.vocab_path,
@@ -116,13 +123,23 @@ def word_table(work: Path, args: argparse.Namespace) -> None:
         # Every record reaches a sort through its key, and stays alive
         # here, so its id counts it once however often it is sorted.
         ranked = {}
+        merges = made = 0
         with mock.patch.object(
             decoder, "_NEG_TOTAL", lambda record: ranked.setdefault(id(record), record)[0]
         ):
-            median_seconds(matrices, resources, config, 1)
+            for matrix in matrices:
+                session = new_session(
+                    resources.vocab, config, lm=resources.lm, trie=resources.trie
+                )
+                for row in matrix.data:
+                    beam = {hyp.tokens for hyp in session.beams}
+                    merges += sum(tokens[:-1] in beam for tokens in beam if tokens)
+                    session.push_frames(row[None])
+                    made += sum(hyp.tokens not in beam for hyp in session.beams)
+                session.finalize()
         print(
             f"{mode:<9} {1e3 * seconds / frames:9.3f} {lookups / frames:14.1f}"
-            f" {len(ranked) / frames:14.1f}"
+            f" {len(ranked) / frames:14.1f} {merges / frames:13.1f} {made / frames:10.1f}"
         )
 
 

@@ -12,6 +12,7 @@ trie's ``weights`` table, keyed by the match's raw form.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Sequence
 
 from .errors import ConfigError
@@ -68,9 +69,14 @@ class BiasTrie:
 
 
 def check_boost_settings(default_weight: float, rarity_threshold: float) -> None:
-    """Reject a negative or non-finite weight or a non-finite threshold."""
-    if not 0.0 <= default_weight < math.inf:
-        raise ConfigError(f"boost weight must be finite and >= 0, got {default_weight}")
+    """Reject a default weight that breaks the keyword list's weight rule
+    (see ``norm._weight``), or a threshold that is not a finite real number."""
+    try:
+        _weight(default_weight, "boost weight")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if isinstance(rarity_threshold, bool) or not isinstance(rarity_threshold, numbers.Real):
+        raise ConfigError(f"rarity threshold must be a real number, got {rarity_threshold!r}")
     if not math.isfinite(rarity_threshold):
         raise ConfigError("rarity threshold must be finite")
 

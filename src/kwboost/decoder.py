@@ -9,23 +9,33 @@ retracted at finalization, where only full keyword matches are paid.
 
 Prefixes are interned as nodes that point to their parent prefix, and
 each beam entry owns the node of its prefix, so one frame costs the
-same however long the prefixes have grown.  A frame ranks light
-records of the new prefixes with a C-level sort and builds entries,
-each with its node, only for the ones the beam keeps.  Records are made
-behind an exact gate: once the stay slots and each parent's child under
-the frame's top token are ranked, the width-th best total so far is a
-floor under the beam's last total.  A parent's word-starting and its
-continuing children are then tried in log-prob order, each run up to
-its first child below that floor, so outputs do not change.  Each
-entry holds one state tuple, what its continuing children inherit, and
-commits its pending word at most once, for the word-starting children
-of every frame it survives and for finalization.  Each entry also
-carries its acoustic mass, summed once per frame.  There is one entry
-type, ``BeamHypothesis``: a result is the ranked n-best alone, copies
-of the beam's entries, and an entry builds its token tuple only when
-it is read.  Finalization commits each pending word, settles
-the boosts and ranks the beam in place, with the same commit routine
-and ranking as the frame loop, so the retraction is exact.
+same however long the prefixes have grown.  The beam is carried from
+frame to frame filed under its parent nodes, ``{parent: {token:
+entry}}``, so a frame makes one pass per parent: each entry takes its
+own blank and repeat masses, makes its child under the frame's top
+token and collects the masses that its children already in the beam,
+its stay slots, merge in.  A stay slot has one parent prefix, so it
+takes at most one merge, added after the pass as ``_log_add(repeat,
+merge)``: the sum a plain loop over (parent, token) makes, bit for bit.
+A frame ranks light records of the new prefixes with a C-level sort and
+builds entries, each with its node, only for the ones the beam keeps,
+filing each as it is admitted.  Records are made behind an exact gate:
+once the stay slots and each parent's child under the frame's top token
+are ranked, the width-th best total so far is a floor under the beam's
+last total.  A parent's word-starting and its continuing children are
+then tried in log-prob order, each run up to its first child below that
+floor, so outputs do not change.  Each entry holds one state tuple,
+what its continuing children inherit, and commits its pending word at
+most once, for the word-starting children of every frame it survives
+and for finalization.  Each entry also carries its acoustic mass,
+summed once per frame.  There is one entry type, ``BeamHypothesis``: a
+result is the ranked n-best alone, and an entry builds its token tuple
+only when it is read.  A streaming partial holds copies of the beam's
+entries, which later frames update in place; the final result holds
+the settled entries themselves, which nothing changes after that.
+Finalization commits each pending word, settles the boosts and ranks
+the beam in place, with the same commit routine and ranking as the
+frame loop, so the retraction is exact.
 
 Boost modes
     baseline  no boosting at all
@@ -199,8 +209,9 @@ class DecodeConfig:
 class BeamHypothesis:
     """One beam entry: a token prefix and its additive score parts.
 
-    The search updates its own entries in place, so each result holds
-    copies of them (see ``copy``).  ``node`` is the entry's own prefix
+    The search updates its own entries in place, so each streaming
+    partial holds copies of them (see ``copy``); the final result holds
+    the settled entries.  ``node`` is the entry's own prefix
     node, made with the entry; ``tokens`` walks it to the root when it
     is read.  Between frames ``acoustic`` is ``_log_add(log_p_blank,
     log_p_nonblank)``, kept so that each frame computes it once per
@@ -280,11 +291,12 @@ class DecodeResult:
 class _Node:
     """One token prefix: its parent prefix and its last token.
 
-    Each beam entry, and each copy a result holds, holds its own
+    Each beam entry, and each copy a partial holds, holds its own
     prefix's node.  Children are weakly held, so a branch no entry uses
-    is freed, and ``child`` finds a live child, so one prefix never gets
-    two live nodes.  Most nodes have one child, held without a dict to
-    save memory.
+    is freed, and the frame step looks up a live child before it makes
+    one (see DecoderSession._admit), so one prefix never gets two live
+    nodes.  Most nodes have one child, held without a dict to save
+    memory.
     """
 
     __slots__ = ("parent", "token", "children", "__weakref__")
@@ -294,22 +306,6 @@ class _Node:
         self.token = token
         # None, a weak reference to the one child, or token -> reference.
         self.children: weakref.ref | dict[int, weakref.ref] | None = None
-
-    def child(self, token: int) -> _Node:
-        """The live child for ``token``, made if there is none."""
-        kids = self.children
-        ref = kids.get(token) if type(kids) is dict else kids
-        live = ref() if ref is not None else None
-        if live is not None and live.token == token:
-            return live
-        node = _Node(self, token)
-        if type(kids) is dict:
-            kids[token] = weakref.ref(node)
-        elif live is None:
-            self.children = weakref.ref(node)
-        else:
-            self.children = {live.token: kids, token: weakref.ref(node)}
-        return node
 
     def path(self) -> tuple[int, ...]:
         """Tokens from the root to this node."""
@@ -364,9 +360,11 @@ class DecoderSession:
         self._nonblank = [i for i in range(vocab.size) if i != vocab.blank_index]
         self._spelling = vocab.spelling
         self._result: DecodeResult | None = None
-        self.beams = [
-            BeamHypothesis(_Node(None, None), 0.0, NEG_INF, 0.0, ((), "", 0.0, 0.0, 0.0))
-        ]
+        root = BeamHypothesis(_Node(None, None), 0.0, NEG_INF, 0.0, ((), "", 0.0, 0.0, 0.0))
+        self.beams = [root]
+        # The beam filed by parent node, {parent: {token: entry}}; the
+        # root's parent is None.  See _admit.
+        self._stays: dict[_Node | None, dict] = {None: {None: root}}
 
     # -- frame updates ------------------------------------------------------
 
@@ -382,65 +380,64 @@ class DecoderSession:
             if row[tid] != NEG_INF and row[tid] >= floor
         ]
         candidates.sort(key=_LOGP, reverse=True)
-        # Each beam entry is its own stay slot and takes its blank and
-        # repeat masses first.  A new prefix can then only meet a stay
-        # slot (parent + token is one of the beam), whose two masses
-        # commute under _log_add, so every sum matches a plain loop over
-        # (parent, token) bit for bit.
-        parents = []
-        stays: dict[int, dict] = {}  # id(node.parent) -> {node.token: stay slot}
-        for hyp in self.beams:
-            p_blank, p_nonblank = hyp.log_p_blank, hyp.log_p_nonblank
-            parents.append((hyp, p_blank))
-            node = hyp.node
-            last = node.token
-            hyp.log_p_blank = hyp.acoustic + blank_lp
-            hyp.log_p_nonblank = NEG_INF if last is None else p_nonblank + row[last]
-            siblings = stays.get(id(node.parent))
-            if siblings is None:
-                stays[id(node.parent)] = {last: hyp}
-            else:
-                siblings[last] = hyp
+        # Each beam entry is its own stay slot, and a new prefix can only
+        # meet a stay slot: a child of its parent that is in the beam.
         # Every other child holds one mass, so its total is final when it
-        # is made: rank light records and make hypotheses only for the
-        # winners.  A child's record is (-total, token, mass, parent node,
-        # state), where state is what it inherits: its parent's state, or
-        # for a word-starting child its parent's start; a stay slot's is
-        # (-total, slot).  An entry's start is made once (see _start).
-        #
-        # First pass: each parent's merges, which finish the stay slots,
-        # and its child under the frame's top candidate.
+        # is made: rank light records and make entries only for the
+        # winners.  A child's record is (-total, token, mass, parent
+        # node, state), where state is what it inherits: its parent's
+        # state, or for a word-starting child its parent's start; a stay
+        # slot's is (-total, slot).  An entry's start is made once (see
+        # _start).
+        stays = self._stays
         records = []
         opened = []
+        merges = []
         if candidates:
             top, top_logp, top_starts = candidates[0]
             starting = [(tid, logp) for tid, logp, starts in candidates[1:] if starts]
             continuing = [(tid, logp) for tid, logp, starts in candidates[1:] if not starts]
-        for hyp, p_blank in parents:
+        # One pass per parent.  Each entry takes its own blank and repeat
+        # masses, collects the masses its children in the beam
+        # (``stays[node]``) merge in, and makes its child under the
+        # frame's top candidate.  A parent with no stay slot among its
+        # children skips the merge loop.
+        for hyp in self.beams:
+            p_blank = hyp.log_p_blank
             acoustic = hyp.acoustic
-            if acoustic == NEG_INF or not candidates:
-                continue
             node = hyp.node
             last = node.token
-            merges = stays.get(id(node), _NO_STAYS)
-            for tid, stay in merges.items():
-                logp = row[tid]
-                if logp != NEG_INF and logp >= floor:
-                    mass = (p_blank if tid == last else acoustic) + logp
-                    # A repeat with no blank mass behind it adds nothing.
-                    if mass != NEG_INF:
-                        stay.log_p_nonblank = _log_add(stay.log_p_nonblank, mass)
-            if top not in merges:
+            hyp.log_p_blank = acoustic + blank_lp
+            hyp.log_p_nonblank = NEG_INF if last is None else hyp.log_p_nonblank + row[last]
+            if acoustic == NEG_INF or not candidates:
+                continue
+            kids = stays.get(node)
+            if kids is None:
+                kids = _NO_STAYS
+            else:
+                for tid, stay in kids.items():
+                    logp = row[tid]
+                    if logp != NEG_INF and logp >= floor:
+                        mass = (p_blank if tid == last else acoustic) + logp
+                        # A repeat with no blank mass behind it adds nothing.
+                        if mass != NEG_INF:
+                            merges.append((stay, mass))
+            if top not in kids:
                 mass = (p_blank if top == last else acoustic) + top_logp
                 # Making a child with no mass would waste a beam slot.
                 if mass != NEG_INF:
                     state = (hyp.start or self._start(hyp)) if top_starts else hyp.state
                     _, _, lm_fused, bonus, boost = state
                     records.append((-(mass + lm_fused + bonus + boost), top, mass, node, state))
-            opened.append((hyp, p_blank, acoustic, node, last, merges))
-        # A stay slot's masses are final once the merges are in.  Its
-        # final boost is 0.0 until finalize, so its total is summed like
-        # a child's.
+            opened.append((hyp, p_blank, acoustic, node, last, kids))
+        # A stay slot has one parent prefix, so at most one merge, added
+        # once its own repeat mass is in.  That is _log_add(repeat,
+        # merge), the sum a plain loop over (parent, token) makes, so
+        # every mass matches it bit for bit.
+        for stay, mass in merges:
+            stay.log_p_nonblank = _log_add(stay.log_p_nonblank, mass)
+        # A stay slot's masses are now final.  Its final boost is 0.0
+        # until finalize, so its total is summed like a child's.
         for hyp in self.beams:
             acoustic = hyp.acoustic = _log_add(hyp.log_p_blank, hyp.log_p_nonblank)
             _, _, lm_fused, bonus, boost = hyp.state
@@ -452,18 +449,18 @@ class DecoderSession:
         width = self.config.beam_width
         records.sort(key=_NEG_TOTAL)
         bound = records[width - 1][0] if len(records) >= width else INF
-        # Second pass: each parent's other candidates, word-starting and
-        # continuing ones as two runs in log-prob order.  Within a run
-        # every non-repeat child adds the same parts to a smaller mass,
-        # and IEEE + is monotone, so the first one below the bound closes
+        # Each parent's other candidates, word-starting and continuing
+        # ones as two runs in log-prob order.  Within a run every
+        # non-repeat child adds the same parts to a smaller mass, and
+        # IEEE + is monotone, so the first one below the bound closes
         # the run.  A repeat's mass starts from p_blank <= acoustic: it
         # closes nothing, and a closed run holds no repeat that passes.
-        for hyp, p_blank, acoustic, node, last, merges in opened:
+        for hyp, p_blank, acoustic, node, last, kids in opened:
             if continuing:
                 state = hyp.state
                 _, _, lm_fused, bonus, boost = state
                 for tid, logp in continuing:
-                    if tid in merges:
+                    if tid in kids:
                         continue
                     mass = (p_blank if tid == last else acoustic) + logp
                     if mass == NEG_INF:
@@ -475,7 +472,7 @@ class DecoderSession:
                         break
             start = None
             for tid, logp in starting:
-                if tid in merges:
+                if tid in kids:
                     continue
                 mass = (p_blank if tid == last else acoustic) + logp
                 if mass == NEG_INF:
@@ -490,20 +487,70 @@ class DecoderSession:
                     break
         # A stable sort on the total alone, as floats compare fast.  The
         # order of equal totals does not matter: the fast path below
-        # runs only without ties, and the fallback ranks whole hypotheses.
+        # runs only without ties, and the fallback ranks whole entries.
         records.sort(key=_NEG_TOTAL)
         best = records[:width + 1]
         if len(set(map(_NEG_TOTAL, best))) == len(best):
-            self.beams = [self._hyp(record) for record in best[:width]]
+            self._admit(best[:width])
             return
         # Equal totals inside the selection or at its edge: only whole
-        # hypotheses know their tie order.  Every record tied with the
-        # edge competes for the last places.
+        # entries know their tie order.  Every record tied with the edge
+        # competes for the last places; the ranked entries then pass
+        # through as stay records.
         pool = best[:width]
         if len(best) > width and best[width][0] == best[width - 1][0]:
             edge = best[width][0]
             pool = [r for r in pool if r[0] != edge] + [r for r in records if r[0] == edge]
-        self.beams = _ranked(map(self._hyp, pool), width)
+        self._admit(pool)
+        self._admit([(None, hyp) for hyp in _ranked(self.beams, width)])
+
+    def _admit(self, records: list[tuple]) -> None:
+        """Make the records' entries the beam, filed under their parent nodes.
+
+        A stay slot's record holds its entry.  Any other record's entry
+        is made here, with the live node of its prefix: a prefix made
+        again while its child still lives (the child's node points to
+        it) gets its old node back, so one prefix never has two nodes
+        and its stay slots stay filed under it.  ``self._stays`` maps
+        each parent node to ``{token: entry}`` for the next frame.
+        """
+        spelling = self._spelling
+        beams = []
+        stays = {}
+        for record in records:
+            if len(record) == 2:
+                hyp = record[1]
+                node = hyp.node
+                parent = node.parent
+                tid = node.token
+            else:
+                _, tid, mass, parent, (committed, head, lm_fused, bonus, boost) = record
+                refs = parent.children
+                ref = refs.get(tid) if type(refs) is dict else refs
+                live = ref() if ref is not None else None
+                if live is not None and live.token == tid:
+                    node = live
+                else:
+                    node = _Node(parent, tid)
+                    if type(refs) is dict:
+                        refs[tid] = weakref.ref(node)
+                    elif live is None:
+                        parent.children = weakref.ref(node)
+                    else:
+                        parent.children = {live.token: refs, tid: weakref.ref(node)}
+                # Its blank mass is -inf, so its acoustic is its one mass.
+                hyp = BeamHypothesis(
+                    node, NEG_INF, mass, mass,
+                    (committed, head + spelling[tid][1], lm_fused, bonus, boost),
+                )
+            beams.append(hyp)
+            siblings = stays.get(parent)
+            if siblings is None:
+                stays[parent] = {tid: hyp}
+            else:
+                siblings[tid] = hyp
+        self.beams = beams
+        self._stays = stays
 
     def _start(self, hyp: BeamHypothesis) -> tuple:
         """What a word-starting child of ``hyp`` inherits: its pending word committed.
@@ -529,17 +576,6 @@ class DecoderSession:
         hyp.start = start
         return start
 
-    def _hyp(self, record: tuple) -> BeamHypothesis:
-        """The beam entry a ranking record stands for."""
-        if len(record) == 2:
-            return record[1]
-        _, tid, mass, node, (committed, head, lm_fused, bonus, boost) = record
-        # Its blank mass is -inf, so its acoustic is its one mass.
-        return BeamHypothesis(
-            node.child(tid), NEG_INF, mass, mass,
-            (committed, head + self._spelling[tid][1], lm_fused, bonus, boost),
-        )
-
     # -- public API ---------------------------------------------------------
 
     def push_frames(self, chunk: LogitMatrix | np.ndarray) -> DecodeResult:
@@ -558,6 +594,8 @@ class DecoderSession:
         for row in data:
             self._step(row.tolist())
         # The beam is kept in rank order, so the first entry is the best.
+        # Later frames update these entries in place, so the partial holds
+        # copies.
         return DecodeResult([hyp.copy() for hyp in self.beams])
 
     def finalize(self) -> DecodeResult:
@@ -575,7 +613,9 @@ class DecoderSession:
                 )
                 hyp.state = hyp.state[:4] + (0.0,)
         self.beams = _ranked(self.beams, self.config.beam_width)
-        self._result = DecodeResult([hyp.copy() for hyp in self.beams])
+        # Nothing changes the settled entries from here on, so the result
+        # holds them, not copies.
+        self._result = DecodeResult(self.beams)
         return self._result
 
 

@@ -445,15 +445,18 @@ def inverse_normalize(
 # --- file formats ---------------------------------------------------------
 
 
-def _weight(value: float) -> float:
-    """A boost weight as a float: a real number, not a bool, finite and >= 0."""
+def _weight(value: float, name: str = "keyword weight") -> float:
+    """A boost weight as a float: a real number, not a bool, finite and >= 0.
+
+    ``name`` is what the error message calls the value.
+    """
     # A plain float skips the ABC check, the slow part of this test.
     if type(value) is not float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"keyword weight must be a real number, got {value!r}")
+            raise ValueError(f"{name} must be a real number, got {value!r}")
         value = float(value)
     if not 0.0 <= value < math.inf:
-        raise ValueError(f"keyword weight must be finite and >= 0, got {value}")
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
     return value
 
 

@@ -80,6 +80,20 @@ class TestRarityGate:
         with pytest.raises(ConfigError):
             build_trie(build_mapping(["AI"]), **kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(default_weight="2.0"), "boost weight must be a real number"),
+            (dict(default_weight=True), "boost weight must be a real number"),
+            (dict(rarity_threshold="x"), "rarity threshold must be a real number"),
+            (dict(rarity_threshold=True), "rarity threshold must be a real number"),
+        ],
+    )
+    def test_settings_of_the_wrong_type(self, kwargs, message):
+        # Named as the setting they are, not as a keyword's weight.
+        with pytest.raises(ConfigError, match=message):
+            build_trie(build_mapping(["IBM"]), **kwargs)
+
     def test_unigram_weight_lookup(self):
         trie = build_trie(build_mapping([("AI", 3.0, 0)]))
         assert trie.unigram_weight("a") == 3.0

@@ -364,6 +364,16 @@ def result_view(result):
     )
 
 
+def assert_beam_filed(session):
+    """The carried stay map is the beam grouped by parent node, and no
+    prefix is in the beam twice."""
+    grouped = {}
+    for hyp in session.beams:
+        grouped.setdefault(hyp.node.parent, {})[hyp.node.token] = hyp
+    assert session._stays == grouped
+    assert len({hyp.tokens for hyp in session.beams}) == len(session.beams)
+
+
 class TestAgainstReference:
     """The session must equal the frozen tuple-keyed search bit for bit.
 
@@ -410,6 +420,7 @@ class TestAgainstReference:
             want = reference.push_frames(frames[lo:hi])
             assert result_view(got) == result_view(want)
             assert len(session.beams) == len(reference.beams)
+            assert_beam_filed(session)
             published.append((got, result_view(got)))
         assert result_view(session.finalize()) == result_view(reference.finalize())
         # Finalize settles the search's own hypotheses in place; results
@@ -447,9 +458,32 @@ class TestAgainstReference:
             got = session.push_frames(row[None])
             assert result_view(got) == result_view(reference.push_frames(row[None]))
             assert len(session.beams) == len(reference.beams)
+            assert_beam_filed(session)
         # The ties sent frames through the fallback ordering.
         assert ranked
         assert result_view(session.finalize()) == result_view(reference.finalize())
+
+    def test_a_prefix_made_again_gets_its_live_node(self):
+        # Frame 3 makes prefix (3, 1) again, pruned one frame earlier,
+        # while its child (3, 1, 3) is still in the beam.  It must get the
+        # node that child points to, or the child is not filed under it
+        # and misses its merge in frame 4.
+        vocab = REF_VOCABS[0]
+        config = exact_config(beam_width=3)
+        frames = softmax_logits(np.random.default_rng(87), 12, vocab.size).data
+        session = new_session(vocab, config)
+        reference = RefSession(vocab, config)
+        remade = []
+        for row in frames:
+            beam = {hyp.node for hyp in session.beams}
+            held = {hyp.node.parent for hyp in session.beams}
+            got = session.push_frames(row[None])
+            assert result_view(got) == result_view(reference.push_frames(row[None]))
+            assert_beam_filed(session)
+            remade += [
+                hyp.tokens for hyp in session.beams if hyp.node in held and hyp.node not in beam
+            ]
+        assert remade == [(3, 1)]
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize(
@@ -659,6 +693,27 @@ class TestMemory:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_a_decode_copies_the_beam_once(self, monkeypatch):
+        # A partial holds copies, as later frames update the beam's
+        # entries in place.  Nothing changes the entries finalize
+        # settles, so the final result holds them, and a one-shot decode
+        # copies the beam once: for the partial of its one push.
+        copies = 0
+        copy = decoder.BeamHypothesis.copy
+
+        def counted(hyp):
+            nonlocal copies
+            copies += 1
+            return copy(hyp)
+
+        monkeypatch.setattr(decoder.BeamHypothesis, "copy", counted)
+        vocab = REF_VOCABS[0]
+        logits = softmax_logits(np.random.default_rng(6), 20, vocab.size)
+        for width in (1, 3, 8):
+            copies = 0
+            result = decode(logits, vocab, exact_config(beam_width=width))
+            assert copies == len(result.nbest) > 0
 
 
 class TestChunking:

@@ -59,10 +59,11 @@ def test_decoder_cost_reports_every_length(tmp_path):
     # and a boosting mode commits at most once per beam entry (50).
     table = out.split("word-level")[1]
     assert "records/frame" in table
+    assert "merges/frame" in table and "new/frame" in table
     rows = {
         fields[0]: [float(x) for x in fields[1:]]
         for fields in (line.split() for line in table.splitlines())
-        if len(fields) == 4 and fields[0] in ("baseline", "default", "ngram")
+        if len(fields) == 6 and fields[0] in ("baseline", "default", "ngram")
     }
     assert set(rows) == {"baseline", "default", "ngram"}
     assert rows["baseline"][1] == 0.0
@@ -70,6 +71,10 @@ def test_decoder_cost_reports_every_length(tmp_path):
     # Each frame ranks its beam entries (up to 50) and the children that
     # passed the bound, so every mode reports a positive record count.
     assert all(values[2] > 0.0 for values in rows.values())
+    # Merges and new prefixes count beam entries, so each is at most 50
+    # a frame, and every mode makes new prefixes.
+    assert all(0.0 <= values[3] <= 50.0 for values in rows.values())
+    assert all(0.0 < values[4] <= 50.0 for values in rows.values())
 
 
 def test_bench_pairs_reports_every_metric(tmp_path):
