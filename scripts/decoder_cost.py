@@ -20,8 +20,11 @@ step sorts (beam entries plus the children that passed its bound),
 merges (beam entries whose parent prefix is also in the beam: the
 stay slots a new prefix can merge into) and new prefixes (entries of
 the next beam that were not in the last one).  The last two are read
-from the beams' tokens.  Baseline mode boosts nothing and gives the
-bare search's cost.
+from the beams' tokens.  The same pass gives the share of frames
+whose ranking built a tie key (equal totals inside the beam or at its
+edge).  Finalization runs after that pass's spies are lifted, so the
+records and ties are the frame step's alone.  Baseline mode boosts
+nothing and gives the bare search's cost.
 
 Run from the repository root with kwboost importable, for instance:
 
@@ -100,7 +103,7 @@ def word_table(work: Path, args: argparse.Namespace) -> None:
     print(f"word-level tuning corpus ({TUNE_UTTERANCES} utterances)")
     print(
         f"{'mode':<9} {'ms/frame':>9} {'lookups/frame':>14} {'records/frame':>14}"
-        f" {'merges/frame':>13} {'new/frame':>10}"
+        f" {'merges/frame':>13} {'new/frame':>10} {'tied/frame':>11}"
     )
     for mode in MODES:
         resources, config, matrices = load(RunConfig(
@@ -123,10 +126,19 @@ def word_table(work: Path, args: argparse.Namespace) -> None:
         # Every record reaches a sort through its key, and stays alive
         # here, so its id counts it once however often it is sorted.
         ranked = {}
-        merges = made = 0
+        merges = made = tied = 0
+        keyed = False
+        tie_key = decoder.DecoderSession._tie_key
+
+        def keying(session, record):
+            nonlocal keyed
+            keyed = True
+            return tie_key(session, record)
+
+        sessions = []
         with mock.patch.object(
             decoder, "_NEG_TOTAL", lambda record: ranked.setdefault(id(record), record)[0]
-        ):
+        ), mock.patch.object(decoder.DecoderSession, "_tie_key", keying):
             for matrix in matrices:
                 session = new_session(
                     resources.vocab, config, lm=resources.lm, trie=resources.trie
@@ -134,12 +146,18 @@ def word_table(work: Path, args: argparse.Namespace) -> None:
                 for row in matrix.data:
                     beam = {hyp.tokens for hyp in session.beams}
                     merges += sum(tokens[:-1] in beam for tokens in beam if tokens)
+                    keyed = False
                     session.push_frames(row[None])
+                    tied += keyed
                     made += sum(hyp.tokens not in beam for hyp in session.beams)
-                session.finalize()
+                sessions.append(session)
+        # Finalize ranks the beam too; its commits still count as lookups.
+        for session in sessions:
+            session.finalize()
         print(
             f"{mode:<9} {1e3 * seconds / frames:9.3f} {lookups / frames:14.1f}"
             f" {len(ranked) / frames:14.1f} {merges / frames:13.1f} {made / frames:10.1f}"
+            f" {tied / frames:11.3f}"
         )
 
 

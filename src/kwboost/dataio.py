@@ -72,13 +72,21 @@ def write_vocab_file(path: str | Path, vocab: Vocabulary) -> None:
 
 
 def read_vocab_file(path: str | Path) -> Vocabulary:
-    """Parse a vocabulary file: leading # directives, then one token per line."""
+    """Parse a vocabulary file: leading # directives, then one token per line.
+
+    The header ends once both directives are read, so a token may start
+    with ``#``.  Trailing blank lines are dropped; any other blank line
+    is an error, as no token is empty.
+    """
     path = Path(path)
     blank_index: int | None = None
     boundary: tuple[str, str] | None = None
     tokens: list[str] = []
     in_header = True
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+    lines = read_text(path).splitlines()
+    while lines and lines[-1] == "":
+        lines.pop()
+    for lineno, line in enumerate(lines, 1):
         if in_header and line.startswith("#"):
             name, _, value = line[1:].partition("=")
             if name == "blank":
@@ -97,11 +105,12 @@ def read_vocab_file(path: str | Path) -> Vocabulary:
                 boundary = (kind, marker)
             else:
                 raise DataFormatError(f"{path}:{lineno}: unknown directive {name!r}")
+            in_header = blank_index is None or boundary is None
             continue
         in_header = False
+        if not line:
+            raise DataFormatError(f"{path}:{lineno}: empty token line")
         tokens.append(line)
-    while tokens and tokens[-1] == "":
-        tokens.pop()
     if blank_index is None:
         raise DataFormatError(f"{path}: missing #blank directive")
     if boundary is None:

@@ -19,7 +19,8 @@ takes at most one merge, added after the pass as ``_log_add(repeat,
 merge)``: the sum a plain loop over (parent, token) makes, bit for bit.
 A frame ranks light records of the new prefixes with a C-level sort and
 builds entries, each with its node, only for the ones the beam keeps,
-filing each as it is admitted.  Records are made behind an exact gate:
+filing each as it is admitted; equal totals are ordered on the records
+too (see DecoderSession._rank).  Records are made behind an exact gate:
 once the stay slots and each parent's child under the frame's top token
 are ranked, the width-th best total so far is a floor under the beam's
 last total.  A parent's word-starting and its continuing children are
@@ -55,9 +56,10 @@ from __future__ import annotations
 import math
 import numbers
 import weakref
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -118,6 +120,15 @@ class Vocabulary:
             )
         if len(set(self.tokens)) != len(self.tokens):
             raise ConfigError("duplicate tokens in vocabulary")
+        # A vocabulary file holds one token per line, and reading it
+        # breaks lines by str.splitlines, which also breaks at \r,
+        # \u2028 and more.  One split checks every text; the marker goes
+        # first, as it may be empty.
+        texts = (self.boundary_value, *self.tokens)
+        if "\n".join(texts).splitlines() != list(texts):
+            raise ConfigError("a token or the boundary marker contains a line break")
+        if "" in self.tokens:
+            raise ConfigError("empty token in vocabulary")
 
     @property
     def size(self) -> int:
@@ -204,6 +215,11 @@ class DecodeConfig:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if math.isnan(self.token_min_logp) or self.token_min_logp > 0:
             raise ConfigError("token_min_logp must be <= 0 (or -inf to disable)")
+        # Any truthy value would switch the flat boost on.
+        if not isinstance(self.flat_final_boost, bool):
+            raise ConfigError(
+                f"flat_final_boost must be a bool, got {self.flat_final_boost!r}"
+            )
 
 
 class BeamHypothesis:
@@ -316,27 +332,6 @@ class _Node:
             node = node.parent
         walked.reverse()
         return tuple(walked)
-
-
-def _tie_key(h: BeamHypothesis) -> tuple:
-    words = h.words
-    return len(words), words, h.tokens
-
-
-def _ranked(hyps, width: int) -> list[BeamHypothesis]:
-    """The best ``width`` hypotheses, best first.
-
-    Higher total first; exact ties prefer fewer words, then the words
-    in lexicographic order, then the token prefix, so the order is total.
-    Only entries that share their total get a tie key, each one once.
-    """
-    scored = [(-h.total, h) for h in hyps]
-    shared = Counter(neg_total for neg_total, _ in scored)
-    ranked = sorted(
-        (neg_total, _tie_key(h) if shared[neg_total] > 1 else (), n, h)
-        for n, (neg_total, h) in enumerate(scored)
-    )
-    return [hyp for *_, hyp in ranked[:width]]
 
 
 class DecoderSession:
@@ -485,24 +480,39 @@ class DecoderSession:
                     records.append((neg_total, tid, mass, node, start))
                 elif tid != last:
                     break
-        # A stable sort on the total alone, as floats compare fast.  The
-        # order of equal totals does not matter: the fast path below
-        # runs only without ties, and the fallback ranks whole entries.
+        # Finalize ranks with the same routine.
+        self._admit(self._rank(records, width))
+
+    def _rank(self, records: list[tuple], width: int) -> list[tuple]:
+        """The best ``width`` ranking records, best first.
+
+        Higher total first; exact ties prefer fewer words, then the words,
+        then the token prefix, so the order is total.  The sort is on the
+        total alone, as floats compare fast; only equal totals inside the
+        selection or at its edge get tie keys, edge ties included.
+        """
         records.sort(key=_NEG_TOTAL)
         best = records[:width + 1]
         if len(set(map(_NEG_TOTAL, best))) == len(best):
-            self._admit(best[:width])
-            return
-        # Equal totals inside the selection or at its edge: only whole
-        # entries know their tie order.  Every record tied with the edge
-        # competes for the last places; the ranked entries then pass
-        # through as stay records.
-        pool = best[:width]
-        if len(best) > width and best[width][0] == best[width - 1][0]:
-            edge = best[width][0]
-            pool = [r for r in pool if r[0] != edge] + [r for r in records if r[0] == edge]
-        self._admit(pool)
-        self._admit([(None, hyp) for hyp in _ranked(self.beams, width)])
+            return best[:width]
+        end = bisect_right(records, best[:width][-1][0], key=_NEG_TOTAL)
+        ranked = []
+        for _, run in groupby(records[:end], _NEG_TOTAL):
+            run = list(run)
+            ranked += sorted(run, key=self._tie_key) if len(run) > 1 else run
+        return ranked[:width]
+
+    def _tie_key(self, record: tuple) -> tuple:
+        """``(len(words), words, tokens)`` of a record's entry, built or not."""
+        if len(record) == 2:
+            hyp = record[1]
+            words, tokens = hyp.words, hyp.tokens
+        else:
+            _, tid, _, parent, (committed, head, *_) = record
+            word = head + self._spelling[tid][1]
+            words = committed + (word,) if word else committed
+            tokens = parent.path() + (tid,)
+        return len(words), words, tokens
 
     def _admit(self, records: list[tuple]) -> None:
         """Make the records' entries the beam, filed under their parent nodes.
@@ -612,7 +622,8 @@ class DecoderSession:
                     for m in self.trie.find_matches(hyp.state[0])
                 )
                 hyp.state = hyp.state[:4] + (0.0,)
-        self.beams = _ranked(self.beams, self.config.beam_width)
+        ranked = self._rank([(-h.total, h) for h in self.beams], self.config.beam_width)
+        self.beams = [hyp for _, hyp in ranked]
         # Nothing changes the settled entries from here on, so the result
         # holds them, not copies.
         self._result = DecodeResult(self.beams)

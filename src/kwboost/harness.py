@@ -334,9 +334,10 @@ def grid_search(
         raise ConfigError("tuning requires a keyword list")
     if cfg.mode == "baseline":
         raise ConfigError("mode 'baseline' applies no boost: nothing to tune")
-    weights = sorted(set(float(w) for w in grid))
-    for w in weights:
+    # Each raw value is checked before float() could turn True into 1.0.
+    for w in grid:
         check_boost_settings(w, cfg.rarity_threshold)
+    weights = sorted(set(float(w) for w in grid))
     resources, corpus = _load_dev_set(cfg)
     # Every grid weight shares the mapping and the gate load_resources ran.
     mapping, gated = resources.mapping, resources.trie.gated

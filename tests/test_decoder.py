@@ -14,7 +14,7 @@ from ctc_oracle import detokenize, exhaustive_scores, top_two
 from ref_decoder import RefSession
 from kwboost import decoder
 from kwboost.bias_trie import build_trie
-from kwboost.dataio import read_logits, read_manifest, read_vocab_file
+from kwboost.dataio import read_logits, read_manifest, read_vocab_file, write_vocab_file
 from kwboost.decoder import (
     MODES,
     DecodeConfig,
@@ -81,11 +81,43 @@ class TestVocabulary:
             dict(tokens=("a",), blank_index=0, boundary_kind="noise", boundary_value=""),
             dict(tokens=("a",), blank_index=0, boundary_kind="delimiter", boundary_value="|"),
             dict(tokens=("a", "a"), blank_index=0, boundary_kind="prefix", boundary_value=""),
+            dict(tokens=("_", ""), blank_index=0, boundary_kind="prefix", boundary_value=""),
+            dict(tokens=("_", "a\nb"), blank_index=0, boundary_kind="prefix", boundary_value=""),
+            dict(tokens=("_", "a\n"), blank_index=0, boundary_kind="prefix", boundary_value=""),
+            dict(tokens=("_", "a\rb"), blank_index=0, boundary_kind="prefix", boundary_value=""),
+            dict(tokens=("_", "a\u2028"), blank_index=0, boundary_kind="prefix", boundary_value=""),
+            dict(tokens=("_", "a"), blank_index=0, boundary_kind="prefix", boundary_value="+\n"),
         ],
     )
     def test_invalid_vocabularies(self, kwargs):
         with pytest.raises(ConfigError):
             Vocabulary(**kwargs)
+
+
+class TestVocabularyFile:
+    @pytest.mark.parametrize(
+        "vocab",
+        [
+            Vocabulary(("#x", "_", "|", "a"), 1, "delimiter", "|"),
+            Vocabulary(("#blank=3", "_", "a"), 1, "prefix", ""),
+            Vocabulary(("_", " ", "h", "i"), 0, "delimiter", " "),
+        ],
+    )
+    def test_round_trip(self, vocab, tmp_path):
+        # The header ends with its two directives, so a token may start with #.
+        write_vocab_file(tmp_path / "vocab.txt", vocab)
+        assert read_vocab_file(tmp_path / "vocab.txt") == vocab
+
+    def test_an_empty_line_among_tokens_is_rejected(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("#blank=0\n#boundary=prefix:\n_\n\na\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=r"vocab\.txt:4: empty token line"):
+            read_vocab_file(path)
+
+    def test_trailing_blank_lines_are_dropped(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("#blank=0\n#boundary=prefix:\n_\na\n\n\n", encoding="utf-8")
+        assert read_vocab_file(path).tokens == ("_", "a")
 
 
 class TestLogitMatrix:
@@ -142,6 +174,9 @@ class TestDecodeConfig:
             dict(word_bonus=None),
             dict(token_min_logp=False),
             dict(beam_width=np.float64(3.0)),
+            dict(flat_final_boost="no"),
+            dict(flat_final_boost=1),
+            dict(flat_final_boost=None),
         ],
     )
     def test_invalid(self, kwargs):
@@ -374,6 +409,27 @@ def assert_beam_filed(session):
     assert len({hyp.tokens for hyp in session.beams}) == len(session.beams)
 
 
+def tied_fixture():
+    """A letter vocabulary, frames with exactly tied totals, and a trie.
+
+    Integer probabilities give exactly equal totals: after the first
+    frame the empty prefix and a, b, c all hold 1/4, and a beam of two
+    must keep the two that the tie order prefers.
+    """
+    vocab = letter_vocab("a", "b", "c")
+    counts = np.array([
+        [1, 1, 1, 1],
+        [2, 1, 1, 0],
+        [1, 1, 1, 1],
+        [0, 2, 2, 0],
+        [2, 0, 1, 1],
+    ], dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        frames = np.log(counts / 4)
+    trie = build_trie(build_mapping(["AB", "B2B"]), default_weight=0.0)
+    return vocab, frames, trie
+
+
 class TestAgainstReference:
     """The session must equal the frozen tuple-keyed search bit for bit.
 
@@ -431,27 +487,14 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_tied_totals_straddle_the_beam_cutoff(self, mode, monkeypatch):
-        # Integer probabilities give exactly equal totals: after the
-        # first frame the empty prefix and a, b, c all hold 1/4, and a
-        # beam of two must keep the two that the tie order prefers.
-        vocab = letter_vocab("a", "b", "c")
-        counts = np.array([
-            [1, 1, 1, 1],
-            [2, 1, 1, 0],
-            [1, 1, 1, 1],
-            [0, 2, 2, 0],
-            [2, 0, 1, 1],
-        ], dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            frames = np.log(counts / 4)
-        ranked = []
-        real_ranked = decoder._ranked
+        vocab, frames, trie = tied_fixture()
+        keyed = []
+        real_tie_key = decoder.DecoderSession._tie_key
         monkeypatch.setattr(
-            decoder, "_ranked",
-            lambda hyps, width: ranked.append(width) or real_ranked(hyps, width),
+            decoder.DecoderSession, "_tie_key",
+            lambda self, record: keyed.append(record) or real_tie_key(self, record),
         )
         config = exact_config(beam_width=2, mode=mode)
-        trie = build_trie(build_mapping(["AB", "B2B"]), default_weight=0.0)
         session = new_session(vocab, config, trie=trie)
         reference = RefSession(vocab, config, trie=trie)
         for row in frames:
@@ -459,9 +502,28 @@ class TestAgainstReference:
             assert result_view(got) == result_view(reference.push_frames(row[None]))
             assert len(session.beams) == len(reference.beams)
             assert_beam_filed(session)
-        # The ties sent frames through the fallback ordering.
-        assert ranked
+        # The ties were ordered by tie keys, child records' included.
+        assert any(len(record) == 5 for record in keyed)
         assert result_view(session.finalize()) == result_view(reference.finalize())
+
+    def test_a_tied_frame_builds_only_what_the_beam_keeps(self, monkeypatch):
+        # Edge ties are ranked on records, so a frame makes a prefix node
+        # only for an entry the beam keeps, never for a tied record it drops.
+        vocab, frames, _ = tied_fixture()
+        made = []
+        real_init = decoder._Node.__init__
+
+        def counted(node, parent, token):
+            made[-1] += 1
+            real_init(node, parent, token)
+
+        config = exact_config(beam_width=2)
+        session = new_session(vocab, config)
+        monkeypatch.setattr(decoder._Node, "__init__", counted)
+        for row in frames:
+            made.append(0)
+            session.push_frames(row[None])
+        assert all(count <= config.beam_width for count in made), made
 
     def test_a_prefix_made_again_gets_its_live_node(self):
         # Frame 3 makes prefix (3, 1) again, pruned one frame earlier,

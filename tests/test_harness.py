@@ -655,6 +655,15 @@ class TestGridSearch:
         with pytest.raises(ConfigError, match="tuning requires a keyword list"):
             grid_search(plain, [1.0])
 
+    @pytest.mark.parametrize("value", [True, "2"])
+    def test_grid_values_follow_the_weight_rule(self, tune_corpus, tmp_path, value):
+        # A bool or a string is no weight, as for --boost-weight: float()
+        # would tune True as 1.0 and "2" as 2.0.
+        fixture_set, kw = tune_corpus
+        cfg = tune_config(fixture_set, kw, tmp_path)
+        with pytest.raises(ConfigError, match="real number"):
+            grid_search(cfg, [value, 0.0])
+
     def test_baseline_mode_has_no_boost_to_tune(self, tune_corpus, tmp_path, monkeypatch):
         fixture_set, kw = tune_corpus
         cfg = tune_config(fixture_set, kw, tmp_path, mode="baseline")

@@ -60,10 +60,11 @@ def test_decoder_cost_reports_every_length(tmp_path):
     table = out.split("word-level")[1]
     assert "records/frame" in table
     assert "merges/frame" in table and "new/frame" in table
+    assert "tied/frame" in table
     rows = {
         fields[0]: [float(x) for x in fields[1:]]
         for fields in (line.split() for line in table.splitlines())
-        if len(fields) == 6 and fields[0] in ("baseline", "default", "ngram")
+        if len(fields) == 7 and fields[0] in ("baseline", "default", "ngram")
     }
     assert set(rows) == {"baseline", "default", "ngram"}
     assert rows["baseline"][1] == 0.0
@@ -75,6 +76,8 @@ def test_decoder_cost_reports_every_length(tmp_path):
     # a frame, and every mode makes new prefixes.
     assert all(0.0 <= values[3] <= 50.0 for values in rows.values())
     assert all(0.0 < values[4] <= 50.0 for values in rows.values())
+    # The tied share is a fraction of frames.
+    assert all(0.0 <= values[5] <= 1.0 for values in rows.values())
 
 
 def test_bench_pairs_reports_every_metric(tmp_path):
