@@ -102,14 +102,17 @@ def build_trie(
     A variant word enters the unigram set only when its LM unigram
     log10 probability is below ``rarity_threshold``; out-of-vocabulary
     words (probability -inf) always qualify, as does everything when no
-    LM is supplied.  Each entry's effective weight is resolved here,
-    once, by ``entry_weights``.
+    LM is supplied.  The LM is asked once per distinct word.  Each
+    entry's effective weight is resolved here, once, by ``entry_weights``.
     """
     check_boost_settings(default_weight, rarity_threshold)
+    rare = {word for variant in mapping.reverse for word in variant}
+    if lm is not None:
+        rare = {word for word in rare if lm.unigram_log10(word) < rarity_threshold}
     gated = []
     for variant in sorted(mapping.reverse):
         raw = mapping.reverse[variant].raw
         for word in variant:
-            if lm is None or lm.unigram_log10(word) < rarity_threshold:
+            if word in rare:
                 gated.append((word, raw))
     return BiasTrie(mapping, entry_weights(mapping, default_weight), gated)

@@ -69,11 +69,23 @@ class NGramLM:
 
 
 def load_arpa(path: str | Path) -> NGramLM:
-    """Parse an ARPA file; errors carry the offending line number."""
+    """Parse an ARPA file; errors carry the offending line number.
+
+    The ``ngram k=count`` lines follow ``\\data\\`` and come before the
+    first section, one per order, each order at least 1.  Sections run
+    ``\\1-grams:`` upward, and each must list exactly its declared count.
+    A data line is ``log10prob w1 .. wk [backoff]``: the probability is at
+    most 0 (``-inf`` is allowed), a back-off weight is finite, no n-gram
+    is listed twice, and every n-gram's context is listed one order down.
+    """
     path = Path(path)
     declared: dict[int, int] = {}
     tables: list[dict[tuple[str, ...], tuple[float, float]]] = []
     section: int | None = None
+    # Set at each section header: its table, and a data line's field
+    # counts without and with a back-off weight.
+    table: dict[tuple[str, ...], tuple[float, float]]
+    sizes: tuple[int, int]
     saw_data = False
     saw_end = False
 
@@ -81,55 +93,61 @@ def load_arpa(path: str | Path) -> NGramLM:
         line = line.strip()
         if not line:
             continue
-        if line == "\\data\\":
-            saw_data = True
-            continue
-        if line == "\\end\\":
-            saw_end = True
-            break
-        # Counts come only before the first section, and every header
-        # line starts with a backslash: data lines skip both patterns.
-        if section is None and (count_match := _COUNT_RE.match(line)):
-            if not saw_data:
-                raise ArpaError("ngram count before \\data\\", str(path), lineno)
-            declared[int(count_match.group(1))] = int(count_match.group(2))
-            continue
-        if line[0] == "\\" and (section_match := _SECTION_RE.match(line)):
-            if not saw_data:
-                raise ArpaError("section before \\data\\", str(path), lineno)
-            section = int(section_match.group(1))
-            if section != len(tables) + 1:
-                raise ArpaError(
-                    f"unexpected \\{section}-grams: section", str(path), lineno
-                )
-            if section not in declared:
-                raise ArpaError(
-                    f"\\{section}-grams: has no declared count", str(path), lineno
-                )
-            tables.append({})
-            continue
-        if section is None:
-            raise ArpaError(f"unexpected line {line!r}", str(path), lineno)
+        # Every header line starts with a backslash, so a data line inside
+        # a section goes straight to the data path below.
+        if section is None or line[0] == "\\":
+            if line == "\\data\\":
+                saw_data = True
+                continue
+            if line == "\\end\\":
+                saw_end = True
+                break
+            # Counts come only before the first section.
+            if section is None and (count_match := _COUNT_RE.match(line)):
+                if not saw_data:
+                    raise ArpaError("ngram count before \\data\\", str(path), lineno)
+                order = int(count_match.group(1))
+                if order < 1:
+                    raise ArpaError(f"ngram order {order} is below 1", str(path), lineno)
+                if order in declared:
+                    raise ArpaError(f"second count line for ngram {order}", str(path), lineno)
+                declared[order] = int(count_match.group(2))
+                continue
+            if line[0] == "\\" and (section_match := _SECTION_RE.match(line)):
+                if not saw_data:
+                    raise ArpaError("section before \\data\\", str(path), lineno)
+                section = int(section_match.group(1))
+                if section != len(tables) + 1:
+                    raise ArpaError(
+                        f"unexpected \\{section}-grams: section", str(path), lineno
+                    )
+                if section not in declared:
+                    raise ArpaError(
+                        f"\\{section}-grams: has no declared count", str(path), lineno
+                    )
+                table = {}
+                tables.append(table)
+                sizes = (section + 1, section + 2)
+                continue
+            if section is None:
+                raise ArpaError(f"unexpected line {line!r}", str(path), lineno)
         fields = line.split()
-        if len(fields) not in (section + 1, section + 2):
+        if len(fields) not in sizes:
             raise ArpaError(
-                f"expected {section + 1} or {section + 2} fields, got {len(fields)}",
+                f"expected {sizes[0]} or {sizes[1]} fields, got {len(fields)}",
                 str(path), lineno,
             )
         try:
             prob = float(fields[0])
-            if math.isnan(prob):
-                raise ValueError
         except ValueError:
-            raise ArpaError(
-                f"bad log10 probability {fields[0]!r}", str(path), lineno
-            ) from None
-        if prob > 0.0:
-            raise ArpaError(
-                f"positive log10 probability {prob}", str(path), lineno
-            )
+            prob = math.nan
+        # One test for the common case: NaN and positive values both fail it.
+        if not prob <= 0.0:
+            if prob > 0.0:
+                raise ArpaError(f"positive log10 probability {prob}", str(path), lineno)
+            raise ArpaError(f"bad log10 probability {fields[0]!r}", str(path), lineno)
         backoff = 0.0
-        if len(fields) == section + 2:
+        if len(fields) == sizes[1]:
             try:
                 backoff = float(fields[-1])
                 if not math.isfinite(backoff):
@@ -138,15 +156,12 @@ def load_arpa(path: str | Path) -> NGramLM:
                 raise ArpaError(
                     f"bad back-off weight {fields[-1]!r}", str(path), lineno
                 ) from None
-            words = tuple(fields[1:-1])
-        else:
-            words = tuple(fields[1:])
-        if len(words) != section:
+        words = tuple(fields[1:sizes[0]])
+        entry = (prob, backoff)
+        if table.setdefault(words, entry) is not entry:
             raise ArpaError(
-                f"expected a {section}-gram, got {len(words)} words",
-                str(path), lineno,
+                f"duplicate {section}-gram {' '.join(words)!r}", str(path), lineno
             )
-        tables[-1][words] = (prob, backoff)
 
     if not saw_data:
         raise ArpaError("missing \\data\\ header", str(path))

@@ -114,10 +114,13 @@ def _classify(ch: str) -> str:
     return "S"
 
 
+# _classify of every ASCII character, looked up in C by groupby.
+_ASCII_KIND = {chr(code): _classify(chr(code)) for code in range(128)}
+
+
 def _segment_piece(piece: str) -> list[tuple[str, str]]:
-    runs: list[tuple[str, str]] = []
-    for kind, group in itertools.groupby(piece, key=_classify):
-        runs.append((kind, "".join(group)))
+    kind_of = _ASCII_KIND.__getitem__ if piece.isascii() else _classify
+    runs = [(kind, "".join(group)) for kind, group in itertools.groupby(piece, key=kind_of)]
     # Case boundary: an uppercase run followed by lowercase belongs to
     # the next word ("HTMLParser" -> HTML + Parser, "Camel" stays one).
     out: list[tuple[str, str]] = []
@@ -152,7 +155,7 @@ def _run_readings(runs: list[tuple[str, str]], idx: int) -> list[list[str]]:
             return [[text.lower()]]
         if 2 <= len(text) <= 4:
             letters = [ch.lower() for ch in text]
-            vowels_only = all(ch in _VOWELS for ch in text.lower())
+            vowels_only = _VOWELS.issuperset(text.lower())
             if whole_piece and not vowels_only:
                 return [letters, [text.lower()]]
             return [letters]
@@ -181,6 +184,13 @@ def _capped_product(parts: Sequence[Sequence[Sequence[str]]]) -> list[Variant]:
 
     At most VARIANT_CAP results, from at most VARIANT_CAP**2 combinations.
     """
+    # The same result without the product: one combination, or one part
+    # whose readings are the combinations.
+    if all(len(part) == 1 for part in parts):
+        return [tuple(itertools.chain.from_iterable(part[0] for part in parts))]
+    if len(parts) == 1:
+        readings = parts[0][:VARIANT_CAP * VARIANT_CAP]
+        return list(dict.fromkeys(map(tuple, readings)))[:VARIANT_CAP]
     results: list[Variant] = []
     seen: set[Variant] = set()
     for combo in itertools.islice(itertools.product(*parts), VARIANT_CAP * VARIANT_CAP):
@@ -226,10 +236,15 @@ def normalize_keyword(
                     )
         return variants
 
-    per_piece = [_piece_readings(piece) for piece in key.split()]
+    pieces = key.split()
+    if len(pieces) == 1:
+        # _capped_product already made the piece's readings distinct and capped.
+        readings = _piece_readings(pieces[0])
+    else:
+        readings = _capped_product([_piece_readings(piece) for piece in pieces])
     # Only a keyword whose every piece reads as nothing yields the empty
     # variant, and then it is the sole one.
-    variants = [v for v in _capped_product(per_piece) if v]
+    variants = [v for v in readings if v]
     if not variants:
         raise NormalizationError(f"keyword {key!r} normalizes to nothing")
     return variants
@@ -363,16 +378,18 @@ def _assemble_mapping(entries: list[KeywordEntry]) -> NormalizationMapping:
     collisions: list[CollisionRecord] = []
     for variant in sorted(claims):
         claimants = claims[variant]
+        if len(claimants) == 1:
+            reverse[variant] = claimants[0]
+            continue
         winner = min(claimants, key=_claim_rank)
         reverse[variant] = winner
-        if len(claimants) > 1:
-            losers = tuple(sorted(e.raw for e in claimants if e is not winner))
-            record = CollisionRecord(variant, winner.raw, losers)
-            collisions.append(record)
-            logger.warning(
-                "variant %s claimed by %s; kept %r, dropped %s",
-                " ".join(variant), len(claimants), winner.raw, ", ".join(losers),
-            )
+        losers = tuple(sorted(e.raw for e in claimants if e is not winner))
+        record = CollisionRecord(variant, winner.raw, losers)
+        collisions.append(record)
+        logger.warning(
+            "variant %s claimed by %s; kept %r, dropped %s",
+            " ".join(variant), len(claimants), winner.raw, ", ".join(losers),
+        )
     return NormalizationMapping(entries=entries, reverse=reverse, collisions=collisions)
 
 

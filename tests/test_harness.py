@@ -585,8 +585,9 @@ class TestGridSearch:
     def test_trials_reuse_the_gate_and_the_mapping(
         self, corpus, demo_keywords, tmp_path, monkeypatch
     ):
-        # The rarity gate runs once, in load_resources: every grid weight
-        # and per-target trial reuses its gated words and the mapping.
+        # The rarity gate runs once, in load_resources, and asks the LM once
+        # per distinct variant word: every grid weight and per-target trial
+        # reuses its gated words and the mapping.
         calls = {"gate": 0, "mapping": 0}
         unigram_log10 = NGramLM.unigram_log10
         post_init = NormalizationMapping.__post_init__
@@ -604,7 +605,8 @@ class TestGridSearch:
 
         def load(cfg):
             resources = load_resources(cfg)
-            at_load.update(calls, words=sum(map(len, resources.mapping.reverse)))
+            words = {word for variant in resources.mapping.reverse for word in variant}
+            at_load.update(calls, words=len(words))
             return resources
 
         monkeypatch.setattr(NGramLM, "unigram_log10", gate)

@@ -167,6 +167,27 @@ class TestLoader:
                 "bad back-off weight '-inf'",
                 5,
             ),
+            (
+                "\\data\\\nngram 0=1\nngram 1=1\n\\1-grams:\n-0.5 a\n\\end\\\n",
+                "ngram order 0 is below 1",
+                2,
+            ),
+            (
+                "\\data\\\nngram 1=1\nngram 1=2\n\\1-grams:\n-0.5 a\n\\end\\\n",
+                "second count line for ngram 1",
+                3,
+            ),
+            # A repeated n-gram would silently replace the first entry.
+            (
+                "\\data\\\nngram 1=1\n\\1-grams:\n-1.0 a\n-2.0 a\n\\end\\\n",
+                "duplicate 1-gram 'a'",
+                5,
+            ),
+            (
+                "\\data\\\nngram 1=2\n\\1-grams:\n-1.0 a\n-2.0 a\n\\end\\\n",
+                "duplicate 1-gram 'a'",
+                5,
+            ),
         ],
     )
     def test_line_numbered_errors(self, tmp_path, text, message, lineno):

@@ -1,5 +1,6 @@
 """Tests for keyword normalization, the mapping, and inverse normalization."""
 
+import itertools
 import math
 import random
 import string
@@ -7,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kwboost.errors import DataFormatError, NormalizationError, ToolkitError
@@ -25,6 +26,7 @@ from kwboost.norm import (
     raw_target_mapping,
     save_mapping,
 )
+from kwboost.norm import _ASCII_KIND, _capped_product, _classify
 
 # Hand-written oracle for the cardinal speller.  Every row was spelled
 # out by a person, not derived from the code under test.
@@ -114,6 +116,13 @@ EXPANSION_CASES = [
 ]
 
 
+# Parts for _capped_product: each part is a list of readings, and one
+# reading is a short word list.
+_READING = st.lists(st.sampled_from(["a", "b", "ab"]), max_size=2)
+_SINGLE = _READING.map(lambda reading: [reading])
+_SEVERAL = st.lists(_READING, min_size=2, max_size=3)
+
+
 class TestNormalizeKeyword:
     @pytest.mark.parametrize("raw,expected", EXPANSION_CASES)
     def test_pinned_expansions(self, raw, expected):
@@ -159,6 +168,19 @@ class TestNormalizeKeyword:
     def test_bad_exception_rows(self, table):
         with pytest.raises(NormalizationError):
             normalize_keyword("GIF", table)
+
+    # Most parts have a single reading, as in real keyword lists.
+    @given(st.lists(st.one_of(_SINGLE, _SINGLE, _SINGLE, _SEVERAL), max_size=6))
+    @example([[[word] for word in "aabcdefghij"]])  # one part past the cap
+    def test_capped_product_is_its_definition(self, parts):
+        """Distinct concatenations in product order, the first VARIANT_CAP,
+        from at most VARIANT_CAP**2 combinations."""
+        combos = itertools.islice(itertools.product(*parts), VARIANT_CAP ** 2)
+        flat = [tuple(itertools.chain.from_iterable(combo)) for combo in combos]
+        assert _capped_product(parts) == list(dict.fromkeys(flat))[:VARIANT_CAP]
+
+    def test_ascii_kind_table_agrees_with_classify(self):
+        assert _ASCII_KIND == {chr(code): _classify(chr(code)) for code in range(128)}
 
     @given(st.text(alphabet=string.printable, min_size=1, max_size=12))
     def test_alphabet_closure(self, raw):
