@@ -82,10 +82,8 @@ def load_arpa(path: str | Path) -> NGramLM:
     declared: dict[int, int] = {}
     tables: list[dict[tuple[str, ...], tuple[float, float]]] = []
     section: int | None = None
-    # Set at each section header: its table, and a data line's field
-    # counts without and with a back-off weight.
+    # Set at each section header.
     table: dict[tuple[str, ...], tuple[float, float]]
-    sizes: tuple[int, int]
     saw_data = False
     saw_end = False
 
@@ -127,14 +125,13 @@ def load_arpa(path: str | Path) -> NGramLM:
                     )
                 table = {}
                 tables.append(table)
-                sizes = (section + 1, section + 2)
                 continue
             if section is None:
                 raise ArpaError(f"unexpected line {line!r}", str(path), lineno)
         fields = line.split()
-        if len(fields) not in sizes:
+        if len(fields) not in (section + 1, section + 2):
             raise ArpaError(
-                f"expected {sizes[0]} or {sizes[1]} fields, got {len(fields)}",
+                f"expected {section + 1} or {section + 2} fields, got {len(fields)}",
                 str(path), lineno,
             )
         try:
@@ -147,7 +144,7 @@ def load_arpa(path: str | Path) -> NGramLM:
                 raise ArpaError(f"positive log10 probability {prob}", str(path), lineno)
             raise ArpaError(f"bad log10 probability {fields[0]!r}", str(path), lineno)
         backoff = 0.0
-        if len(fields) == sizes[1]:
+        if len(fields) == section + 2:
             try:
                 backoff = float(fields[-1])
                 if not math.isfinite(backoff):
@@ -156,7 +153,7 @@ def load_arpa(path: str | Path) -> NGramLM:
                 raise ArpaError(
                     f"bad back-off weight {fields[-1]!r}", str(path), lineno
                 ) from None
-        words = tuple(fields[1:sizes[0]])
+        words = tuple(fields[1:section + 1])
         entry = (prob, backoff)
         if table.setdefault(words, entry) is not entry:
             raise ArpaError(

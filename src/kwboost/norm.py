@@ -236,12 +236,7 @@ def normalize_keyword(
                     )
         return variants
 
-    pieces = key.split()
-    if len(pieces) == 1:
-        # _capped_product already made the piece's readings distinct and capped.
-        readings = _piece_readings(pieces[0])
-    else:
-        readings = _capped_product([_piece_readings(piece) for piece in pieces])
+    readings = _capped_product([_piece_readings(piece) for piece in key.split()])
     # Only a keyword whose every piece reads as nothing yields the empty
     # variant, and then it is the sole one.
     variants = [v for v in readings if v]
