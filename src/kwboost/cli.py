@@ -62,10 +62,6 @@ def _add_decode_options(parser: argparse.ArgumentParser, default_mode: str) -> N
         "--token-floor", type=float, dest="token_min_logp", metavar="TOKEN_FLOOR",
         help="per-frame log probability below which tokens are not expanded",
     )
-    parser.add_argument(
-        "--flat-final-boost", action="store_true", default=None,
-        help="score full keyword matches by entry weight instead of weight x length",
-    )
 
 
 def _run_config(args: argparse.Namespace, out: Path) -> RunConfig:

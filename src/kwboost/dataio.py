@@ -89,6 +89,8 @@ def read_vocab_file(path: str | Path) -> Vocabulary:
     for lineno, line in enumerate(lines, 1):
         if in_header and line.startswith("#"):
             name, _, value = line[1:].partition("=")
+            if {"blank": blank_index, "boundary": boundary}.get(name) is not None:
+                raise DataFormatError(f"{path}:{lineno}: repeated #{name} directive")
             if name == "blank":
                 try:
                     blank_index = int(value)

@@ -114,10 +114,12 @@ class Vocabulary:
             raise ConfigError(f"blank index {self.blank_index} out of range")
         if self.boundary_kind not in ("delimiter", "prefix"):
             raise ConfigError(f"unknown boundary kind {self.boundary_kind!r}")
-        if self.boundary_kind == "delimiter" and self.boundary_value not in self.tokens:
-            raise ConfigError(
-                f"delimiter token {self.boundary_value!r} is not in the vocabulary"
-            )
+        delimiter = self.boundary_value if self.boundary_kind == "delimiter" else None
+        if delimiter is not None and delimiter not in self.tokens:
+            raise ConfigError(f"delimiter token {delimiter!r} is not in the vocabulary")
+        # Blank is never a candidate, so a blank delimiter would close no word.
+        if delimiter is not None and self.tokens.index(delimiter) == self.blank_index:
+            raise ConfigError(f"delimiter token {delimiter!r} is the blank token")
         if len(set(self.tokens)) != len(self.tokens):
             raise ConfigError("duplicate tokens in vocabulary")
         # A vocabulary file holds one token per line, and reading it
@@ -150,6 +152,14 @@ class Vocabulary:
         )
 
 
+def _real_array(data) -> np.ndarray:
+    """Logits as an array, checked before any cast: not text, complex or bool."""
+    array = np.asarray(data)
+    if array.dtype.kind not in "iuf":
+        raise DataFormatError(f"logits must be real numbers, got dtype {array.dtype}")
+    return array
+
+
 def _check_rows(data: np.ndarray) -> None:
     """Reject rows that are not normalized log distributions (NaN too)."""
     if data.shape[0]:
@@ -170,7 +180,7 @@ class LogitMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float32)
+        self.data = _real_array(self.data).astype(np.float32, copy=False)
         if self.data.ndim != 2:
             raise DataFormatError(
                 f"logits must be 2-D (frames x tokens), got shape {self.data.shape}"
@@ -199,7 +209,6 @@ class DecodeConfig:
     word_bonus: float = 1.5
     mode: str = "baseline"
     token_min_logp: float = -9.21
-    flat_final_boost: bool = False
 
     def __post_init__(self):
         width = self.beam_width
@@ -215,11 +224,6 @@ class DecodeConfig:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if math.isnan(self.token_min_logp) or self.token_min_logp > 0:
             raise ConfigError("token_min_logp must be <= 0 (or -inf to disable)")
-        # Any truthy value would switch the flat boost on.
-        if not isinstance(self.flat_final_boost, bool):
-            raise ConfigError(
-                f"flat_final_boost must be a bool, got {self.flat_final_boost!r}"
-            )
 
 
 class BeamHypothesis:
@@ -593,7 +597,7 @@ class DecoderSession:
         if self._result is not None:
             raise ConfigError("session already finalized")
         checked = isinstance(chunk, LogitMatrix)
-        data = chunk.data if checked else np.asarray(chunk)
+        data = chunk.data if checked else _real_array(chunk)
         if data.ndim != 2 or data.shape[1] != self.vocab.size:
             raise DataFormatError(
                 f"chunk shape {data.shape} does not match vocabulary size "
@@ -612,13 +616,11 @@ class DecoderSession:
         """Commit pending words, settle boost components, rank the beam."""
         if self._result is not None:
             return self._result
-        flat = self.config.flat_final_boost
-        weights = self.trie.weights if self.trie else None
         for hyp in self.beams:
             hyp.state = hyp.start or self._start(hyp)
             if self.config.mode == "ngram":
                 hyp.final_boost = sum(
-                    weights[m.raw] * (1 if flat else m.end - m.start)
+                    self.trie.weights[m.raw] * (m.end - m.start)
                     for m in self.trie.find_matches(hyp.state[0])
                 )
                 hyp.state = hyp.state[:4] + (0.0,)

@@ -66,7 +66,6 @@ class RunConfig:
     beam_width: int = DecodeConfig.beam_width
     rarity_threshold: float = DEFAULT_RARITY_THRESHOLD
     token_min_logp: float = DecodeConfig.token_min_logp
-    flat_final_boost: bool = DecodeConfig.flat_final_boost
 
     def __post_init__(self):
         # Reject bad settings before any file is looked at.

@@ -219,10 +219,7 @@ class RefSession:
             weights = self.trie.weights
             for hyp in finals:
                 matches = self.trie.find_matches(hyp.committed)
-                if self.config.flat_final_boost:
-                    bonus = sum(weights[m.raw] for m in matches)
-                else:
-                    bonus = sum(weights[m.raw] * (m.end - m.start) for m in matches)
+                bonus = sum(weights[m.raw] * (m.end - m.start) for m in matches)
                 settled.append(replace(hyp, partial_boost=0.0, final_boost=bonus))
             finals = settled
         finals.sort(key=_rank_key)

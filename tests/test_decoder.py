@@ -47,6 +47,16 @@ def rows(*distributions):
     return LogitMatrix(np.log(np.asarray(distributions, dtype=np.float64)))
 
 
+# Three-token logits that are not real numbers; the complex row would
+# pass the row check if its imaginary part were dropped.
+NOT_REAL = [
+    [["x", "y", "z"]],
+    np.log([[0.2, 0.3, 0.5]]).astype(complex),
+    np.array([[False, False, True]]),
+]
+NOT_REAL_IDS = ["text", "complex", "bool"]
+
+
 def exact_config(**overrides):
     """No pruning, no per-word bonus: totals are pure path mass."""
     base = dict(beam_width=4096, word_bonus=0.0, token_min_logp=float("-inf"))
@@ -87,6 +97,10 @@ class TestVocabulary:
             dict(tokens=("_", "a\rb"), blank_index=0, boundary_kind="prefix", boundary_value=""),
             dict(tokens=("_", "a\u2028"), blank_index=0, boundary_kind="prefix", boundary_value=""),
             dict(tokens=("_", "a"), blank_index=0, boundary_kind="prefix", boundary_value="+\n"),
+            dict(
+                tokens=("<blank>", "a", "b"), blank_index=0,
+                boundary_kind="delimiter", boundary_value="<blank>",
+            ),
         ],
     )
     def test_invalid_vocabularies(self, kwargs):
@@ -119,6 +133,22 @@ class TestVocabularyFile:
         path.write_text("#blank=0\n#boundary=prefix:\n_\na\n\n\n", encoding="utf-8")
         assert read_vocab_file(path).tokens == ("_", "a")
 
+    @pytest.mark.parametrize(
+        "header, error",
+        [
+            # Read as its last value, the header would make "a" the blank.
+            ("#blank=0\n#blank=2\n#boundary=delimiter:|\n", r":2: repeated #blank directive"),
+            ("#boundary=delimiter:|\n#boundary=prefix:\n#blank=0\n", r":2: repeated #boundary"),
+            ("#blank=1\n#boundary=delimiter:|\n", r": delimiter token '\|' is the blank token"),
+        ],
+        ids=["repeated-blank", "repeated-boundary", "blank-delimiter"],
+    )
+    def test_bad_headers_are_rejected(self, tmp_path, header, error):
+        path = tmp_path / "vocab.txt"
+        path.write_text(header + "_\n|\na\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=r"vocab\.txt" + error):
+            read_vocab_file(path)
+
 
 class TestLogitMatrix:
     def test_casts_to_float32(self):
@@ -141,6 +171,12 @@ class TestLogitMatrix:
 
     def test_empty_is_fine(self):
         assert LogitMatrix(np.zeros((0, 4))).num_frames == 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("data", NOT_REAL, ids=NOT_REAL_IDS)
+    def test_rejects_values_that_are_not_real(self, data):
+        with pytest.raises(DataFormatError, match="must be real numbers"):
+            LogitMatrix(data)
 
     def test_rejects_nan_rows(self, tmp_path):
         data = np.log(np.full((2, 2), 0.5, dtype=np.float32))
@@ -174,9 +210,6 @@ class TestDecodeConfig:
             dict(word_bonus=None),
             dict(token_min_logp=False),
             dict(beam_width=np.float64(3.0)),
-            dict(flat_final_boost="no"),
-            dict(flat_final_boost=1),
-            dict(flat_final_boost=None),
         ],
     )
     def test_invalid(self, kwargs):
@@ -213,6 +246,13 @@ class TestSessionBasics:
         # A rejected chunk leaves the session untouched.
         session.push_frames(np.log([[0.2, 0.8]]))
         assert session.finalize().words == ("a",)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("data", NOT_REAL, ids=NOT_REAL_IDS)
+    def test_raw_chunks_must_be_real(self, data):
+        vocab = Vocabulary(("_", "a", "b"), 0, "prefix", "")
+        with pytest.raises(DataFormatError, match="must be real numbers"):
+            decode(np.asarray(data), vocab, exact_config())
 
     def test_push_after_finalize_rejected(self):
         session = new_session(letter_vocab("a"), exact_config())
@@ -461,7 +501,6 @@ class TestAgainstReference:
             word_bonus=data.draw(st.sampled_from([0.0, 0.7]), label="bonus"),
             mode=data.draw(st.sampled_from(MODES), label="mode"),
             token_min_logp=data.draw(st.sampled_from([float("-inf"), -2.0])),
-            flat_final_boost=data.draw(st.booleans(), label="flat"),
         )
         weight = data.draw(st.sampled_from([0.0, 0.5, 2.0]), label="weight")
         trie = build_trie(build_mapping(REF_KEYWORDS), default_weight=weight)
@@ -936,22 +975,6 @@ class TestBoostModes:
         top = ngram.nbest[0]
         assert top.final_boost == pytest.approx(2.0 * 2)
         assert top.partial_boost == 0.0
-
-    def test_flat_final_boost_pays_once_per_match(self):
-        vocab = letter_vocab("a", "analytics", "i")
-        logits = rows(
-            [0.55, 0.40, 0.01, 0.04],
-            [0.97, 0.01, 0.01, 0.01],
-            [0.55, 0.04, 0.01, 0.40],
-            [0.97, 0.01, 0.01, 0.01],
-            [0.01, 0.01, 0.97, 0.01],
-        )
-        flat = boosted_run(
-            logits, vocab, ["AI"], "ngram", 2.0, beam_width=64,
-            flat_final_boost=True,
-        )
-        by_words = {hyp.words: hyp for hyp in flat.nbest}
-        assert by_words[("a", "i", "analytics")].final_boost == pytest.approx(2.0)
 
 
 class TestShallowFusion:

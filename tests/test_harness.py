@@ -8,7 +8,7 @@ import struct
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -929,7 +929,6 @@ class TestCli:
             "--beam-width", "7",
             "--threshold", "-3.5",
             "--token-floor", "-6",
-            "--flat-final-boost",
         ]
 
         def parsed(argv):
@@ -948,7 +947,6 @@ class TestCli:
             beam_width=50,
             rarity_threshold=-4.0,
             token_min_logp=-9.21,
-            flat_final_boost=False,
         )
         assert parsed(argv + knobs) == RunConfig(
             **paths,
@@ -959,7 +957,6 @@ class TestCli:
             beam_width=7,
             rarity_threshold=-3.5,
             token_min_logp=-6.0,
-            flat_final_boost=True,
         )
 
     def test_tune_rejects_boost_weight(self, corpus, demo_keywords, capsys):
@@ -981,15 +978,19 @@ class TestCli:
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
         table = readme.split("## Decoding knobs", 1)[1].split("\n## ", 1)[0]
         rows = re.findall(r"^\| `(--[a-z-]+)` \| ([^|]+?) \|", table, re.MULTILINE)
-        assert len(rows) == 8
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         decode_flags = sub.choices["decode"]._option_string_actions
         defaults = {f.name: f.default for f in fields(RunConfig)}
+        # A knob is a flag whose RunConfig field has a default value; the
+        # input paths are required or default to None.
+        knobs = {
+            flag for flag, action in decode_flags.items()
+            if defaults.get(action.dest) not in (None, MISSING)
+        }
+        assert sorted(flag for flag, _ in rows) == sorted(knobs)
 
         def documented(text):
             text = text.replace("\N{MINUS SIGN}", "-")
-            if text == "off":
-                return False
             try:
                 return float(text)
             except ValueError:

@@ -26,7 +26,7 @@ def run_script(name, tmp_path, *args):
 
 
 def test_demo_pipeline_prints_the_readme_table(tmp_path):
-    out = run_script("demo_pipeline.py", tmp_path)
+    out = run_script("ablation.py", tmp_path)
     rows = {
         fields[0]: fields[1:]
         for fields in (line.split() for line in out.splitlines())
@@ -42,12 +42,21 @@ def test_demo_pipeline_prints_the_readme_table(tmp_path):
 
 @pytest.mark.parametrize("args", [[], ["--per-target"]], ids=["shared", "per-target"])
 def test_sweep_boost_weight_selects_a_weight(tmp_path, args):
-    out = run_script("sweep_boost_weight.py", tmp_path, *args)
-    assert "<-- selected" in out
-    assert (tmp_path / "sweep_out" / "sweep.json").exists()
+    out = run_script("ablation.py", tmp_path, *args)
+    # One weight curve per boosting mode, each with its pick and, with
+    # --per-target, then its per-keyword weights in list order.
+    curves = out.split(" weight curve\n")[1:]
+    assert len(curves) == 2
+    for curve in curves:
+        assert curve.count("<-- selected") == 1
+        if args:
+            listed = curve.split("per-keyword weights:")[1].split("\n\n")[0].split()
+            assert listed[::2] == ["AI:", "C3PO:", "356:", "IBM:", "E9:"]
+    saved_path = tmp_path / "ablation_out" / "ablation.json"
+    saved = json.loads(saved_path.read_text(encoding="utf-8"))
+    assert set(saved["sweeps"]) == {"default", "ngram"}
     if args:
-        listed = out.split("per-keyword weights:")[1].split("\n\n")[0].split()
-        assert listed[::2] == ["AI:", "C3PO:", "356:", "IBM:", "E9:"]
+        assert list(saved["sweeps"]["ngram"]["per_target"]) == ["AI", "C3PO", "356", "IBM", "E9"]
 
 
 def test_decoder_cost_reports_every_length(tmp_path):
