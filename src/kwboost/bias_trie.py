@@ -12,12 +12,11 @@ trie's ``weights`` table, keyed by the match's raw form.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, as_real, as_weight
 from .lm import NGramLM
-from .norm import KeywordMatch, NormalizationMapping, _weight
+from .norm import KeywordMatch, NormalizationMapping
 
 # log10 unigram probability below which a keyword word is boosted.
 DEFAULT_RARITY_THRESHOLD = -4.0
@@ -43,7 +42,7 @@ class BiasTrie:
             raise ConfigError("the weight table must name exactly the mapping's keywords")
         for raw, weight in weights.items():
             try:
-                _weight(weight)
+                as_weight(weight, error=ValueError)
             except ValueError as exc:
                 raise ConfigError(f"keyword {raw!r}: {exc}") from None
         self.mapping = mapping
@@ -69,15 +68,10 @@ class BiasTrie:
 
 
 def check_boost_settings(default_weight: float, rarity_threshold: float) -> None:
-    """Reject a default weight that breaks the keyword list's weight rule
-    (see ``norm._weight``), or a threshold that is not a finite real number."""
-    try:
-        _weight(default_weight, "boost weight")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if isinstance(rarity_threshold, bool) or not isinstance(rarity_threshold, numbers.Real):
-        raise ConfigError(f"rarity threshold must be a real number, got {rarity_threshold!r}")
-    if not math.isfinite(rarity_threshold):
+    """Reject a default weight that breaks the keyword weight rule
+    (``errors.as_weight``), or a threshold that is not a finite real number."""
+    as_weight(default_weight, "boost weight")
+    if not math.isfinite(as_real(rarity_threshold, "rarity threshold")):
         raise ConfigError("rarity threshold must be finite")
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and its text file I/O.
+"""Exception types shared across the toolkit, its text file I/O and its scalar input rules.
 
 Everything raised on bad user input derives from ToolkitError so the
 CLI can map it to a data-error exit code in one place.  ``read_text``
@@ -6,11 +6,18 @@ reads every text file and ``write_text`` writes every text file the
 toolkit produces; ``read_lines`` runs every line-oriented format
 (manifests, transcripts, keyword lists, exceptions, fixture specs)
 through one loop, one skip rule and one ``<path>:<line>:`` error
-location.
+location.  ``as_real``, ``as_integer``, ``as_string`` and ``as_weight``
+are the scalar input rules every setting and record field follows: each
+names the value and raises the error class its caller passes, ConfigError
+for a setting or ValueError inside a ``read_lines`` parser, and a bool is
+never a number.  A plain float or int skips the ABC check, the slow part,
+as set-up runs these once per keyword.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -25,22 +32,12 @@ class NormalizationError(ToolkitError):
     """A keyword cannot be normalized (or a mapping is inconsistent)."""
 
 
-class ArpaError(ToolkitError):
-    """An ARPA language model file is malformed."""
-
-    def __init__(self, message: str, path: str | None = None, line: int | None = None):
-        loc = ""
-        if path is not None:
-            loc = f"{path}:"
-        if line is not None:
-            loc += f"{line}:"
-        super().__init__(f"{loc} {message}" if loc else message)
-        self.path = path
-        self.line = line
-
-
 class DataFormatError(ToolkitError):
     """A data file (logits, vocabulary, manifest, list, ...) is malformed."""
+
+
+class ArpaError(DataFormatError):
+    """An ARPA language model file is malformed."""
 
 
 class ConfigError(ToolkitError):
@@ -82,3 +79,41 @@ def read_lines(
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
     return values
+
+
+def as_real(value: object, name: str, error: type[Exception] = ConfigError) -> float:
+    """``value`` as a float: a real number that is not a bool."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{name} is too large for a float, got {value!r}") from None
+
+
+def as_integer(value: object, name: str, error: type[Exception] = ConfigError) -> int:
+    """``value`` as an int: an integer that is not a bool."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def as_string(value: object, name: str, error: type[Exception] = ConfigError) -> str:
+    """``value`` itself when it is a string."""
+    if not isinstance(value, str):
+        raise error(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def as_weight(
+    value: object, name: str = "keyword weight", error: type[Exception] = ConfigError
+) -> float:
+    """A boost weight as a float: a real number, finite and >= 0."""
+    value = as_real(value, name, error)
+    if not 0.0 <= value < math.inf:
+        raise error(f"{name} must be finite and >= 0, got {value}")
+    return value

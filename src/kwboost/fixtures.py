@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataio import utterance_id, write_logits, write_manifest, write_vocab_file
 from .decoder import LogitMatrix, Vocabulary
-from .errors import ConfigError, DataFormatError, read_lines
+from .errors import ConfigError, DataFormatError, as_integer, as_real, as_string, read_lines
 
 BLANK_TOKEN = "<blank>"
 
@@ -68,24 +68,6 @@ def load_fixture_spec(path: str | Path) -> list[UtteranceSpec]:
     return read_lines(Path(path), parse, comments=True)
 
 
-def _string(value: object, what: str) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"{what} must be a string, got {value!r}")
-    return value
-
-
-def _integer(value: object, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value: object, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
 def parse_spec(record: dict) -> UtteranceSpec:
     """One utterance spec from its record; out-of-range values raise ValueError.
 
@@ -98,32 +80,32 @@ def parse_spec(record: dict) -> UtteranceSpec:
     utt_id = utterance_id(record["id"])
     if not utt_id or any(sep in utt_id for sep in "/\\\0"):
         raise ValueError(f"utterance id {utt_id!r} is not filename-safe")
-    text = _string(record["text"], "text")
+    text = as_string(record["text"], "text", ValueError)
     words = text.split()
     if not words:
         raise ValueError("empty text")
     confidence = record.get("confidence", 0.95)
     if isinstance(confidence, list):
-        confidence = [_number(c, "confidence") for c in confidence]
+        confidence = [as_real(c, "confidence", ValueError) for c in confidence]
         if len(confidence) != len(words):
             raise ValueError(
                 f"{len(confidence)} confidences for {len(words)} words"
             )
     else:
-        confidence = [_number(confidence, "confidence")] * len(words)
+        confidence = [as_real(confidence, "confidence", ValueError)] * len(words)
     confusions = {}
     for item in record.get("confusions", []):
-        word = _string(item["word"], "confusion word")
-        prob = _number(item["prob"], "confusion probability")
+        word = as_string(item["word"], "confusion word", ValueError)
+        prob = as_real(item["prob"], "confusion probability", ValueError)
         if not 0.0 < prob < math.inf:
             raise ValueError(f"confusion probability {prob} outside (0, inf)")
-        confusions[word] = (_string(item["alt"], "confusion alt"), prob)
+        confusions[word] = (as_string(item["alt"], "confusion alt", ValueError), prob)
     traps = [
         Trap(
-            after=_integer(item["after"], "trap after"),
-            alt=_string(item["alt"], "trap alt"),
-            prob=_number(item["prob"], "trap probability"),
-            count=_integer(item.get("count", 1), "trap count"),
+            after=as_integer(item["after"], "trap after", ValueError),
+            alt=as_string(item["alt"], "trap alt", ValueError),
+            prob=as_real(item["prob"], "trap probability", ValueError),
+            count=as_integer(item.get("count", 1), "trap count", ValueError),
         )
         for item in record.get("traps", [])
     ]
@@ -141,7 +123,7 @@ def parse_spec(record: dict) -> UtteranceSpec:
     return UtteranceSpec(
         utt_id=utt_id,
         words=words,
-        reference=_string(record.get("reference", text), "reference"),
+        reference=as_string(record.get("reference", text), "reference", ValueError),
         confidence=confidence,
         confusions=confusions,
         traps=traps,
@@ -241,7 +223,7 @@ def make_fixtures(
     seed: int = 0,
 ) -> FixtureSet:
     """Write logit files, a manifest, and a vocabulary under out_dir."""
-    if seed < 0:
+    if as_integer(seed, "seed") < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if isinstance(specs, (str, Path)):
         specs = load_fixture_spec(specs)

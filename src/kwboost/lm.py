@@ -79,6 +79,11 @@ def load_arpa(path: str | Path) -> NGramLM:
     is listed twice, and every n-gram's context is listed one order down.
     """
     path = Path(path)
+
+    def error(message: str, lineno: int | None = None) -> ArpaError:
+        """``message`` located at ``<path>:<lineno>:``, or at ``<path>:``."""
+        return ArpaError(f"{path}:{lineno}: {message}" if lineno else f"{path}: {message}")
+
     declared: dict[int, int] = {}
     tables: list[dict[tuple[str, ...], tuple[float, float]]] = []
     section: int | None = None
@@ -103,36 +108,31 @@ def load_arpa(path: str | Path) -> NGramLM:
             # Counts come only before the first section.
             if section is None and (count_match := _COUNT_RE.match(line)):
                 if not saw_data:
-                    raise ArpaError("ngram count before \\data\\", str(path), lineno)
+                    raise error("ngram count before \\data\\", lineno)
                 order = int(count_match.group(1))
                 if order < 1:
-                    raise ArpaError(f"ngram order {order} is below 1", str(path), lineno)
+                    raise error(f"ngram order {order} is below 1", lineno)
                 if order in declared:
-                    raise ArpaError(f"second count line for ngram {order}", str(path), lineno)
+                    raise error(f"second count line for ngram {order}", lineno)
                 declared[order] = int(count_match.group(2))
                 continue
             if line[0] == "\\" and (section_match := _SECTION_RE.match(line)):
                 if not saw_data:
-                    raise ArpaError("section before \\data\\", str(path), lineno)
+                    raise error("section before \\data\\", lineno)
                 section = int(section_match.group(1))
                 if section != len(tables) + 1:
-                    raise ArpaError(
-                        f"unexpected \\{section}-grams: section", str(path), lineno
-                    )
+                    raise error(f"unexpected \\{section}-grams: section", lineno)
                 if section not in declared:
-                    raise ArpaError(
-                        f"\\{section}-grams: has no declared count", str(path), lineno
-                    )
+                    raise error(f"\\{section}-grams: has no declared count", lineno)
                 table = {}
                 tables.append(table)
                 continue
             if section is None:
-                raise ArpaError(f"unexpected line {line!r}", str(path), lineno)
+                raise error(f"unexpected line {line!r}", lineno)
         fields = line.split()
         if len(fields) not in (section + 1, section + 2):
-            raise ArpaError(
-                f"expected {section + 1} or {section + 2} fields, got {len(fields)}",
-                str(path), lineno,
+            raise error(
+                f"expected {section + 1} or {section + 2} fields, got {len(fields)}", lineno
             )
         try:
             prob = float(fields[0])
@@ -141,8 +141,8 @@ def load_arpa(path: str | Path) -> NGramLM:
         # One test for the common case: NaN and positive values both fail it.
         if not prob <= 0.0:
             if prob > 0.0:
-                raise ArpaError(f"positive log10 probability {prob}", str(path), lineno)
-            raise ArpaError(f"bad log10 probability {fields[0]!r}", str(path), lineno)
+                raise error(f"positive log10 probability {prob}", lineno)
+            raise error(f"bad log10 probability {fields[0]!r}", lineno)
         backoff = 0.0
         if len(fields) == section + 2:
             try:
@@ -150,36 +150,27 @@ def load_arpa(path: str | Path) -> NGramLM:
                 if not math.isfinite(backoff):
                     raise ValueError
             except ValueError:
-                raise ArpaError(
-                    f"bad back-off weight {fields[-1]!r}", str(path), lineno
-                ) from None
+                raise error(f"bad back-off weight {fields[-1]!r}", lineno) from None
         words = tuple(fields[1:section + 1])
         entry = (prob, backoff)
         if table.setdefault(words, entry) is not entry:
-            raise ArpaError(
-                f"duplicate {section}-gram {' '.join(words)!r}", str(path), lineno
-            )
+            raise error(f"duplicate {section}-gram {' '.join(words)!r}", lineno)
 
     if not saw_data:
-        raise ArpaError("missing \\data\\ header", str(path))
+        raise error("missing \\data\\ header")
     if not saw_end:
-        raise ArpaError("missing \\end\\ marker", str(path))
+        raise error("missing \\end\\ marker")
     if not tables:
-        raise ArpaError("no n-gram sections", str(path))
+        raise error("no n-gram sections")
     for n, count in declared.items():
         if n > len(tables):
-            raise ArpaError(f"declared ngram {n}={count} but no \\{n}-grams: section",
-                            str(path))
+            raise error(f"declared ngram {n}={count} but no \\{n}-grams: section")
         if len(tables[n - 1]) != count:
-            raise ArpaError(
-                f"declared ngram {n}={count} but parsed {len(tables[n - 1])}",
-                str(path),
-            )
+            raise error(f"declared ngram {n}={count} but parsed {len(tables[n - 1])}")
     for n in range(2, len(tables) + 1):
         for ngram in tables[n - 1]:
             if ngram[:-1] not in tables[n - 2]:
-                raise ArpaError(
-                    f"{n}-gram {' '.join(ngram)!r} has no {n - 1}-gram context entry",
-                    str(path),
+                raise error(
+                    f"{n}-gram {' '.join(ngram)!r} has no {n - 1}-gram context entry"
                 )
     return NGramLM(tables)

@@ -31,13 +31,11 @@ from __future__ import annotations
 
 import itertools
 import logging
-import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import NormalizationError, read_lines, write_text
+from .errors import NormalizationError, as_integer, as_weight, read_lines, write_text
 
 logger = logging.getLogger(__name__)
 
@@ -351,15 +349,10 @@ def _assemble_mapping(entries: list[KeywordEntry]) -> NormalizationMapping:
             raise NormalizationError(
                 f"keyword {entry.raw!r} contains a tab or line break"
             )
-        priority = entry.priority
         try:
-            # A plain int skips the ABC check, the slow part of this test.
-            if type(priority) is not int:
-                if isinstance(priority, bool) or not isinstance(priority, numbers.Integral):
-                    raise ValueError(f"keyword priority must be an integer, got {priority!r}")
-                entry.priority = int(priority)
+            entry.priority = as_integer(entry.priority, "keyword priority", ValueError)
             if entry.weight is not None:
-                entry.weight = _weight(entry.weight)
+                entry.weight = as_weight(entry.weight, error=ValueError)
         except ValueError as exc:
             raise NormalizationError(f"keyword {entry.raw!r}: {exc}") from None
         seen_raw.add(entry.raw)
@@ -457,21 +450,6 @@ def inverse_normalize(
 # --- file formats ---------------------------------------------------------
 
 
-def _weight(value: float, name: str = "keyword weight") -> float:
-    """A boost weight as a float: a real number, not a bool, finite and >= 0.
-
-    ``name`` is what the error message calls the value.
-    """
-    # A plain float skips the ABC check, the slow part of this test.
-    if type(value) is not float:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
-        value = float(value)
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
-    return value
-
-
 def load_keyword_list(path: str | Path) -> list[tuple[str, float | None, int]]:
     """Read a keyword list file: ``raw<TAB>weight?<TAB>priority?``.
 
@@ -487,7 +465,9 @@ def load_keyword_list(path: str | Path) -> list[tuple[str, float | None, int]]:
         raw = fields[0].strip()
         if not raw:
             raise ValueError("missing keyword")
-        weight = _weight(float(fields[1])) if len(fields) > 1 and fields[1].strip() else None
+        weight = None
+        if len(fields) > 1 and fields[1].strip():
+            weight = as_weight(float(fields[1]), error=ValueError)
         priority = int(fields[2]) if len(fields) > 2 and fields[2].strip() else 0
         return raw, weight, priority
 

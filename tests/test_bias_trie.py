@@ -74,6 +74,7 @@ class TestRarityGate:
             dict(default_weight=float("inf")),
             dict(rarity_threshold=float("-inf")),
             dict(rarity_threshold=float("nan")),
+            dict(default_weight=10**400),
         ],
     )
     def test_invalid_settings(self, kwargs):

@@ -47,14 +47,16 @@ def rows(*distributions):
     return LogitMatrix(np.log(np.asarray(distributions, dtype=np.float64)))
 
 
-# Three-token logits that are not real numbers; the complex row would
-# pass the row check if its imaginary part were dropped.
+# Logits that are not a matrix of real numbers, each with its error.  The
+# complex row would pass the row check if its imaginary part were
+# dropped; ragged rows make no numeric array at all.
 NOT_REAL = [
-    [["x", "y", "z"]],
-    np.log([[0.2, 0.3, 0.5]]).astype(complex),
-    np.array([[False, False, True]]),
+    ([["x", "y", "z"]], "must be real numbers"),
+    (np.log([[0.2, 0.3, 0.5]]).astype(complex), "must be real numbers"),
+    (np.array([[False, False, True]]), "must be real numbers"),
+    ([[0.0], [0.0, 0.0]], "rows must have equal lengths"),
 ]
-NOT_REAL_IDS = ["text", "complex", "bool"]
+NOT_REAL_IDS = ["text", "complex", "bool", "ragged"]
 
 
 def exact_config(**overrides):
@@ -101,11 +103,21 @@ class TestVocabulary:
                 tokens=("<blank>", "a", "b"), blank_index=0,
                 boundary_kind="delimiter", boundary_value="<blank>",
             ),
+            dict(tokens=("_", "a"), blank_index=0.5, boundary_kind="prefix", boundary_value=""),
+            dict(tokens=("_", "a"), blank_index=True, boundary_kind="prefix", boundary_value=""),
+            dict(tokens=("_", 1), blank_index=0, boundary_kind="prefix", boundary_value=""),
+            dict(tokens=("_", "a"), blank_index=0, boundary_kind="prefix", boundary_value=None),
+            dict(tokens=("_", "a", ""), blank_index=0, boundary_kind="prefix", boundary_value=""),
         ],
     )
     def test_invalid_vocabularies(self, kwargs):
         with pytest.raises(ConfigError):
             Vocabulary(**kwargs)
+
+    def test_an_empty_last_token_is_named_as_empty(self):
+        # Not as the line break that joining the texts makes of it.
+        with pytest.raises(ConfigError, match="empty token in vocabulary"):
+            Vocabulary(("_", "a", ""), 0, "prefix", "")
 
 
 class TestVocabularyFile:
@@ -140,8 +152,15 @@ class TestVocabularyFile:
             ("#blank=0\n#blank=2\n#boundary=delimiter:|\n", r":2: repeated #blank directive"),
             ("#boundary=delimiter:|\n#boundary=prefix:\n#blank=0\n", r":2: repeated #boundary"),
             ("#blank=1\n#boundary=delimiter:|\n", r": delimiter token '\|' is the blank token"),
+            ("#blank=x\n#boundary=delimiter:|\n", r":1: bad blank index 'x'"),
+            ("#blank=0\n#boundary=weird:|\n", r":2: bad boundary directive 'weird:\|'"),
+            ("#blank=0\n#colour=red\n", r":2: unknown directive 'colour'"),
+            ("#blank=0\n", r": missing #boundary directive"),
         ],
-        ids=["repeated-blank", "repeated-boundary", "blank-delimiter"],
+        ids=[
+            "repeated-blank", "repeated-boundary", "blank-delimiter",
+            "bad-blank", "bad-boundary", "unknown-directive", "missing-boundary",
+        ],
     )
     def test_bad_headers_are_rejected(self, tmp_path, header, error):
         path = tmp_path / "vocab.txt"
@@ -173,9 +192,9 @@ class TestLogitMatrix:
         assert LogitMatrix(np.zeros((0, 4))).num_frames == 0
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("data", NOT_REAL, ids=NOT_REAL_IDS)
-    def test_rejects_values_that_are_not_real(self, data):
-        with pytest.raises(DataFormatError, match="must be real numbers"):
+    @pytest.mark.parametrize("data, message", NOT_REAL, ids=NOT_REAL_IDS)
+    def test_rejects_values_that_are_not_real(self, data, message):
+        with pytest.raises(DataFormatError, match=message):
             LogitMatrix(data)
 
     def test_rejects_nan_rows(self, tmp_path):
@@ -186,6 +205,12 @@ class TestLogitMatrix:
         path = tmp_path / "nan.ctcl"
         path.write_bytes(struct.pack("<4sIII", b"CTCL", 1, 2, 2) + data.tobytes())
         with pytest.raises(DataFormatError, match="not normalized"):
+            read_logits(path)
+
+    def test_read_logits_rejects_an_unknown_version(self, tmp_path):
+        path = tmp_path / "v2.ctcl"
+        path.write_bytes(struct.pack("<4sIII", b"CTCL", 2, 0, 2))
+        with pytest.raises(DataFormatError, match=r"v2\.ctcl: unsupported version 2"):
             read_logits(path)
 
 
@@ -210,6 +235,7 @@ class TestDecodeConfig:
             dict(word_bonus=None),
             dict(token_min_logp=False),
             dict(beam_width=np.float64(3.0)),
+            dict(lm_weight=10**400),
         ],
     )
     def test_invalid(self, kwargs):
@@ -218,6 +244,12 @@ class TestDecodeConfig:
 
     def test_numpy_integer_beam_width(self):
         assert DecodeConfig(beam_width=np.int64(3)).beam_width == 3
+
+    def test_numpy_settings_are_held_as_python_numbers(self):
+        # A float32 weight would otherwise round every fused score.
+        config = DecodeConfig(beam_width=np.int64(3), lm_weight=np.float32(0.3), word_bonus=1)
+        assert type(config.beam_width) is int and type(config.word_bonus) is float
+        assert config.lm_weight == float(np.float32(0.3)) and type(config.lm_weight) is float
 
     def test_disable_floor_with_neg_inf(self):
         assert DecodeConfig(token_min_logp=float("-inf")).token_min_logp == float("-inf")
@@ -248,11 +280,11 @@ class TestSessionBasics:
         assert session.finalize().words == ("a",)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("data", NOT_REAL, ids=NOT_REAL_IDS)
-    def test_raw_chunks_must_be_real(self, data):
+    @pytest.mark.parametrize("data, message", NOT_REAL, ids=NOT_REAL_IDS)
+    def test_raw_chunks_must_be_real(self, data, message):
         vocab = Vocabulary(("_", "a", "b"), 0, "prefix", "")
-        with pytest.raises(DataFormatError, match="must be real numbers"):
-            decode(np.asarray(data), vocab, exact_config())
+        with pytest.raises(DataFormatError, match=message):
+            decode(data, vocab, exact_config())
 
     def test_push_after_finalize_rejected(self):
         session = new_session(letter_vocab("a"), exact_config())

@@ -8,7 +8,7 @@ import pytest
 
 from kwboost.dataio import read_logits, read_manifest, read_vocab_file
 from kwboost.decoder import DecodeConfig, decode
-from kwboost.errors import DataFormatError
+from kwboost.errors import ConfigError, DataFormatError
 from kwboost.fixtures import (
     BLANK_TOKEN,
     load_fixture_spec,
@@ -112,10 +112,10 @@ class TestParseSpec:
                 {"id": "u", "text": "x y", "traps": [{"after": 0.7, "alt": "y", "prob": 0.2}]},
                 "trap after must be an integer",
             ),
-            ({"id": "u", "text": "x", "confidence": True}, "confidence must be a number"),
-            ({"id": "u", "text": "x", "confidence": [True]}, "confidence must be a number"),
-            ({"id": "u", "text": "x", "confidence": "1"}, "confidence must be a number"),
-            ({"id": "u", "text": "x", "confidence": "0.5"}, "confidence must be a number"),
+            ({"id": "u", "text": "x", "confidence": True}, "confidence must be a real number"),
+            ({"id": "u", "text": "x", "confidence": [True]}, "confidence must be a real number"),
+            ({"id": "u", "text": "x", "confidence": "1"}, "confidence must be a real number"),
+            ({"id": "u", "text": "x", "confidence": "0.5"}, "confidence must be a real number"),
             (
                 {
                     "id": "u",
@@ -123,12 +123,13 @@ class TestParseSpec:
                     "confidence": 0.5,
                     "confusions": [{"word": "x", "alt": "y", "prob": "0.5"}],
                 },
-                "confusion probability must be a number",
+                "confusion probability must be a real number",
             ),
             (
                 {"id": "u", "text": "x", "traps": [{"after": 0, "alt": "y", "prob": "0.2"}]},
-                "trap probability must be a number",
+                "trap probability must be a real number",
             ),
+            ({"id": "u", "text": "x", "confidence": 10**400}, "confidence is too large for a float"),
         ],
     )
     def test_invalid_specs(self, record, message):
@@ -274,3 +275,9 @@ class TestMakeFixtures:
         spec = write_spec(tmp_path, [])
         with pytest.raises(DataFormatError, match="empty"):
             make_fixtures(spec, tmp_path / "out")
+
+    @pytest.mark.parametrize("seed", ["1", 1.5, True], ids=["string", "float", "bool"])
+    def test_seed_must_be_an_integer(self, tmp_path, seed):
+        spec = write_spec(tmp_path, [{"id": "u1", "text": "hi"}])
+        with pytest.raises(ConfigError, match="seed must be an integer, got "):
+            make_fixtures(spec, tmp_path / "out", seed=seed)

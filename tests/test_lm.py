@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kwboost.errors import ArpaError
+from kwboost.errors import ArpaError, DataFormatError
 from kwboost.lm import NGramLM, load_arpa
 
 
@@ -248,7 +248,19 @@ class TestLoader:
         with pytest.raises(ArpaError, match="no unigrams"):
             NGramLM([{}])
 
-    def test_error_formatting(self):
-        assert str(ArpaError("boom", "m.arpa", 7)) == "m.arpa:7: boom"
-        assert str(ArpaError("boom", "m.arpa")) == "m.arpa: boom"
-        assert str(ArpaError("boom")) == "boom"
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("\\data\\\nngram 0=1\n", ":2: ngram order 0 is below 1"),
+            # A file with no n-gram section has no one line at fault.
+            ("\\data\\\n\\end\\\n", ": no n-gram sections"),
+        ],
+        ids=["with-line", "without-line"],
+    )
+    def test_errors_begin_with_the_path(self, tmp_path, text, message):
+        path = write_arpa(tmp_path, text)
+        with pytest.raises(ArpaError) as err:
+            load_arpa(path)
+        assert str(err.value) == f"{path}{message}"
+        # A malformed ARPA file is a data error like any other file's.
+        assert isinstance(err.value, DataFormatError)

@@ -249,6 +249,7 @@ class TestMapping:
             ([("AI", None, "1"), ("A I", None, 0)], "'AI': keyword priority must be an integer"),
             ([("AI", None, 1.0)], "'AI': keyword priority must be an integer"),
             ([("AI", None, False)], "'AI': keyword priority must be an integer"),
+            ([("AI", 10**400, 0)], "'AI': keyword weight is too large for a float"),
         ],
     )
     def test_entry_fields_of_the_wrong_type_rejected(self, builder, items, message):
