@@ -6,10 +6,18 @@ once in CHANGE_DIR, alternating which side runs first, so slow drift of
 the machine hits both sides alike.  Each run imports kwboost from its
 own checkout's ``src/``.  Prints one line per pair as it finishes, then,
 per workload and end-to-end metric, each side's median with quartiles,
-the change's median relative to the base, and the pairs the change won,
-lost and tied.  ``gain`` marks a metric where the change won at least
-nine tenths of the pairs and its median beats the base's by more than
-the distance between the base's quartiles.
+the change's median relative to the base, the pairs the change won,
+lost and tied, and a verdict.  A metric's ``bound`` in BENCHMARK.json is
+read as a fraction of the base median.  The verdict is the first of:
+
+  worse       the change's median is worse than the base's by more than
+              the bound;
+  gain        the change won at least nine tenths of the pairs and its
+              median beats the base's by more than the distance between
+              the base's quartiles;
+  unresolved  the base's quartile spread is wider than the bound, and
+              not every change run beats every base run;
+  within      otherwise: the change is inside the bound.
 
 Make the base checkout from the parent commit with git, for instance:
 
@@ -29,6 +37,7 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+BOUND = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 
 
 def parse_args() -> argparse.Namespace:
@@ -80,7 +89,7 @@ def summarize(workload: str, pairs: list[tuple[dict, dict]]) -> None:
     print(f"\n{workload}: {len(pairs)} pairs, failed checks base {failed[0]} "
           f"change {failed[1]}")
     print(f"  {'metric':<13} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30} "
-          f"{'change/base':>11} {'won':>4} {'lost':>4} {'tied':>4}")
+          f"{'change/base':>11} {'won':>4} {'lost':>4} {'tied':>4}  verdict")
     for name, better in BETTER.items():
         base = [b["values"][name] for b, _ in pairs]
         change = [c["values"][name] for _, c in pairs]
@@ -90,11 +99,19 @@ def summarize(workload: str, pairs: list[tuple[dict, dict]]) -> None:
         bq1, bmed, bq3 = quartiles(base)
         cq1, cmed, cq3 = quartiles(change)
         ratio = f"{cmed / bmed:11.3f}" if bmed else f"{'-':>11}"
-        gain = won >= 0.9 * len(pairs) and sign * (cmed - bmed) > bq3 - bq1
+        gap, spread, bound = sign * (cmed - bmed), bq3 - bq1, BOUND[name] * abs(bmed)
+        if gap < -bound:
+            verdict = "worse"
+        elif won >= 0.9 * len(pairs) and gap > spread:
+            verdict = "gain"
+        elif spread > bound and min(sign * c for c in change) <= max(sign * b for b in base):
+            verdict = "unresolved"
+        else:
+            verdict = "within"
         print(
             f"  {name:<13} {f'{bmed:.4g} [{bq1:.4g}, {bq3:.4g}]':>30} "
             f"{f'{cmed:.4g} [{cq1:.4g}, {cq3:.4g}]':>30} {ratio} "
-            f"{won:4d} {lost:4d} {len(pairs) - won - lost:4d}{'  gain' if gain else ''}"
+            f"{won:4d} {lost:4d} {len(pairs) - won - lost:4d}  {verdict}"
         )
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .decoder import LogitMatrix, Vocabulary
-from .errors import ConfigError, DataFormatError, read_lines, read_text, write_text
+from .errors import ConfigError, DataFormatError, as_integer, read_lines, read_text, write_text
 
 LOGIT_MAGIC = b"CTCL"
 LOGIT_VERSION = 1
@@ -125,10 +125,14 @@ def read_vocab_file(path: str | Path) -> Vocabulary:
 
 def utterance_id(value: object) -> str:
     """The one utterance-id rule: a string, or an integer that is not a bool."""
-    # bool is an int subclass; a JSON true is no utterance id.
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise ValueError(f"utterance id must be a string or an integer, got {value!r}")
-    return str(value)
+    if isinstance(value, str):
+        return value
+    try:
+        return str(as_integer(value, "utterance id", ValueError))
+    except ValueError:
+        raise ValueError(
+            f"utterance id must be a string or an integer, got {value!r}"
+        ) from None
 
 
 @dataclass(frozen=True)

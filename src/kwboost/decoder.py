@@ -153,43 +153,37 @@ class Vocabulary:
         )
 
 
-def _real_array(data) -> np.ndarray:
-    """Logits as an array, checked before any cast: not ragged, text, complex or bool."""
-    try:
-        array = np.asarray(data)
-    except ValueError:  # rows of unequal length
-        raise DataFormatError("logit rows must have equal lengths") from None
-    if array.dtype.kind not in "iuf":
-        raise DataFormatError(f"logits must be real numbers, got dtype {array.dtype}")
-    return array
-
-
-def _check_rows(data: np.ndarray) -> None:
-    """Reject rows that are not normalized log distributions (NaN too)."""
-    if data.shape[0]:
-        # A huge log-probability overflows to inf, which fails the test below.
-        with np.errstate(over="ignore"):
-            sums = np.exp(data.astype(np.float64)).sum(axis=1)
-        worst = float(np.abs(sums - 1.0).max())
-        if not worst <= 1e-3:
-            raise DataFormatError(
-                f"logit rows are not normalized (max deviation {worst:.2e})"
-            )
-
-
 @dataclass
 class LogitMatrix:
-    """T x V natural-log token posteriors, one row per frame."""
+    """T x V natural-log token posteriors, one row per frame.
+
+    The one logits check: real numbers, 2-D, rows normalized.  float32
+    data is kept without a copy and any other dtype becomes float64, so
+    wrapping never rounds.
+    """
 
     data: np.ndarray
 
     def __post_init__(self):
-        self.data = _real_array(self.data).astype(np.float32, copy=False)
-        if self.data.ndim != 2:
+        try:
+            data = np.asarray(self.data)
+        except ValueError:  # rows of unequal length
+            raise DataFormatError("logit rows must have equal lengths") from None
+        if data.dtype.kind not in "iuf":
+            raise DataFormatError(f"logits must be real numbers, got dtype {data.dtype}")
+        if data.dtype != np.float32:
+            data = data.astype(np.float64, copy=False)
+        if data.ndim != 2:
             raise DataFormatError(
-                f"logits must be 2-D (frames x tokens), got shape {self.data.shape}"
+                f"logits must be 2-D (frames x tokens), got shape {data.shape}"
             )
-        _check_rows(self.data)
+        # A huge log-probability overflows to inf, which fails the test below.
+        with np.errstate(over="ignore"):
+            sums = np.exp(data, dtype=np.float64).sum(axis=1)
+        worst = float(np.abs(sums - 1.0).max(initial=0.0))  # NaN stays NaN
+        if not worst <= 1e-3:
+            raise DataFormatError(f"logit rows are not normalized (max deviation {worst:.2e})")
+        self.data = data
 
     @property
     def num_frames(self) -> int:
@@ -605,15 +599,12 @@ class DecoderSession:
         """Consume a chunk of frames and return the streaming partial."""
         if self._result is not None:
             raise ConfigError("session already finalized")
-        checked = isinstance(chunk, LogitMatrix)
-        data = chunk.data if checked else _real_array(chunk)
-        if data.ndim != 2 or data.shape[1] != self.vocab.size:
+        data = (chunk if isinstance(chunk, LogitMatrix) else LogitMatrix(chunk)).data
+        if data.shape[1] != self.vocab.size:
             raise DataFormatError(
                 f"chunk shape {data.shape} does not match vocabulary size "
                 f"{self.vocab.size}"
             )
-        if not checked:
-            _check_rows(data)
         for row in data:
             self._step(row.tolist())
         # The beam is kept in rank order, so the first entry is the best.
@@ -641,14 +632,8 @@ class DecoderSession:
         return self._result
 
 
-def new_session(
-    vocab: Vocabulary,
-    config: DecodeConfig,
-    lm: NGramLM | None = None,
-    trie: BiasTrie | None = None,
-) -> DecoderSession:
-    """Open a streaming decode session (single empty prefix, mass 1)."""
-    return DecoderSession(vocab, config, lm=lm, trie=trie)
+# The name callers and the README use for opening a session.
+new_session = DecoderSession
 
 
 def decode(
@@ -659,6 +644,6 @@ def decode(
     trie: BiasTrie | None = None,
 ) -> DecodeResult:
     """One-shot decode; identical to pushing the frames in any chunking."""
-    session = new_session(vocab, config, lm=lm, trie=trie)
+    session = DecoderSession(vocab, config, lm=lm, trie=trie)
     session.push_frames(logits)
     return session.finalize()

@@ -3,7 +3,8 @@
 Everything raised on bad user input derives from ToolkitError so the
 CLI can map it to a data-error exit code in one place.  ``read_text``
 reads every text file and ``write_text`` writes every text file the
-toolkit produces; ``read_lines`` runs every line-oriented format
+toolkit produces, and ``check_output`` keeps an output off its inputs;
+``read_lines`` runs every line-oriented format
 (manifests, transcripts, keyword lists, exceptions, fixture specs)
 through one loop, one skip rule and one ``<path>:<line>:`` error
 location.  ``as_real``, ``as_integer``, ``as_string`` and ``as_weight``
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 
@@ -58,6 +59,23 @@ def write_text(path: Path, text: str) -> None:
         path.write_text(text, encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: NUL in path
         raise ConfigError(f"{path}: {exc}") from None
+
+
+def check_output(out: str | Path | None, inputs: Iterable[str | Path | None]) -> None:
+    """Reject an output path that names one of the inputs, before any work.
+
+    Only an existing regular file can be overwritten; ``samefile`` also
+    catches a symlink or another spelling of the same path.
+    """
+    if out is None or not Path(out).is_file():
+        return
+    for path in inputs:
+        try:
+            same = path is not None and Path(out).samefile(path)
+        except (OSError, ValueError):  # a missing input is no clash
+            continue
+        if same:
+            raise ConfigError(f"output {out} would overwrite the input {path}")
 
 
 def read_lines(

@@ -29,7 +29,7 @@ from .dataio import (
     read_vocab_file,
 )
 from .decoder import DecodeConfig, LogitMatrix, Vocabulary, decode
-from .errors import ConfigError, DataFormatError, write_text
+from .errors import ConfigError, DataFormatError, check_output, write_text
 from .lm import NGramLM, load_arpa
 from .norm import (
     KeywordMatch,
@@ -79,7 +79,8 @@ class RunConfig:
         self.exceptions = Path(self.exceptions) if self.exceptions is not None else None
         if self.mode != "baseline" and self.keywords is None:
             raise ConfigError(f"mode {self.mode!r} requires a keyword list")
-        for path in (self.manifest, self.vocab, self.lm, self.keywords, self.exceptions):
+        inputs = (self.manifest, self.vocab, self.lm, self.keywords, self.exceptions)
+        for path in inputs:
             if path is not None and not path.exists():
                 raise ConfigError(f"input file not found: {path}")
         if not self.out.parent.is_dir():
@@ -87,6 +88,7 @@ class RunConfig:
         # Caught here, before anything is decoded, not at the final write.
         if self.out.is_dir():
             raise ConfigError(f"output path is a directory: {self.out}")
+        check_output(self.out, inputs)
 
     def decode_config(self) -> DecodeConfig:
         """The decoder settings, validated by DecodeConfig."""
@@ -177,6 +179,7 @@ def run_score(
     case_fold: bool = False,
 ) -> ScoreReport:
     """Score a transcript file against manifest references."""
+    check_output(out, (hyps, manifest, keywords))
     entries = read_manifest(manifest)
     records = read_transcripts(hyps)
     corpus = []
@@ -214,6 +217,7 @@ def prepare_list(
     The saved file is for review only.  A list that decode rejects
     fails here with the same error.
     """
+    check_output(out, (keywords, exceptions))
     mapping = _read_mapping(keywords, exceptions)
     if out is not None:
         save_mapping(mapping, out)

@@ -33,7 +33,7 @@ import itertools
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import NormalizationError, as_integer, as_weight, read_lines, write_text
 
@@ -338,10 +338,38 @@ def _claim_rank(entry: KeywordEntry) -> tuple[int, int, str]:
     return (entry.priority, -len(entry.raw), entry.raw)
 
 
-def _assemble_mapping(entries: list[KeywordEntry]) -> NormalizationMapping:
-    seen_raw: set[str] = set()
-    for entry in entries:
-        if entry.raw in seen_raw:
+def _assemble_mapping(
+    keywords: Iterable[str | tuple], spell: Callable[[str], list[Variant]]
+) -> NormalizationMapping:
+    """The mapping of a keyword list whose raws ``spell`` turns into variants.
+
+    The one keyword item rule: a raw string, or a (raw, weight, priority)
+    triple whose weight may be None.  Raws must be unique and not blank.
+    """
+    if isinstance(keywords, (str, Path)):  # a file is load_keyword_list's to read
+        raise NormalizationError(f"keywords must be a list of items, got {keywords!r}")
+    entries: dict[str, KeywordEntry] = {}
+    claims: dict[Variant, list[KeywordEntry]] = {}
+    for item in keywords:
+        match item:
+            case str():
+                raw, weight, priority = item, None, 0
+            case (str() as raw, weight, priority):
+                try:
+                    if weight is not None:
+                        weight = as_weight(weight, error=ValueError)
+                    priority = as_integer(priority, "keyword priority", ValueError)
+                except ValueError as exc:
+                    raise NormalizationError(f"keyword {raw!r}: {exc}") from None
+            case _:
+                raise NormalizationError(
+                    f"keyword item {item!r} is not a string or a "
+                    "(raw, weight, priority) triple with a string raw"
+                )
+        if not raw.strip():
+            raise NormalizationError("empty keyword")
+        entry = KeywordEntry(raw.strip(), tuple(spell(raw)), weight, priority)
+        if entry.raw in entries:
             raise NormalizationError(f"duplicate keyword {entry.raw!r}")
         # The review file save_mapping writes keeps one tab-separated line
         # per variant; str.splitlines also breaks at \r, \u2028 and more.
@@ -349,16 +377,7 @@ def _assemble_mapping(entries: list[KeywordEntry]) -> NormalizationMapping:
             raise NormalizationError(
                 f"keyword {entry.raw!r} contains a tab or line break"
             )
-        try:
-            entry.priority = as_integer(entry.priority, "keyword priority", ValueError)
-            if entry.weight is not None:
-                entry.weight = as_weight(entry.weight, error=ValueError)
-        except ValueError as exc:
-            raise NormalizationError(f"keyword {entry.raw!r}: {exc}") from None
-        seen_raw.add(entry.raw)
-
-    claims: dict[Variant, list[KeywordEntry]] = {}
-    for entry in entries:
+        entries[entry.raw] = entry
         for variant in entry.variants:
             claims.setdefault(variant, []).append(entry)
 
@@ -378,7 +397,7 @@ def _assemble_mapping(entries: list[KeywordEntry]) -> NormalizationMapping:
             "variant %s claimed by %s; kept %r, dropped %s",
             " ".join(variant), len(claimants), winner.raw, ", ".join(losers),
         )
-    return NormalizationMapping(entries=entries, reverse=reverse, collisions=collisions)
+    return NormalizationMapping(list(entries.values()), reverse, collisions)
 
 
 def build_mapping(
@@ -387,27 +406,13 @@ def build_mapping(
 ) -> NormalizationMapping:
     """Normalize a keyword list into a NormalizationMapping.
 
-    ``keywords`` holds raw strings or (raw, weight, priority) tuples
-    with the trailing fields optional.  Duplicate raws are rejected.
+    ``keywords`` holds raw strings or (raw, weight, priority) triples.
+    Duplicate raws are rejected.
     """
-    entries: list[KeywordEntry] = []
-    for item in keywords:
-        if isinstance(item, str):
-            raw, weight, priority = item, None, 0
-        else:
-            raw = item[0]
-            weight = item[1] if len(item) > 1 else None
-            priority = item[2] if len(item) > 2 and item[2] is not None else 0
-        variants = normalize_keyword(raw, exceptions)
-        entries.append(
-            KeywordEntry(raw.strip(), tuple(variants), weight, priority)
-        )
-    return _assemble_mapping(entries)
+    return _assemble_mapping(keywords, lambda raw: normalize_keyword(raw, exceptions))
 
 
-def raw_target_mapping(
-    keywords: Sequence[tuple[str, float | None, int]] | str | Path,
-) -> NormalizationMapping:
+def raw_target_mapping(keywords: Iterable[str | tuple]) -> NormalizationMapping:
     """Identity mapping that skips normalization entirely.
 
     Each raw keyword becomes its own single variant, split on
@@ -416,13 +421,7 @@ def raw_target_mapping(
     normalization buys: out-of-alphabet targets can never match
     decoder output, so boosting them changes nothing.
     """
-    if isinstance(keywords, (str, Path)):
-        keywords = load_keyword_list(keywords)
-    entries = [
-        KeywordEntry(raw.strip(), (tuple(raw.split()),), weight, priority)
-        for raw, weight, priority in keywords
-    ]
-    return _assemble_mapping(entries)
+    return _assemble_mapping(keywords, lambda raw: [tuple(raw.split())])
 
 
 # --- inverse normalization -----------------------------------------------

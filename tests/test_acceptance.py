@@ -243,7 +243,7 @@ def test_c5_normalization_unlocks_rare_keyword_recovery(tmp_path):
             scored.append((entry.utt_id, ref, words))
         return recovered, biased_wer(scored, raws).b_wer
 
-    raw_hits, raw_b_wer = run_arm(raw_target_mapping(kw_path), "default")
+    raw_hits, raw_b_wer = run_arm(raw_target_mapping(load_keyword_list(kw_path)), "default")
     norm_hits, norm_b_wer = run_arm(
         build_mapping(load_keyword_list(kw_path)), "ngram"
     )

@@ -14,7 +14,13 @@ from ctc_oracle import detokenize, exhaustive_scores, top_two
 from ref_decoder import RefSession
 from kwboost import decoder
 from kwboost.bias_trie import build_trie
-from kwboost.dataio import read_logits, read_manifest, read_vocab_file, write_vocab_file
+from kwboost.dataio import (
+    read_logits,
+    read_manifest,
+    read_vocab_file,
+    write_logits,
+    write_vocab_file,
+)
 from kwboost.decoder import (
     MODES,
     DecodeConfig,
@@ -170,10 +176,22 @@ class TestVocabularyFile:
 
 
 class TestLogitMatrix:
-    def test_casts_to_float32(self):
+    def test_keeps_float32_and_widens_the_rest(self):
+        # Wrapping never rounds: float32 is kept without a copy, and any
+        # other real dtype becomes float64.
+        data = np.log(np.full((1, 2), 0.5, dtype=np.float32))
+        assert LogitMatrix(data).data is data
         mat = rows([0.5, 0.5])
-        assert mat.data.dtype == np.float32
+        assert mat.data.dtype == np.float64
         assert (mat.num_frames, mat.num_tokens) == (1, 2)
+        assert LogitMatrix(np.array([[0, -60, -60]])).data.dtype == np.float64
+
+    def test_written_logits_are_float32(self, tmp_path):
+        x = np.log([[0.3, 0.7], [0.6, 0.4]])
+        path = tmp_path / "x.ctcl"
+        write_logits(path, x)
+        assert path.read_bytes()[16:] == x.astype("<f4").tobytes()
+        assert read_logits(path).data.tolist() == x.astype(np.float32).tolist()
 
     def test_rejects_non_2d(self):
         with pytest.raises(DataFormatError, match="2-D"):
@@ -259,6 +277,9 @@ class TestDecodeConfig:
 
 
 class TestSessionBasics:
+    def test_new_session_is_the_session_class(self):
+        assert decoder.new_session is decoder.DecoderSession
+
     def test_non_baseline_requires_trie(self):
         vocab = letter_vocab("a")
         for mode in ("default", "ngram"):
@@ -268,7 +289,7 @@ class TestSessionBasics:
     def test_chunk_width_must_match_vocab(self):
         session = new_session(letter_vocab("a", "b"), DecodeConfig())
         with pytest.raises(DataFormatError, match="does not match vocabulary"):
-            session.push_frames(np.zeros((2, 5)))
+            session.push_frames(np.log(np.full((2, 5), 0.2)))
 
     def test_raw_chunks_are_row_checked(self):
         session = new_session(letter_vocab("a"), exact_config())
@@ -872,6 +893,39 @@ class TestChunking:
         assert [(h.tokens, h.total) for h in chunked.nbest] == [
             (h.tokens, h.total) for h in whole.nbest
         ]
+
+    @given(data=st.data())
+    def test_raw_arrays_decode_as_their_logit_matrix(self, data):
+        # Wrapping never rounds, so a raw array, its LogitMatrix and its
+        # frames pushed in any chunks give the same n-best, bit for bit.
+        vocab = data.draw(st.sampled_from(REF_VOCABS), label="vocab")
+        num_frames = data.draw(st.integers(0, 9), label="frames")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        dtype = data.draw(st.sampled_from(["float32", "float64", "int"]), label="dtype")
+        if dtype == "int":
+            # Rows such as [0, -60, -60]: normalized within the row check.
+            logits = rng.integers(-60, -12, (num_frames, vocab.size))
+            logits[np.arange(num_frames), rng.integers(0, vocab.size, num_frames)] = 0
+        else:
+            x = 2.0 * rng.standard_normal((num_frames, vocab.size))
+            logits = (x - np.log(np.exp(x).sum(axis=1, keepdims=True))).astype(dtype)
+        config = exact_config(
+            beam_width=data.draw(st.integers(1, 8), label="beam"),
+            mode=data.draw(st.sampled_from(MODES), label="mode"),
+        )
+        trie = build_trie(build_mapping(REF_KEYWORDS), default_weight=1.5)
+        session = new_session(vocab, config, trie=trie)
+        cuts = data.draw(st.lists(st.integers(0, num_frames), max_size=4), label="cuts")
+        bounds = [0] + sorted(cuts) + [num_frames]
+        for lo, hi in zip(bounds, bounds[1:]):
+            session.push_frames(logits[lo:hi])
+        results = [
+            decode(logits, vocab, config, trie=trie),
+            decode(LogitMatrix(logits), vocab, config, trie=trie),
+            session.finalize(),
+        ]
+        views = [[(h.tokens, h.words, h.total) for h in r.nbest] for r in results]
+        assert views[0] == views[1] == views[2]
 
     @given(st.sets(st.integers(min_value=1, max_value=7)))
     def test_every_result_reads_its_top_entry(self, cut_points):

@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -11,13 +12,20 @@ import tempfile
 from dataclasses import MISSING, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from kwboost import harness
 from kwboost.cli import _run_config, build_parser, main
-from kwboost.dataio import read_logits, read_manifest, read_transcripts, read_vocab_file
+from kwboost.dataio import (
+    read_logits,
+    read_manifest,
+    read_transcripts,
+    read_vocab_file,
+    utterance_id,
+)
 from kwboost.decoder import decode
 from kwboost.errors import ConfigError, DataFormatError, NormalizationError, ToolkitError
 from kwboost.fixtures import load_fixture_spec, make_fixtures
@@ -487,7 +495,7 @@ class TestRawTargetMapping:
         assert mapping.entries[1].weight == 2.0
 
     def test_reads_keyword_files(self, demo_keywords):
-        mapping = raw_target_mapping(demo_keywords)
+        mapping = raw_target_mapping(load_keyword_list(demo_keywords))
         assert [e.raw for e in mapping.entries] == ["AI", "C3PO", "356", "IBM", "E9"]
         assert all(e.variants == ((e.raw,),) for e in mapping.entries)
 
@@ -780,6 +788,14 @@ def test_mapping_raws_may_start_with_a_hash(tmp_path):
     assert path.read_text(encoding="utf-8") == "#tag\ttag\t\t0\n"
 
 
+def test_utterance_ids_follow_the_scalar_integer_rule():
+    # An integer id is any integer that is not a bool, numpy's included.
+    assert [utterance_id(v) for v in ("a", 7, np.int64(3))] == ["a", "7", "3"]
+    for value in (True, np.bool_(False), 1.5, np.float64(2.0), None):
+        with pytest.raises(ValueError, match="utterance id must be a string or an integer"):
+            utterance_id(value)
+
+
 @pytest.mark.parametrize("utt_id", ["true", "null", "1.5", "[1]"])
 def test_transcript_ids_follow_the_manifest_rule(tmp_path, utt_id):
     path = tmp_path / "hyps.jsonl"
@@ -811,6 +827,46 @@ class TestCli:
         assert main(self.decode_args(corpus, out)) == 2
         assert f"output path is a directory: {out}" in capsys.readouterr().err
         assert list(tmp_path.rglob("*")) == [out]
+
+    @pytest.mark.parametrize("command", ["decode", "tune", "score", "prepare-list"])
+    def test_out_that_names_an_input_exits_2_and_keeps_it(
+        self, corpus, demo_keywords, tmp_path, capsys, monkeypatch, command
+    ):
+        # The inputs are copies, so a run that did overwrite one changes
+        # no shared fixture.  ``--out`` names an input through a symlink
+        # or by another spelling of its path, which samefile catches.
+        fx = tmp_path / "fx"
+        shutil.copytree(corpus.manifest_path.parent, fx)
+        keywords = fx / "keywords.txt"
+        shutil.copy(demo_keywords, keywords)
+        hyps = fx / "hyps.jsonl"
+        assert main(self.decode_args(corpus, hyps)) == 0
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(fx / "manifest.jsonl")
+        monkeypatch.chdir(tmp_path)
+        inputs = ["--manifest", str(fx / "manifest.jsonl"), "--keywords", str(keywords)]
+        target, argv = {
+            "decode": (fx / "manifest.jsonl", [
+                "decode", "--vocab", str(fx / "vocab.txt"), *inputs, "--out", str(link),
+            ]),
+            "tune": (keywords, [
+                "tune", "--vocab", str(fx / "vocab.txt"), "--grid", "1", *inputs,
+                "--out", "fx/keywords.txt",
+            ]),
+            "score": (hyps, [
+                "score", "--hyps", str(hyps), *inputs, "--out", "fx/../fx/hyps.jsonl",
+            ]),
+            "prepare-list": (keywords, [
+                "prepare-list", "--keywords", "fx/keywords.txt", "--out", str(keywords),
+            ]),
+        }[command]
+        before = target.read_bytes()
+        # decode and tune check their output before loading anything.
+        monkeypatch.setattr(harness, "load_resources", None)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "would overwrite the input" in capsys.readouterr().err
+        assert target.read_bytes() == before
 
     def test_decode_then_score_pipeline(self, corpus, demo_keywords, tmp_path, capsys):
         hyps = tmp_path / "hyps.jsonl"

@@ -250,6 +250,14 @@ class TestMapping:
             ([("AI", None, 1.0)], "'AI': keyword priority must be an integer"),
             ([("AI", None, False)], "'AI': keyword priority must be an integer"),
             ([("AI", 10**400, 0)], "'AI': keyword weight is too large for a float"),
+            ([5], r"keyword item 5 is not a string or a \(raw, weight, priority\) triple"),
+            ([None], r"keyword item None is not a string or a \(raw, weight"),
+            ([(5, None, 0)], r"keyword item \(5, None, 0\) is not a string or a \(raw"),
+            ([("AI",)], r"keyword item \('AI',\) is not a string or a \(raw"),
+            ([("AI", 2.0)], r"keyword item \('AI', 2\.0\) is not a string or a \(raw"),
+            ([("AI", 2.0, 0, "junk")], r"keyword item \('AI', 2\.0, 0, 'junk'\) is not a"),
+            ([("AI", 2.0, None)], "'AI': keyword priority must be an integer"),
+            ([" \t"], "empty keyword"),
         ],
     )
     def test_entry_fields_of_the_wrong_type_rejected(self, builder, items, message):
@@ -257,6 +265,14 @@ class TestMapping:
         # string priority the collision ranking.
         with pytest.raises(NormalizationError, match=message):
             builder(items)
+
+    @pytest.mark.parametrize("builder", [build_mapping, raw_target_mapping])
+    def test_builders_read_no_file(self, builder, tmp_path):
+        path = tmp_path / "kw.txt"
+        path.write_text("AI\n", encoding="utf-8")
+        for keywords in (path, str(path)):
+            with pytest.raises(NormalizationError, match="keywords must be a list of items"):
+                builder(keywords)
 
     def test_entry_weights_and_priorities_carried(self):
         mapping = build_mapping([("C3PO", 3.0, 1), "AI", ("IBM", 2, 2)])

@@ -3,6 +3,7 @@
 The scripts write their outputs under the working directory, here tmp_path.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -97,8 +98,46 @@ def test_bench_pairs_reports_every_metric(tmp_path):
     assert "tune-grid seed 0 (base first)" in out
     assert "tune-grid seed 1 (change first)" in out
     assert "tune-grid: 2 pairs, failed checks base 0 change 0" in out
-    for metric in ("setup_s", "frames_per_s", "wer", "u_wer", "b_wer", "peak_rss_mb"):
-        assert f"\n  {metric} " in out
+    assert out.splitlines()[-7].endswith("  verdict")
+    verdicts = {}
+    for line in out.splitlines()[-6:]:
+        metric, *_, verdict = line.split()
+        verdicts[metric] = verdict
+    assert set(verdicts) == {"setup_s", "frames_per_s", "wer", "u_wer", "b_wer", "peak_rss_mb"}
+    assert set(verdicts.values()) <= {"worse", "gain", "unresolved", "within"}
+    # Both sides are the same checkout, so the rates are identical.
+    assert verdicts["wer"] == verdicts["u_wer"] == verdicts["b_wer"] == "within"
+
+
+def test_bench_pairs_verdicts_read_the_bounds(capsys):
+    path = ROOT / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    base = {
+        "setup_s": [1.0, 1.0, 1.0, 1.0],
+        "frames_per_s": [100.0, 100.0, 100.0, 100.0],
+        "peak_rss_mb": [80.0, 100.0, 120.0, 140.0],
+        "wer": [10.0] * 4, "u_wer": [10.0] * 4, "b_wer": [10.0] * 4,
+    }
+    change = {
+        **base,
+        "setup_s": [0.5, 0.5, 0.5, 0.5],  # better in every pair
+        "frames_per_s": [70.0, 72.0, 70.0, 72.0],  # median 29% lower, bound 25%
+        "peak_rss_mb": [100.0, 110.0, 110.0, 120.0],  # base spread 30 MB, bound 11 MB
+    }
+
+    def run(side, n):
+        return {"values": {name: values[n] for name, values in side.items()}, "failed": 0}
+
+    pairs = [(run(base, n), run(change, n)) for n in range(4)]
+    bench_pairs.summarize("toy", pairs)
+    lines = capsys.readouterr().out.splitlines()[-6:]
+    verdicts = {line.split()[0]: line.split()[-1] for line in lines}
+    assert verdicts == {
+        "setup_s": "gain", "frames_per_s": "worse", "peak_rss_mb": "unresolved",
+        "wer": "within", "u_wer": "within", "b_wer": "within",
+    }
 
 
 def test_bench_record_writes_both_metric_sets(tmp_path):
