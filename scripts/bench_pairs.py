@@ -7,8 +7,11 @@ the machine hits both sides alike.  Each run imports kwboost from its
 own checkout's ``src/``.  Prints one line per pair as it finishes, then,
 per workload and end-to-end metric, each side's median with quartiles,
 the change's median relative to the base, the pairs the change won,
-lost and tied, and a verdict.  A metric's ``bound`` in BENCHMARK.json is
-read as a fraction of the base median.  The verdict is the first of:
+lost and tied, and a verdict.  Each side's failed checks are printed as
+failed/attempted, summed over its runs, with a ``checks: worse`` line
+when the change fails a larger share.  A metric's ``bound`` in
+BENCHMARK.json is read as a fraction of the base median.  The verdict is
+the first of:
 
   worse       the change's median is worse than the base's by more than
               the bound;
@@ -62,7 +65,7 @@ def parse_args() -> argparse.Namespace:
 
 
 def run(checkout: Path, workload: str, seed: int, args: argparse.Namespace) -> dict:
-    """One benchmark run: its metric values and failed-check count."""
+    """One benchmark run: its metric values and its failed and attempted checks."""
     argv = [
         sys.executable, "kwbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0",
@@ -74,7 +77,7 @@ def run(checkout: Path, workload: str, seed: int, args: argparse.Namespace) -> d
         sys.exit(f"bench_pairs: {workload} seed {seed} in {checkout} failed:\n{proc.stderr}")
     result = json.loads(proc.stdout.splitlines()[-1])
     values = {name: m["value"] for name, m in result["metrics"].items()}
-    return {"values": values, "failed": result["failed"]}
+    return {"values": values, "failed": result["failed"], "attempted": result["attempted"]}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -85,9 +88,14 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def summarize(workload: str, pairs: list[tuple[dict, dict]]) -> None:
-    failed = [sum(side["failed"] for side in sides) for sides in zip(*pairs)]
-    print(f"\n{workload}: {len(pairs)} pairs, failed checks base {failed[0]} "
-          f"change {failed[1]}")
+    (base_failed, base_attempted), (failed, attempted) = [
+        (sum(r["failed"] for r in side), sum(r["attempted"] for r in side))
+        for side in zip(*pairs)
+    ]
+    print(f"\n{workload}: {len(pairs)} pairs, failed checks base "
+          f"{base_failed}/{base_attempted} change {failed}/{attempted}")
+    if failed * max(base_attempted, 1) > base_failed * max(attempted, 1):
+        print("  checks: worse")
     print(f"  {'metric':<13} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30} "
           f"{'change/base':>11} {'won':>4} {'lost':>4} {'tied':>4}  verdict")
     for name, better in BETTER.items():

@@ -60,7 +60,6 @@ from .norm import (
     save_mapping,
 )
 from .scoring import (
-    Alignment,
     ErrorCounts,
     ScoreReport,
     UtteranceScore,
@@ -73,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArpaError",
-    "Alignment",
     "BeamHypothesis",
     "BiasTrie",
     "ConfigError",

@@ -23,7 +23,15 @@ import numpy as np
 
 from .dataio import utterance_id, write_logits, write_manifest, write_vocab_file
 from .decoder import LogitMatrix, Vocabulary
-from .errors import ConfigError, DataFormatError, as_integer, as_real, as_string, read_lines
+from .errors import (
+    ConfigError,
+    DataFormatError,
+    as_integer,
+    as_real,
+    as_string,
+    check_output,
+    read_lines,
+)
 
 BLANK_TOKEN = "<blank>"
 
@@ -74,8 +82,10 @@ def parse_spec(record: dict) -> UtteranceSpec:
     Fields: id (string or integer, filename-safe), text (string),
     reference (string, defaults to text), confidence (one number or one
     per word in (0, 1], default 0.95), confusions ([{word, alt, prob}],
-    prob finite and > 0) and traps ([{after, alt, prob, count}], prob in
-    (0, 0.9], count an integer >= 1, default 1).
+    prob finite and > 0, at most one per word of the text, alt not the
+    word itself) and traps ([{after, alt, prob, count}], prob in (0, 0.9],
+    count an integer >= 1, default 1).  No word or alt may be the blank
+    token.
     """
     utt_id = utterance_id(record["id"])
     if not utt_id or any(sep in utt_id for sep in "/\\\0"):
@@ -84,6 +94,8 @@ def parse_spec(record: dict) -> UtteranceSpec:
     words = text.split()
     if not words:
         raise ValueError("empty text")
+    if BLANK_TOKEN in words:
+        raise ValueError(f"{BLANK_TOKEN!r} is the blank token, not a word")
     confidence = record.get("confidence", 0.95)
     if isinstance(confidence, list):
         confidence = [as_real(c, "confidence", ValueError) for c in confidence]
@@ -99,11 +111,18 @@ def parse_spec(record: dict) -> UtteranceSpec:
         prob = as_real(item["prob"], "confusion probability", ValueError)
         if not 0.0 < prob < math.inf:
             raise ValueError(f"confusion probability {prob} outside (0, inf)")
-        confusions[word] = (as_string(item["alt"], "confusion alt", ValueError), prob)
+        alt = _alt(item, "confusion alt")
+        if word not in words:
+            raise ValueError(f"confusion word {word!r} is not in the text")
+        if word in confusions:
+            raise ValueError(f"second confusion for word {word!r}")
+        if alt == word:
+            raise ValueError(f"confusion alt {alt!r} is its own word")
+        confusions[word] = (alt, prob)
     traps = [
         Trap(
             after=as_integer(item["after"], "trap after", ValueError),
-            alt=as_string(item["alt"], "trap alt", ValueError),
+            alt=_alt(item, "trap alt"),
             prob=as_real(item["prob"], "trap probability", ValueError),
             count=as_integer(item.get("count", 1), "trap count", ValueError),
         )
@@ -128,6 +147,14 @@ def parse_spec(record: dict) -> UtteranceSpec:
         confusions=confusions,
         traps=traps,
     )
+
+
+def _alt(item: dict, name: str) -> str:
+    """A confusion's or a trap's alternative word: a string, not blank."""
+    alt = as_string(item["alt"], name, ValueError)
+    if alt == BLANK_TOKEN:
+        raise ValueError(f"{name} {alt!r} is the blank token")
+    return alt
 
 
 def _build_vocab(specs: Sequence[UtteranceSpec]) -> Vocabulary:
@@ -222,35 +249,38 @@ def make_fixtures(
     out_dir: str | Path,
     seed: int = 0,
 ) -> FixtureSet:
-    """Write logit files, a manifest, and a vocabulary under out_dir."""
+    """Write logit files, a manifest, and a vocabulary under out_dir.
+
+    None of them may overwrite a spec file that ``specs`` names.
+    """
     if as_integer(seed, "seed") < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    spec_path = None
     if isinstance(specs, (str, Path)):
-        specs = load_fixture_spec(specs)
+        spec_path = specs
+        specs = load_fixture_spec(spec_path)
     if not specs:
         raise DataFormatError("fixture spec is empty")
     ids = [spec.utt_id for spec in specs]
     if len(set(ids)) != len(ids):
         raise DataFormatError("duplicate utterance ids in fixture spec")
     out_dir = Path(out_dir)
+    rels = [Path("logits") / f"{utt_id}.ctcl" for utt_id in ids]
+    fixture = FixtureSet(
+        out_dir / "manifest.jsonl", out_dir / "vocab.txt", tuple(out_dir / rel for rel in rels)
+    )
+    for path in (fixture.manifest_path, fixture.vocab_path, *fixture.logit_paths):
+        check_output(path, (spec_path,))
     try:
         (out_dir / "logits").mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: NUL in path
         raise ConfigError(f"{out_dir}: {exc}") from None
     vocab = _build_vocab(specs)
-    vocab_path = out_dir / "vocab.txt"
-    write_vocab_file(vocab_path, vocab)
+    write_vocab_file(fixture.vocab_path, vocab)
     rng = np.random.default_rng(seed)
     records = []
-    logit_paths = []
-    for spec in specs:
-        matrix = _utterance_logits(spec, vocab, rng)
-        rel = Path("logits") / f"{spec.utt_id}.ctcl"
-        write_logits(out_dir / rel, matrix)
-        logit_paths.append(out_dir / rel)
-        records.append(
-            {"id": spec.utt_id, "logits": str(rel), "reference": spec.reference}
-        )
-    manifest_path = out_dir / "manifest.jsonl"
-    write_manifest(manifest_path, records)
-    return FixtureSet(manifest_path, vocab_path, tuple(logit_paths))
+    for spec, rel in zip(specs, rels):
+        write_logits(out_dir / rel, _utterance_logits(spec, vocab, rng))
+        records.append({"id": spec.utt_id, "logits": str(rel), "reference": spec.reference})
+    write_manifest(fixture.manifest_path, records)
+    return fixture

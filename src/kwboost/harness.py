@@ -23,6 +23,7 @@ from .bias_trie import (
     entry_weights,
 )
 from .dataio import (
+    ManifestEntry,
     read_logits,
     read_manifest,
     read_transcripts,
@@ -146,15 +147,22 @@ def _transcribe(
     return inverse_normalize(result.words, resources.mapping)
 
 
+def _read_entries(cfg: RunConfig) -> list[ManifestEntry]:
+    """The manifest's entries; ``cfg.out`` may not name a logit file."""
+    entries = read_manifest(cfg.manifest)
+    check_output(cfg.out, [entry.logits_path for entry in entries])
+    return entries
+
+
 def run_decode(cfg: RunConfig) -> DecodeSummary:
     """Decode every manifest utterance; never stop on one bad file.
 
     Output lines keep manifest order.  Utterances whose logits are
     missing or corrupt produce an error record instead of a transcript.
     """
+    entries = _read_entries(cfg)
     resources = load_resources(cfg)
     config = cfg.decode_config()
-    entries = read_manifest(cfg.manifest)
     decoded = failed = 0
     lines: list[str] = []
     for entry in entries:
@@ -195,8 +203,6 @@ def run_score(
         if not isinstance(text, str):
             raise DataFormatError(f"utterance {entry.utt_id!r} has no text string")
         corpus.append((entry.utt_id, entry.reference.split(), text.split()))
-    if not corpus:
-        raise DataFormatError("empty corpus: manifest has no utterances")
     terms = [raw for raw, _, _ in load_keyword_list(keywords)]
     report = biased_wer(corpus, terms, case_fold=case_fold)
     if out is not None:
@@ -269,10 +275,10 @@ _DevCorpus = list[tuple[str, LogitMatrix, str]]  # (id, logits, reference)
 
 
 def _load_dev_set(cfg: RunConfig) -> tuple[LoadedResources, _DevCorpus]:
-    resources = load_resources(cfg)
-    entries = read_manifest(cfg.manifest)
+    entries = _read_entries(cfg)
     if not entries:
         raise DataFormatError("empty manifest: nothing to tune on")
+    resources = load_resources(cfg)
     corpus = [
         (entry.utt_id, read_logits(entry.logits_path), entry.reference)
         for entry in entries
@@ -284,10 +290,12 @@ def _evaluate(
     cfg: RunConfig,
     resources: LoadedResources,
     corpus: _DevCorpus,
-    trie: BiasTrie,
-    weight: float,
+    weights: dict[str, float],
+    label: float,
 ) -> GridPoint:
-    """Score the corpus decoded with ``trie``; ``weight`` labels the point."""
+    """Score the corpus decoded with the entry ``weights``; ``label`` names the
+    point.  Every trial shares the mapping and the gate load_resources ran."""
+    trie = BiasTrie(resources.mapping, weights, resources.trie.gated)
     trial = replace(resources, trie=trie)
     config = cfg.decode_config()
     scored = []
@@ -295,7 +303,7 @@ def _evaluate(
         text, _ = _transcribe(matrix, trial, config)
         scored.append((utt_id, reference.split(), text.split()))
     report = biased_wer(scored, [entry.raw for entry in resources.mapping.entries])
-    return GridPoint(weight, report.wer, report.u_wer, report.b_wer)
+    return GridPoint(label, report.wer, report.u_wer, report.b_wer)
 
 
 def _rate_key(point: GridPoint, objective: str) -> tuple[float, float]:
@@ -342,23 +350,20 @@ def grid_search(
         check_boost_settings(w, cfg.rarity_threshold)
     weights = sorted(set(float(w) for w in grid))
     resources, corpus = _load_dev_set(cfg)
-    # Every grid weight shares the mapping and the gate load_resources ran.
-    mapping, gated = resources.mapping, resources.trie.gated
-    tries = {w: BiasTrie(mapping, entry_weights(mapping, w), gated) for w in weights}
-    points = [_evaluate(cfg, resources, corpus, tries[w], w) for w in weights]
+    mapping = resources.mapping
+    points = [_evaluate(cfg, resources, corpus, entry_weights(mapping, w), w) for w in weights]
     best = _best(points, objective)
     result = GridSearchResult(objective, points, best.weight)
     if not per_target:
         return result
 
     # Each entry starts at its effective weight at the selected point.
-    best_trie = tries[best.weight]
-    assigned = dict(best_trie.weights)
-    for raw in best_trie.weights:
-        trials = []
-        for w in sorted({*weights, assigned[raw]}):
-            trie = BiasTrie(mapping, {**assigned, raw: w}, best_trie.gated)
-            trials.append(_evaluate(cfg, resources, corpus, trie, w))
+    assigned = entry_weights(mapping, best.weight)
+    for raw in assigned:
+        trials = [
+            _evaluate(cfg, resources, corpus, {**assigned, raw: w}, w)
+            for w in sorted({*weights, assigned[raw]})
+        ]
         # The sweep includes the current value, so this never worsens.
         assigned[raw] = _best(trials, objective).weight
     result.per_target = assigned

@@ -73,7 +73,8 @@ def load_arpa(path: str | Path) -> NGramLM:
 
     The ``ngram k=count`` lines follow ``\\data\\`` and come before the
     first section, one per order, each order at least 1.  Sections run
-    ``\\1-grams:`` upward, and each must list exactly its declared count.
+    ``\\1-grams:`` upward, and each must list exactly its declared count;
+    the unigram section may not be empty.
     A data line is ``log10prob w1 .. wk [backoff]``: the probability is at
     most 0 (``-inf`` is allowed), a back-off weight is finite, no n-gram
     is listed twice, and every n-gram's context is listed one order down.
@@ -167,6 +168,8 @@ def load_arpa(path: str | Path) -> NGramLM:
             raise error(f"declared ngram {n}={count} but no \\{n}-grams: section")
         if len(tables[n - 1]) != count:
             raise error(f"declared ngram {n}={count} but parsed {len(tables[n - 1])}")
+    if not tables[0]:
+        raise error("model has no unigrams")
     for n in range(2, len(tables) + 1):
         for ngram in tables[n - 1]:
             if ngram[:-1] not in tables[n - 2]:

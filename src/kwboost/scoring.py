@@ -10,11 +10,12 @@ each of their written-form words to the biased vocabulary.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import write_text
+from .errors import DataFormatError, write_text
 
 
 @dataclass(frozen=True)
@@ -26,16 +27,7 @@ class EditOp:
     hyp: str | None
 
 
-@dataclass
-class Alignment:
-    ops: list[EditOp]
-
-    @property
-    def distance(self) -> int:
-        return sum(1 for op in self.ops if op.kind != "match")
-
-
-def align(ref: Sequence[str], hyp: Sequence[str]) -> Alignment:
+def align(ref: Sequence[str], hyp: Sequence[str]) -> list[EditOp]:
     """Minimal edit-distance alignment with a deterministic backtrace.
 
     Ties break in favor of match, then substitution, then deletion,
@@ -73,7 +65,7 @@ def align(ref: Sequence[str], hyp: Sequence[str]) -> Alignment:
             ops.append(EditOp("ins", None, hyp[j - 1]))
             j -= 1
     ops.reverse()
-    return Alignment(ops)
+    return ops
 
 
 @dataclass
@@ -215,13 +207,13 @@ def _round(value: float | None) -> float | None:
     return None if value is None else round(value, 2)
 
 
-def _phrase_occurrences(words: Sequence[str], phrase: Sequence[str]) -> list[int]:
+def _phrase_occurrences(words: list[str], phrase: list[str]) -> list[int]:
     """Non-overlapping leftmost start indices of phrase inside words."""
     starts: list[int] = []
     i = 0
     k = len(phrase)
     while k and i + k <= len(words):
-        if list(words[i : i + k]) == list(phrase):
+        if words[i : i + k] == phrase:
             starts.append(i)
             i += k
         else:
@@ -238,58 +230,34 @@ def biased_wer(
 
     ``terms`` hold the biasing keywords in written form; membership is
     word-for-word and case-sensitive unless ``case_fold`` is set.
-    B-WER stays None when no reference word is biased.
+    B-WER stays None when no reference word is biased; an empty corpus
+    raises DataFormatError.
     """
     fold = (lambda w: w.lower()) if case_fold else (lambda w: w)
-    terms = list(dict.fromkeys(terms))
-    biased_vocab = {fold(word) for term in terms for word in term.split()}
-    phrases = [(term, [fold(w) for w in term.split()]) for term in terms]
+    phrases = {term: [fold(w) for w in term.split()] for term in terms}
+    biased_vocab = {word for phrase in phrases.values() for word in phrase}
+    keywords = [KeywordStat(term) for term in phrases]
 
-    total = ErrorCounts()
-    ref_words = 0
-    biased_ref_words = 0
     utterances: list[UtteranceScore] = []
-    keyword_stats = {term: KeywordStat(term) for term, _ in phrases}
-
-    empty = True
     for utt_id, ref, hyp in corpus:
-        empty = False
         ref = [fold(w) for w in ref]
         hyp = [fold(w) for w in hyp]
-        counts = ErrorCounts()
-        alignment = align(ref, hyp)
         # Per reference word: its op and the index of the next hypothesis
         # word, which is its own when it is matched.
+        counts: Counter[str] = Counter()
         ref_ops: list[tuple[str, int]] = []
         hyp_index = 0
-        for op in alignment.ops:
-            if op.kind == "ins":
-                hyp_index += 1
-                if op.hyp in biased_vocab:
-                    counts.ins_biased += 1
-                else:
-                    counts.ins_unbiased += 1
-                continue
-            ref_ops.append((op.kind, hyp_index))
+        for op in align(ref, hyp):
+            word = op.hyp if op.kind == "ins" else op.ref
+            if op.kind != "ins":
+                ref_ops.append((op.kind, hyp_index))
             if op.kind != "del":
                 hyp_index += 1
-            if op.kind == "sub":
-                if op.ref in biased_vocab:
-                    counts.sub_biased += 1
-                else:
-                    counts.sub_unbiased += 1
-            elif op.kind == "del":
-                if op.ref in biased_vocab:
-                    counts.del_biased += 1
-                else:
-                    counts.del_unbiased += 1
+            if op.kind != "match":
+                counts[f"{op.kind}_{'biased' if word in biased_vocab else 'unbiased'}"] += 1
         n_biased = sum(1 for w in ref if w in biased_vocab)
-        utterances.append(UtteranceScore(utt_id, len(ref), n_biased, counts))
-        total.add(counts)
-        ref_words += len(ref)
-        biased_ref_words += n_biased
-        for term, phrase in phrases:
-            stat = keyword_stats[term]
+        utterances.append(UtteranceScore(utt_id, len(ref), n_biased, ErrorCounts(**counts)))
+        for stat, phrase in zip(keywords, phrases.values()):
             for start in _phrase_occurrences(ref, phrase):
                 stat.occurrences += 1
                 # A hit: every word matched, and the hypothesis holds the
@@ -304,14 +272,17 @@ def biased_wer(
                     and hyp[first : first + len(phrase)] == phrase
                 ):
                     stat.hits += 1
-    if empty:
-        raise ValueError("empty corpus")
+    if not utterances:
+        raise DataFormatError("empty corpus")
+    errors = ErrorCounts()
+    for utt in utterances:
+        errors.add(utt.errors)
     return ScoreReport(
-        ref_words=ref_words,
-        biased_ref_words=biased_ref_words,
-        errors=total,
+        ref_words=sum(utt.ref_words for utt in utterances),
+        biased_ref_words=sum(utt.biased_ref_words for utt in utterances),
+        errors=errors,
         utterances=utterances,
-        keywords=[keyword_stats[term] for term, _ in phrases],
+        keywords=keywords,
     )
 
 

@@ -130,6 +130,45 @@ class TestParseSpec:
                 "trap probability must be a real number",
             ),
             ({"id": "u", "text": "x", "confidence": 10**400}, "confidence is too large for a float"),
+            (
+                {
+                    "id": "u",
+                    "text": "x",
+                    "confidence": 0.6,
+                    "confusions": [{"word": "x", "alt": "x", "prob": 0.3}],
+                },
+                "confusion alt 'x' is its own word",
+            ),
+            (
+                {"id": "u", "text": "x", "confusions": [{"word": "y", "alt": "z", "prob": 0.01}]},
+                "confusion word 'y' is not in the text",
+            ),
+            (
+                {
+                    "id": "u",
+                    "text": "x",
+                    "confidence": 0.5,
+                    "confusions": [
+                        {"word": "x", "alt": "y", "prob": 0.1},
+                        {"word": "x", "alt": "z", "prob": 0.2},
+                    ],
+                },
+                "second confusion for word 'x'",
+            ),
+            ({"id": "u", "text": "x <blank>"}, "'<blank>' is the blank token, not a word"),
+            (
+                {
+                    "id": "u",
+                    "text": "x",
+                    "confidence": 0.5,
+                    "confusions": [{"word": "x", "alt": "<blank>", "prob": 0.1}],
+                },
+                "confusion alt '<blank>' is the blank token",
+            ),
+            (
+                {"id": "u", "text": "x", "traps": [{"after": 0, "alt": "<blank>", "prob": 0.2}]},
+                "trap alt '<blank>' is the blank token",
+            ),
         ],
     )
     def test_invalid_specs(self, record, message):
@@ -159,6 +198,11 @@ class TestParseSpec:
                 '{"id": "u", "text": "x", "confidence": 1' + "0" * 400 + "}",
                 "too large",
                 id="huge-confidence",
+            ),
+            pytest.param(
+                '{"id": "u", "text": "x", "confusions": [{"word": "x", "alt": "x", "prob": 0.01}]}',
+                "confusion alt 'x' is its own word",
+                id="self-confusion",
             ),
         ],
     )

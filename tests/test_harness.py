@@ -868,6 +868,26 @@ class TestCli:
         assert "would overwrite the input" in capsys.readouterr().err
         assert target.read_bytes() == before
 
+    @pytest.mark.parametrize("command", ["decode", "tune"])
+    def test_out_that_names_a_logit_file_exits_2_and_keeps_it(
+        self, corpus, demo_keywords, tmp_path, capsys, monkeypatch, command
+    ):
+        # The manifest's logit files are inputs too, read before any work.
+        fx = tmp_path / "fx"
+        shutil.copytree(corpus.manifest_path.parent, fx)
+        target = fx / corpus.logit_paths[0].relative_to(corpus.manifest_path.parent)
+        before = target.read_bytes()
+        argv = [
+            command, "--manifest", str(fx / "manifest.jsonl"), "--vocab", str(fx / "vocab.txt"),
+            "--keywords", str(demo_keywords), "--out", str(target),
+        ]
+        if command == "tune":
+            argv += ["--grid", "1"]
+        monkeypatch.setattr(harness, "load_resources", None)
+        assert main(argv) == 2
+        assert "would overwrite the input" in capsys.readouterr().err
+        assert target.read_bytes() == before
+
     def test_decode_then_score_pipeline(self, corpus, demo_keywords, tmp_path, capsys):
         hyps = tmp_path / "hyps.jsonl"
         rc = main(
@@ -1166,6 +1186,19 @@ class TestCli:
         argv = ["make-fixtures", "--spec", str(spec), "--out-dir", str(out_dir)]
         assert main(argv) == 2
         assert str(path if blocked else out_dir) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["manifest.jsonl", "vocab.txt", "logits/u1.ctcl"])
+    def test_make_fixtures_never_writes_over_its_spec(self, tmp_path, capsys, name):
+        out_dir = tmp_path / "mf"
+        spec = out_dir / name
+        spec.parent.mkdir(parents=True)
+        text = '{"id": "u1", "text": "hello"}\n'
+        spec.write_text(text, encoding="utf-8")
+        argv = ["make-fixtures", "--spec", str(spec), "--out-dir", str(out_dir)]
+        assert main(argv) == 2
+        assert f"would overwrite the input {spec}" in capsys.readouterr().err
+        assert spec.read_text(encoding="utf-8") == text
+        assert [path for path in out_dir.rglob("*") if path.is_file()] == [spec]
 
     def test_make_fixtures_negative_seed_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "spec.jsonl"

@@ -254,8 +254,9 @@ class TestLoader:
             ("\\data\\\nngram 0=1\n", ":2: ngram order 0 is below 1"),
             # A file with no n-gram section has no one line at fault.
             ("\\data\\\n\\end\\\n", ": no n-gram sections"),
+            ("\\data\\\nngram 1=0\n\\1-grams:\n\\end\\\n", ": model has no unigrams"),
         ],
-        ids=["with-line", "without-line"],
+        ids=["with-line", "without-line", "empty-unigrams"],
     )
     def test_errors_begin_with_the_path(self, tmp_path, text, message):
         path = write_arpa(tmp_path, text)

@@ -6,6 +6,7 @@ The scripts write their outputs under the working directory, here tmp_path.
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,7 +98,9 @@ def test_bench_pairs_reports_every_metric(tmp_path):
     )
     assert "tune-grid seed 0 (base first)" in out
     assert "tune-grid seed 1 (change first)" in out
-    assert "tune-grid: 2 pairs, failed checks base 0 change 0" in out
+    checks = re.search(r"tune-grid: 2 pairs, failed checks base 0/(\d+) change 0/(\d+)\n", out)
+    assert checks and int(checks[1]) > 0 and checks[1] == checks[2]
+    assert "checks: worse" not in out
     assert out.splitlines()[-7].endswith("  verdict")
     verdicts = {}
     for line in out.splitlines()[-6:]:
@@ -127,17 +130,30 @@ def test_bench_pairs_verdicts_read_the_bounds(capsys):
         "peak_rss_mb": [100.0, 110.0, 110.0, 120.0],  # base spread 30 MB, bound 11 MB
     }
 
-    def run(side, n):
-        return {"values": {name: values[n] for name, values in side.items()}, "failed": 0}
+    def run(side, n, failed=0, attempted=10):
+        values = {name: column[n] for name, column in side.items()}
+        return {"values": values, "failed": failed, "attempted": attempted}
 
     pairs = [(run(base, n), run(change, n)) for n in range(4)]
     bench_pairs.summarize("toy", pairs)
-    lines = capsys.readouterr().out.splitlines()[-6:]
-    verdicts = {line.split()[0]: line.split()[-1] for line in lines}
+    out = capsys.readouterr().out
+    assert "toy: 4 pairs, failed checks base 0/40 change 0/40\n" in out
+    assert "checks: worse" not in out
+    verdicts = {line.split()[0]: line.split()[-1] for line in out.splitlines()[-6:]}
     assert verdicts == {
         "setup_s": "gain", "frames_per_s": "worse", "peak_rss_mb": "unresolved",
         "wer": "within", "u_wer": "within", "b_wer": "within",
     }
+
+    # The share decides: 2 of 40 failed is no worse than 1 of 20, 4 of 20 is.
+    base_runs = [run(base, n, 1 if n == 0 else 0, 5) for n in range(4)]
+    bench_pairs.summarize("toy", [(b, run(change, n, n % 2)) for n, b in enumerate(base_runs)])
+    out = capsys.readouterr().out
+    assert "toy: 4 pairs, failed checks base 1/20 change 2/40\n" in out
+    assert "checks: worse" not in out
+    bench_pairs.summarize("toy", [(b, run(change, n, 1, 5)) for n, b in enumerate(base_runs)])
+    out = capsys.readouterr().out
+    assert "toy: 4 pairs, failed checks base 1/20 change 4/20\n  checks: worse\n" in out
 
 
 def test_bench_record_writes_both_metric_sets(tmp_path):
