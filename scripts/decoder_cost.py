@@ -7,7 +7,9 @@ kwbench/gen.py), decodes each utterance in ngram mode with the
 benchmark's settings, and prints the median wall ms per frame of
 ``decoder.decode`` for each length.  An exact search whose frame step
 does not depend on the prefix length gives about the same figure at
-every T.
+every T.  Beside it is the number of automatic cyclic collections per
+decode, counted by a ``gc.callbacks`` hook (the script runs no explicit
+collection there), which the paused frame loop keeps at 0.
 
 The second table decodes the benchmark's word-level tuning corpus
 (``gen.make_tune_spec`` + ``fixtures.make_fixtures``, demo keywords, no
@@ -32,6 +34,7 @@ Run from the repository root with kwboost importable, for instance:
 """
 
 import argparse
+import gc
 import statistics
 import sys
 import tempfile
@@ -88,10 +91,24 @@ def length_table(work: Path, args: argparse.Namespace) -> None:
         lm=inputs.lm, keywords=inputs.keywords, mode="ngram", boost_weight=2.0,
     ))
     per_frame = {}
-    for matrix in matrices:
-        seconds = median_seconds([matrix], resources, config, args.reps)
-        per_frame[matrix.num_frames] = 1e3 * seconds / matrix.num_frames
-        print(f"T={matrix.num_frames:5d}  {per_frame[matrix.num_frames]:.3f} ms/frame")
+    collections = 0
+
+    def count(phase, info):
+        nonlocal collections
+        collections += phase == "start"
+
+    gc.callbacks.append(count)
+    try:
+        for matrix in matrices:
+            collections = 0
+            seconds = median_seconds([matrix], resources, config, args.reps)
+            per_frame[matrix.num_frames] = 1e3 * seconds / matrix.num_frames
+            print(
+                f"T={matrix.num_frames:5d}  {per_frame[matrix.num_frames]:.3f} ms/frame"
+                f"  {collections / args.reps:.1f} collections/decode"
+            )
+    finally:
+        gc.callbacks.remove(count)
     print(f"ratio T=1000 / T=100: {per_frame[1000] / per_frame[100]:.2f}")
 
 

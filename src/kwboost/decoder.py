@@ -36,7 +36,9 @@ entries, which later frames update in place; the final result holds
 the settled entries themselves, which nothing changes after that.
 Finalization commits each pending word, settles the boosts and ranks
 the beam in place, with the same commit routine and ranking as the
-frame loop, so the retraction is exact.
+frame loop, so the retraction is exact.  The frame loop makes no
+reference cycles, so ``push_frames`` runs with automatic cyclic
+collection paused (see paused_collector).
 
 Boost modes
     baseline  no boosting at all
@@ -53,6 +55,8 @@ scaled by ln(10) when fused.
 
 from __future__ import annotations
 
+import functools
+import gc
 import math
 import weakref
 from bisect import bisect_right
@@ -77,6 +81,29 @@ MODES = ("baseline", "default", "ngram")
 _NEG_TOTAL = itemgetter(0)  # the sort key of a ranking record
 _LOGP = itemgetter(1)  # the sort key of a frame's candidates
 _NO_STAYS = MappingProxyType({})  # a parent with no stay slot among its children
+
+
+def paused_collector(fn):
+    """Run ``fn`` with automatic cyclic collection paused.
+
+    What the toolkit allocates sits in no reference cycle, so reference
+    counting frees it and the collector would only re-walk the LM
+    tables and beam records.  The pause is process-wide.  The caller's
+    collector state comes back on return or raise: one it had switched
+    off stays off, so nested calls never re-enable it midway.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 def _log_add(a: float, b: float) -> float:
@@ -595,6 +622,7 @@ class DecoderSession:
 
     # -- public API ---------------------------------------------------------
 
+    @paused_collector
     def push_frames(self, chunk: LogitMatrix | np.ndarray) -> DecodeResult:
         """Consume a chunk of frames and return the streaming partial."""
         if self._result is not None:

@@ -29,7 +29,7 @@ from .dataio import (
     read_transcripts,
     read_vocab_file,
 )
-from .decoder import DecodeConfig, LogitMatrix, Vocabulary, decode
+from .decoder import DecodeConfig, LogitMatrix, Vocabulary, decode, paused_collector
 from .errors import ConfigError, DataFormatError, check_output, write_text
 from .lm import NGramLM, load_arpa
 from .norm import (
@@ -113,6 +113,7 @@ def _read_mapping(
     return build_mapping(load_keyword_list(keywords), table)
 
 
+@paused_collector
 def load_resources(cfg: RunConfig) -> LoadedResources:
     vocab = read_vocab_file(cfg.vocab)
     lm = load_arpa(cfg.lm) if cfg.lm is not None else None
@@ -154,6 +155,7 @@ def _read_entries(cfg: RunConfig) -> list[ManifestEntry]:
     return entries
 
 
+@paused_collector
 def run_decode(cfg: RunConfig) -> DecodeSummary:
     """Decode every manifest utterance; never stop on one bad file.
 

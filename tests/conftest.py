@@ -1,5 +1,6 @@
 """Shared fixtures: bundled synthetic corpus, fixture paths, hypothesis profile."""
 
+import gc
 from pathlib import Path
 
 import pytest
@@ -34,3 +35,14 @@ def corpus(tmp_path_factory) -> FixtureSet:
 @pytest.fixture(scope="session")
 def demo_keywords() -> Path:
     return DATA_DIR / "keywords_demo.txt"
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector_on(request):
+    """The cyclic collector switched on or off for the test, then restored."""
+    was_on = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        (gc.enable if was_on else gc.disable)()

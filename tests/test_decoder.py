@@ -31,6 +31,7 @@ from kwboost.decoder import (
     new_session,
 )
 from kwboost.errors import ConfigError, DataFormatError
+from kwboost.harness import RunConfig, load_resources, run_decode
 from kwboost.lm import load_arpa
 from kwboost.norm import KeywordMatch, build_mapping, inverse_normalize, load_keyword_list
 
@@ -848,6 +849,29 @@ class TestMemory:
         finally:
             gc.enable()
 
+    def test_set_up_and_a_decode_run_leave_no_cycles(self, corpus, data_dir, tmp_path):
+        # What makes pausing the collector in these calls safe: reference
+        # counting alone frees everything they make.
+        cfg = RunConfig(
+            manifest=corpus.manifest_path,
+            vocab=corpus.vocab_path,
+            out=tmp_path / "hyps.jsonl",
+            lm=data_dir / "normalized_bigram.arpa",
+            keywords=data_dir / "keywords_demo.txt",
+            mode="ngram",
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            resources = load_resources(cfg)
+            summary = run_decode(cfg)
+            assert resources.lm is not None and resources.trie is not None
+            assert (summary.decoded, summary.failed) == (5, 0)
+            del resources, summary
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_a_decode_copies_the_beam_once(self, monkeypatch):
         # A partial holds copies, as later frames update the beam's
         # entries in place.  Nothing changes the entries finalize
@@ -868,6 +892,41 @@ class TestMemory:
             copies = 0
             result = decode(logits, vocab, exact_config(beam_width=width))
             assert copies == len(result.nbest) > 0
+
+
+class TestCollectorPause:
+    """push_frames pauses automatic collection and gives the caller's state back."""
+
+    def test_the_frame_loop_runs_paused(self, collector_on, monkeypatch):
+        seen = []
+        step = decoder.DecoderSession._step
+
+        def spy(session, row):
+            seen.append(gc.isenabled())
+            step(session, row)
+
+        monkeypatch.setattr(decoder.DecoderSession, "_step", spy)
+        vocab = REF_VOCABS[0]
+        logits = softmax_logits(np.random.default_rng(3), 6, vocab.size)
+        new_session(vocab, exact_config(beam_width=4)).push_frames(logits)
+        assert gc.isenabled() is collector_on
+        decode(logits, vocab, exact_config(beam_width=4))
+        assert gc.isenabled() is collector_on
+        assert seen == [False] * 12
+
+    def test_a_raising_push_gives_the_state_back(self, collector_on, monkeypatch):
+        def broken(session, row):
+            raise DataFormatError("broken frame")
+
+        monkeypatch.setattr(decoder.DecoderSession, "_step", broken)
+        vocab = REF_VOCABS[0]
+        logits = softmax_logits(np.random.default_rng(3), 3, vocab.size)
+        with pytest.raises(DataFormatError, match="broken frame"):
+            new_session(vocab, exact_config()).push_frames(logits)
+        assert gc.isenabled() is collector_on
+        with pytest.raises(DataFormatError, match="broken frame"):
+            decode(logits, vocab, exact_config())
+        assert gc.isenabled() is collector_on
 
 
 class TestChunking:

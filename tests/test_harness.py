@@ -1,6 +1,8 @@
 """Tests for the experiment harness: decode runs, scoring, list prep, tuning."""
 
 import argparse
+import gc
+import inspect
 import json
 import os
 import re
@@ -26,8 +28,14 @@ from kwboost.dataio import (
     read_vocab_file,
     utterance_id,
 )
-from kwboost.decoder import decode
-from kwboost.errors import ConfigError, DataFormatError, NormalizationError, ToolkitError
+from kwboost.decoder import DecoderSession, LogitMatrix, decode, new_session
+from kwboost.errors import (
+    ArpaError,
+    ConfigError,
+    DataFormatError,
+    NormalizationError,
+    ToolkitError,
+)
 from kwboost.fixtures import load_fixture_spec, make_fixtures
 from kwboost.harness import (
     GridSearchResult,
@@ -688,6 +696,80 @@ class TestGridSearch:
         cfg = tune_config(fixture_set, kw, tmp_path, manifest=empty)
         with pytest.raises(DataFormatError, match="empty manifest"):
             grid_search(cfg, [1.0])
+
+
+class TestCollectorPause:
+    """load_resources and run_decode pause automatic collection, then give
+    the caller's state back."""
+
+    def config(self, corpus, out, lm=DATA / "normalized_bigram.arpa"):
+        return RunConfig(
+            manifest=corpus.manifest_path,
+            vocab=corpus.vocab_path,
+            out=out,
+            lm=lm,
+            keywords=DATA / "keywords_demo.txt",
+            mode="ngram",
+        )
+
+    @pytest.mark.parametrize("call", [load_resources, run_decode], ids=lambda f: f.__name__)
+    def test_the_callers_state_comes_back(self, corpus, tmp_path, collector_on, call):
+        call(self.config(corpus, tmp_path / "hyps.jsonl"))
+        assert gc.isenabled() is collector_on
+
+    @pytest.mark.parametrize("call", [load_resources, run_decode], ids=lambda f: f.__name__)
+    def test_a_malformed_arpa_gives_the_state_back(self, corpus, tmp_path, collector_on, call):
+        arpa = tmp_path / "bad.arpa"
+        arpa.write_text("\\data\\\nngram 1=2\n\\1-grams:\n-0.5 a\n\\end\\\n", encoding="utf-8")
+        with pytest.raises(ArpaError, match="declared ngram 1=2 but parsed 1"):
+            call(self.config(corpus, tmp_path / "hyps.jsonl", lm=arpa))
+        assert gc.isenabled() is collector_on
+
+    def test_no_automatic_collection_inside_a_paused_call(self, corpus, tmp_path):
+        cfg = self.config(corpus, tmp_path / "hyps.jsonl")
+        resources = load_resources(cfg)
+        utterances = [read_logits(path).data for path in corpus.logit_paths]
+        long_utterance = LogitMatrix(np.concatenate(utterances * 10))
+        # A collection counts as inside when a paused body is on the stack:
+        # the wrappers allocate their argument tuples before the pause.
+        paused = {
+            inspect.unwrap(fn).__code__
+            for fn in (load_resources, run_decode, DecoderSession.push_frames)
+        }
+        inside = outside = 0
+
+        def hook(phase, info):
+            nonlocal inside, outside
+            if phase != "start":
+                return
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code not in paused:
+                frame = frame.f_back
+            if frame is None:
+                outside += 1
+            else:
+                inside += 1
+
+        was_on, threshold = gc.isenabled(), gc.get_threshold()
+        gc.callbacks.append(hook)
+        gc.enable()
+        gc.set_threshold(1, 1, 1)
+        try:
+            summary = run_decode(cfg)
+            session = new_session(
+                resources.vocab, cfg.decode_config(), lm=resources.lm, trie=resources.trie
+            )
+            session.push_frames(long_utterance)
+            session.finalize()
+        finally:
+            gc.set_threshold(*threshold)
+            gc.callbacks.remove(hook)
+            (gc.enable if was_on else gc.disable)()
+        assert (summary.decoded, summary.failed) == (5, 0)
+        assert long_utterance.num_frames > 500
+        # The hook is live: code between the calls still triggers collections.
+        assert outside > 0
+        assert inside == 0
 
 
 TEXT_READERS = [

@@ -65,6 +65,13 @@ def test_decoder_cost_reports_every_length(tmp_path):
     out = run_script("decoder_cost.py", tmp_path, "--reps", "1")
     for frames in (100, 300, 1000):
         assert f"T={frames:5d}" in out
+    # The frame loop runs with the collector paused.  CPython still counts
+    # the allocations made meanwhile, so the first one after the pause may
+    # run one young-generation pass: at most one collection per decode,
+    # however long the utterance.
+    collections = re.findall(r"T= *\d+ +[\d.]+ ms/frame +([\d.]+) collections/decode", out)
+    assert len(collections) == 3
+    assert all(0.0 <= float(count) <= 1.0 for count in collections)
     assert "ratio T=1000 / T=100" in out
     # The word-level table: one row per mode; baseline boosts nothing,
     # and a boosting mode commits at most once per beam entry (50).
