@@ -9,7 +9,10 @@ benchmark's settings, and prints the median wall ms per frame of
 does not depend on the prefix length gives about the same figure at
 every T.  Beside it is the number of automatic cyclic collections per
 decode, counted by a ``gc.callbacks`` hook (the script runs no explicit
-collection there), which the paused frame loop keeps at 0.
+collection there).  The frame loop runs with the collector paused, so
+this reads at most 1 at any length: CPython counts the allocations made
+during the pause, and the first one after it may run one
+young-generation pass.
 
 The second table decodes the benchmark's word-level tuning corpus
 (``gen.make_tune_spec`` + ``fixtures.make_fixtures``, demo keywords, no

@@ -28,7 +28,7 @@ from kwboost.dataio import (
     read_vocab_file,
     utterance_id,
 )
-from kwboost.decoder import DecoderSession, LogitMatrix, decode, new_session
+from kwboost.decoder import DecoderSession, LogitMatrix, decode
 from kwboost.errors import (
     ArpaError,
     ConfigError,
@@ -756,7 +756,7 @@ class TestCollectorPause:
         gc.set_threshold(1, 1, 1)
         try:
             summary = run_decode(cfg)
-            session = new_session(
+            session = DecoderSession(
                 resources.vocab, cfg.decode_config(), lm=resources.lm, trie=resources.trie
             )
             session.push_frames(long_utterance)
