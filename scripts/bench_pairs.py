@@ -7,9 +7,12 @@ the machine hits both sides alike.  Each run imports kwboost from its
 own checkout's ``src/``.  Prints one line per pair as it finishes, then,
 per workload and end-to-end metric, each side's median with quartiles,
 the change's median relative to the base, the pairs the change won,
-lost and tied, and a verdict.  Each side's failed checks are printed as
-failed/attempted, summed over its runs, with a ``checks: worse`` line
-when the change fails a larger share.  A metric's ``bound`` in
+lost and tied, the median and quartiles of the per-pair change/base
+ratios, and a verdict.  The paired ratios tell a steady per-pair change
+from the machine's drift between pairs, which widens each side's own
+quartiles; the verdict does not read them.  Each side's failed checks
+are printed as failed/attempted, summed over its runs, with a
+``checks: worse`` line when the change fails a larger share.  A metric's ``bound`` in
 BENCHMARK.json is read as a fraction of the base median.  The verdict is
 the first of:
 
@@ -97,7 +100,8 @@ def summarize(workload: str, pairs: list[tuple[dict, dict]]) -> None:
     if failed * max(base_attempted, 1) > base_failed * max(attempted, 1):
         print("  checks: worse")
     print(f"  {'metric':<13} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30} "
-          f"{'change/base':>11} {'won':>4} {'lost':>4} {'tied':>4}  verdict")
+          f"{'change/base':>11} {'won':>4} {'lost':>4} {'tied':>4} "
+          f"{'pair ratio [q1, q3]':>23}  verdict")
     for name, better in BETTER.items():
         base = [b["values"][name] for b, _ in pairs]
         change = [c["values"][name] for _, c in pairs]
@@ -107,6 +111,11 @@ def summarize(workload: str, pairs: list[tuple[dict, dict]]) -> None:
         bq1, bmed, bq3 = quartiles(base)
         cq1, cmed, cq3 = quartiles(change)
         ratio = f"{cmed / bmed:11.3f}" if bmed else f"{'-':>11}"
+        paired = "-"
+        ratios = [c / b for b, c in zip(base, change) if b]
+        if ratios:
+            pq1, pmed, pq3 = quartiles(ratios)
+            paired = f"{pmed:.3f} [{pq1:.3f}, {pq3:.3f}]"
         gap, spread, bound = sign * (cmed - bmed), bq3 - bq1, BOUND[name] * abs(bmed)
         if gap < -bound:
             verdict = "worse"
@@ -119,7 +128,7 @@ def summarize(workload: str, pairs: list[tuple[dict, dict]]) -> None:
         print(
             f"  {name:<13} {f'{bmed:.4g} [{bq1:.4g}, {bq3:.4g}]':>30} "
             f"{f'{cmed:.4g} [{cq1:.4g}, {cq3:.4g}]':>30} {ratio} "
-            f"{won:4d} {lost:4d} {len(pairs) - won - lost:4d}  {verdict}"
+            f"{won:4d} {lost:4d} {len(pairs) - won - lost:4d} {paired:>23}  {verdict}"
         )
 
 

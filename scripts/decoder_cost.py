@@ -90,8 +90,8 @@ def length_table(work: Path, args: argparse.Namespace) -> None:
         spoken_forms=normalize_keyword,
     )
     resources, config, matrices = load(RunConfig(
-        manifest=inputs.manifest, vocab=inputs.vocab, out=work / "hyp.jsonl",
-        lm=inputs.lm, keywords=inputs.keywords, mode="ngram", boost_weight=2.0,
+        manifest=inputs.manifest, vocab=inputs.vocab, lm=inputs.lm,
+        keywords=inputs.keywords, mode="ngram", boost_weight=2.0,
     ))
     per_frame = {}
     collections = 0
@@ -128,7 +128,7 @@ def word_table(work: Path, args: argparse.Namespace) -> None:
     for mode in MODES:
         resources, config, matrices = load(RunConfig(
             manifest=fixtures.manifest_path, vocab=fixtures.vocab_path,
-            out=work / "unused.jsonl", keywords=ROOT / "tests" / "data" / "keywords_demo.txt",
+            keywords=ROOT / "tests" / "data" / "keywords_demo.txt",
             mode=mode, word_bonus=0.0, boost_weight=2.0,
         ))
         frames = sum(matrix.num_frames for matrix in matrices)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -64,14 +63,14 @@ def _add_decode_options(parser: argparse.ArgumentParser, default_mode: str) -> N
     )
 
 
-def _run_config(args: argparse.Namespace, out: Path) -> RunConfig:
+def _run_config(args: argparse.Namespace, out: str | Path | None) -> RunConfig:
     names = {f.name for f in fields(RunConfig)}
     given = {k: v for k, v in vars(args).items() if k in names and v is not None}
     return RunConfig(**{**given, "out": out})
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    summary = run_decode(_run_config(args, Path(args.out)))
+    summary = run_decode(_run_config(args, args.out))
     print(f"decoded {summary.decoded} utterances -> {summary.out}")
     if summary.failed:
         print(
@@ -95,11 +94,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    # Without --out the result goes to stdout; the null device stands in
-    # for RunConfig's path and can never be an existing directory.
-    out = Path(args.out) if args.out else Path(os.devnull)
     result = grid_search(
-        _run_config(args, out),
+        _run_config(args, args.out),
         grid=args.grid,
         objective=args.objective,
         per_target=args.per_target,

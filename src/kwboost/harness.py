@@ -41,7 +41,7 @@ from .norm import (
     load_keyword_list,
     save_mapping,
 )
-from .scoring import ScoreReport, biased_wer
+from .scoring import ScoreReport, biased_wer, rounded_rates
 
 
 @dataclass
@@ -51,12 +51,13 @@ class RunConfig:
     The fields that DecodeConfig also has take its defaults, and
     ``decode_config`` copies them by name.  ``boost_weight`` and
     ``rarity_threshold`` go to ``build_trie``: the weight is the default
-    for entries without a list weight.
+    for entries without a list weight.  Only ``run_decode`` writes to
+    ``out``; tuning needs none.
     """
 
     manifest: Path
     vocab: Path
-    out: Path
+    out: Path | None = None
     lm: Path | None = None
     keywords: Path | None = None
     exceptions: Path | None = None
@@ -74,7 +75,7 @@ class RunConfig:
         check_boost_settings(self.boost_weight, self.rarity_threshold)
         self.manifest = Path(self.manifest)
         self.vocab = Path(self.vocab)
-        self.out = Path(self.out)
+        self.out = Path(self.out) if self.out is not None else None
         self.lm = Path(self.lm) if self.lm is not None else None
         self.keywords = Path(self.keywords) if self.keywords is not None else None
         self.exceptions = Path(self.exceptions) if self.exceptions is not None else None
@@ -84,12 +85,13 @@ class RunConfig:
         for path in inputs:
             if path is not None and not path.exists():
                 raise ConfigError(f"input file not found: {path}")
-        if not self.out.parent.is_dir():
-            raise ConfigError(f"output directory not found: {self.out}")
-        # Caught here, before anything is decoded, not at the final write.
-        if self.out.is_dir():
-            raise ConfigError(f"output path is a directory: {self.out}")
-        check_output(self.out, inputs)
+        if self.out is not None:
+            if not self.out.parent.is_dir():
+                raise ConfigError(f"output directory not found: {self.out}")
+            # Caught here, before anything is decoded, not at the final write.
+            if self.out.is_dir():
+                raise ConfigError(f"output path is a directory: {self.out}")
+            check_output(self.out, inputs)
 
     def decode_config(self) -> DecodeConfig:
         """The decoder settings, validated by DecodeConfig."""
@@ -162,6 +164,8 @@ def run_decode(cfg: RunConfig) -> DecodeSummary:
     Output lines keep manifest order.  Utterances whose logits are
     missing or corrupt produce an error record instead of a transcript.
     """
+    if cfg.out is None:
+        raise ConfigError("decoding needs an output path")
     entries = _read_entries(cfg)
     resources = load_resources(cfg)
     config = cfg.decode_config()
@@ -237,10 +241,10 @@ def prepare_list(
 
 @dataclass
 class GridPoint:
+    """A trial weight and the report of the corpus decoded with it."""
+
     weight: float
-    wer: float | None
-    u_wer: float | None
-    b_wer: float | None
+    report: ScoreReport
 
 
 @dataclass
@@ -251,20 +255,9 @@ class GridSearchResult:
     per_target: dict[str, float] | None = None
 
     def to_dict(self) -> dict:
-        def r(value: float | None) -> float | None:
-            return None if value is None else round(value, 2)
-
         return {
             "objective": self.objective,
-            "grid": [
-                {
-                    "weight": p.weight,
-                    "wer": r(p.wer),
-                    "u_wer": r(p.u_wer),
-                    "b_wer": r(p.b_wer),
-                }
-                for p in self.grid
-            ],
+            "grid": [{"weight": p.weight, **rounded_rates(p.report)} for p in self.grid],
             "selected_weight": self.selected_weight,
             "per_target": self.per_target,
         }
@@ -293,10 +286,9 @@ def _evaluate(
     resources: LoadedResources,
     corpus: _DevCorpus,
     weights: dict[str, float],
-    label: float,
-) -> GridPoint:
-    """Score the corpus decoded with the entry ``weights``; ``label`` names the
-    point.  Every trial shares the mapping and the gate load_resources ran."""
+) -> ScoreReport:
+    """Score the corpus decoded with the entry ``weights``.  Every trial
+    shares the mapping and the gate load_resources ran."""
     trie = BiasTrie(resources.mapping, weights, resources.trie.gated)
     trial = replace(resources, trie=trie)
     config = cfg.decode_config()
@@ -304,18 +296,18 @@ def _evaluate(
     for utt_id, matrix, reference in corpus:
         text, _ = _transcribe(matrix, trial, config)
         scored.append((utt_id, reference.split(), text.split()))
-    report = biased_wer(scored, [entry.raw for entry in resources.mapping.entries])
-    return GridPoint(label, report.wer, report.u_wer, report.b_wer)
+    return biased_wer(scored, [entry.raw for entry in resources.mapping.entries])
 
 
 def _rate_key(point: GridPoint, objective: str) -> tuple[float, float]:
-    if objective == "b_wer" and point.b_wer is None:
+    b, w = point.report.b_wer, point.report.wer
+    if objective == "b_wer" and b is None:
         raise DataFormatError(
             "B-WER is undefined on this dev set (no biased reference words); "
             "tune with --objective wer"
         )
-    b = point.b_wer if point.b_wer is not None else float("inf")
-    w = point.wer if point.wer is not None else float("inf")
+    b = b if b is not None else float("inf")
+    w = w if w is not None else float("inf")
     return (b, w) if objective == "b_wer" else (w, b)
 
 
@@ -353,7 +345,10 @@ def grid_search(
     weights = sorted(set(float(w) for w in grid))
     resources, corpus = _load_dev_set(cfg)
     mapping = resources.mapping
-    points = [_evaluate(cfg, resources, corpus, entry_weights(mapping, w), w) for w in weights]
+    points = [
+        GridPoint(w, _evaluate(cfg, resources, corpus, entry_weights(mapping, w)))
+        for w in weights
+    ]
     best = _best(points, objective)
     result = GridSearchResult(objective, points, best.weight)
     if not per_target:
@@ -363,7 +358,7 @@ def grid_search(
     assigned = entry_weights(mapping, best.weight)
     for raw in assigned:
         trials = [
-            _evaluate(cfg, resources, corpus, {**assigned, raw: w}, w)
+            GridPoint(w, _evaluate(cfg, resources, corpus, {**assigned, raw: w}))
             for w in sorted({*weights, assigned[raw]})
         ]
         # The sweep includes the current value, so this never worsens.

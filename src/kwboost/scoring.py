@@ -89,14 +89,6 @@ class ErrorCounts:
     def total(self) -> int:
         return self.biased + self.unbiased
 
-    def add(self, other: "ErrorCounts") -> None:
-        self.sub_biased += other.sub_biased
-        self.sub_unbiased += other.sub_unbiased
-        self.del_biased += other.del_biased
-        self.del_unbiased += other.del_unbiased
-        self.ins_biased += other.ins_biased
-        self.ins_unbiased += other.ins_unbiased
-
 
 def _rate(errors: int, words: int) -> float | None:
     """Percentage rate; None when there are no reference words."""
@@ -125,6 +117,12 @@ class _Rates:
         return _rate(self.errors.biased, self.biased_ref_words)
 
 
+def rounded_rates(scope: _Rates) -> dict[str, float | None]:
+    """WER, U-WER and B-WER of ``scope`` to 2 decimals, as every report writes them."""
+    rates = {"wer": scope.wer, "u_wer": scope.u_wer, "b_wer": scope.b_wer}
+    return {name: None if value is None else round(value, 2) for name, value in rates.items()}
+
+
 @dataclass
 class UtteranceScore(_Rates):
     utt_id: str
@@ -146,20 +144,30 @@ class KeywordStat:
 
 @dataclass
 class ScoreReport(_Rates):
-    ref_words: int
-    biased_ref_words: int
-    errors: ErrorCounts
-    utterances: list[UtteranceScore] = field(default_factory=list)
+    """A corpus's scores.  Its totals are sums over its utterance rows, so
+    ``ScoreReport(rows)`` over any subset of the rows is that subset's
+    report.  Keyword stats are corpus-level: a subset's report has none.
+    """
+
+    utterances: list[UtteranceScore]
     keywords: list[KeywordStat] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        def rates(scope) -> dict:
-            return {
-                "wer": _round(scope.wer),
-                "u_wer": _round(scope.u_wer),
-                "b_wer": _round(scope.b_wer),
-            }
+    @property
+    def ref_words(self) -> int:
+        return sum(utt.ref_words for utt in self.utterances)
 
+    @property
+    def biased_ref_words(self) -> int:
+        return sum(utt.biased_ref_words for utt in self.utterances)
+
+    @property
+    def errors(self) -> ErrorCounts:
+        # Each row's counts in field order; summed per field, without the
+        # per-row tuple copies of ``dataclasses.astuple``.
+        rows = (vars(utt.errors).values() for utt in self.utterances)
+        return ErrorCounts(*(sum(column) for column in zip(*rows)))
+
+    def to_dict(self) -> dict:
         def counts(err: ErrorCounts) -> dict:
             return {
                 "substitutions": {"biased": err.sub_biased, "unbiased": err.sub_unbiased},
@@ -176,7 +184,7 @@ class ScoreReport(_Rates):
                 "biased_ref_words": self.biased_ref_words,
                 "unbiased_ref_words": self.unbiased_ref_words,
                 "errors": counts(self.errors),
-                **rates(self),
+                **rounded_rates(self),
             },
             "utterances": [
                 {
@@ -184,7 +192,7 @@ class ScoreReport(_Rates):
                     "ref_words": utt.ref_words,
                     "biased_ref_words": utt.biased_ref_words,
                     "errors": counts(utt.errors),
-                    **rates(utt),
+                    **rounded_rates(utt),
                 }
                 for utt in self.utterances
             ],
@@ -201,10 +209,6 @@ class ScoreReport(_Rates):
 
     def save(self, path: str | Path) -> None:
         write_text(Path(path), json.dumps(self.to_dict(), indent=2) + "\n")
-
-
-def _round(value: float | None) -> float | None:
-    return None if value is None else round(value, 2)
 
 
 def _phrase_occurrences(words: list[str], phrase: list[str]) -> list[int]:
@@ -274,16 +278,7 @@ def biased_wer(
                     stat.hits += 1
     if not utterances:
         raise DataFormatError("empty corpus")
-    errors = ErrorCounts()
-    for utt in utterances:
-        errors.add(utt.errors)
-    return ScoreReport(
-        ref_words=sum(utt.ref_words for utt in utterances),
-        biased_ref_words=sum(utt.biased_ref_words for utt in utterances),
-        errors=errors,
-        utterances=utterances,
-        keywords=keywords,
-    )
+    return ScoreReport(utterances, keywords)
 
 
 def relative_reduction(before: float, after: float) -> float:

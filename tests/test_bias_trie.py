@@ -89,6 +89,7 @@ class TestRarityGate:
             (dict(rarity_threshold="x"), "rarity threshold must be a real number"),
             (dict(rarity_threshold=True), "rarity threshold must be a real number"),
         ],
+        ids=["string-weight", "bool-weight", "string-threshold", "bool-threshold"],
     )
     def test_settings_of_the_wrong_type(self, kwargs, message):
         # Named as the setting they are, not as a keyword's weight.
@@ -244,6 +245,10 @@ class TestWeightTable:
             ({"AB": 1.0, "CD": -1.0}, "'CD': keyword weight must be finite"),
             ({"AB": 1.0, "CD": "1.0"}, "'CD': keyword weight must be a real number"),
             ({"AB": 1.0, "CD": True}, "'CD': keyword weight must be a real number"),
+        ],
+        ids=[
+            "missing-keyword", "extra-keyword", "nan-weight", "inf-weight",
+            "negative-weight", "string-weight", "bool-weight",
         ],
     )
     def test_trial_table_is_checked(self, weights, message):

@@ -170,6 +170,17 @@ class TestParseSpec:
                 "trap alt '<blank>' is the blank token",
             ),
         ],
+        ids=[
+            "empty-text", "too-few-confidences", "slash-in-id", "empty-id",
+            "trap-after-end", "trap-prob-too-high", "confusion-over-confidence",
+            "zero-confidence", "bool-id", "float-id", "nul-in-id", "int-text",
+            "null-reference", "int-confusion-word", "negative-confusion-prob",
+            "nan-confusion-prob", "negative-trap-count", "float-trap-after",
+            "bool-confidence", "bool-in-confidence-list", "string-confidence",
+            "string-decimal-confidence", "string-confusion-prob", "string-trap-prob",
+            "huge-confidence", "self-confusion", "confusion-word-not-in-text",
+            "second-confusion", "blank-in-text", "blank-confusion-alt", "blank-trap-alt",
+        ],
     )
     def test_invalid_specs(self, record, message):
         with pytest.raises(ValueError, match=message):
@@ -187,12 +198,15 @@ class TestParseSpec:
     @pytest.mark.parametrize(
         "line,message",
         [
-            ('{"id": "u", "reference": "x"}', "missing field 'text'"),
-            ('{"id": "u", "text": "x", "confusions": 5}', "not iterable"),
-            (
+            pytest.param('{"id": "u", "reference": "x"}', "missing field 'text'", id="no-text"),
+            pytest.param(
+                '{"id": "u", "text": "x", "confusions": 5}', "not iterable", id="int-confusions"
+            ),
+            pytest.param(
                 '{"id": "u", "text": "x", "confidence": 0.5,'
                 ' "confusions": [{"word": "x", "alt": "y", "prob": NaN}]}',
                 "confusion probability nan",
+                id="nan-confusion-prob",
             ),
             pytest.param(
                 '{"id": "u", "text": "x", "confidence": 1' + "0" * 400 + "}",

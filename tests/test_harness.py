@@ -131,11 +131,10 @@ def per_target_corpus(tmp_path_factory):
     return build_corpus(root, PER_TARGET_SPEC, ["KQ", "vv"], seed=5)
 
 
-def tune_config(fixture_set, keywords, out_dir, **overrides):
+def tune_config(fixture_set, keywords, **overrides):
     settings = dict(
         manifest=fixture_set.manifest_path,
         vocab=fixture_set.vocab_path,
-        out=out_dir / "unused.jsonl",
         keywords=keywords,
         mode="ngram",
         word_bonus=0.0,
@@ -226,6 +225,7 @@ class TestRunConfig:
             # Checked before the keyword list, so the mode itself is named.
             (dict(mode="bogus"), "unknown mode"),
         ],
+        ids=["zero-beam", "inf-lm-weight", "nan-token-floor", "unknown-mode"],
     )
     def test_invalid_decoder_settings(self, corpus, tmp_path, kwargs, message):
         with pytest.raises(ConfigError, match=message):
@@ -253,6 +253,12 @@ class TestRunDecode:
         assert (summary.decoded, summary.failed) == (5, 0)
         assert summary.out == out
         assert out.read_bytes() == (DATA / "golden_baseline.jsonl").read_bytes()
+
+    def test_needs_an_output_path(self, corpus, monkeypatch):
+        cfg = self.baseline_config(corpus, None)
+        monkeypatch.setattr(harness, "read_manifest", None)  # rejected before reading
+        with pytest.raises(ConfigError, match="output path"):
+            run_decode(cfg)
 
     def test_record_shape_and_order(self, corpus, tmp_path):
         out = tmp_path / "hyps.jsonl"
@@ -515,28 +521,28 @@ class TestRawTargetMapping:
 class TestGridSearch:
     def test_selects_the_working_weight(self, tune_corpus, tmp_path):
         fixture_set, kw = tune_corpus
-        cfg = tune_config(fixture_set, kw, tmp_path)
+        cfg = tune_config(fixture_set, kw)
         result = grid_search(cfg, [0.0, 1.0, 2.0, 4.0])
         assert result.selected_weight == 2.0
-        assert [p.b_wer for p in result.grid] == [100.0, 100.0, 0.0, 100.0]
-        assert [p.u_wer for p in result.grid] == [0.0, 0.0, 0.0, 0.0]
+        assert [p.report.b_wer for p in result.grid] == [100.0, 100.0, 0.0, 100.0]
+        assert [p.report.u_wer for p in result.grid] == [0.0, 0.0, 0.0, 0.0]
         assert result.per_target is None
 
     def test_grid_is_sorted_and_deduped(self, tune_corpus, tmp_path):
         fixture_set, kw = tune_corpus
-        cfg = tune_config(fixture_set, kw, tmp_path)
+        cfg = tune_config(fixture_set, kw)
         result = grid_search(cfg, [4.0, 2.0, 2.0, 0.0, 1.0])
         assert [p.weight for p in result.grid] == [0.0, 1.0, 2.0, 4.0]
 
     def test_rate_ties_resolve_to_smallest_weight(self, tune_corpus, tmp_path):
         fixture_set, kw = tune_corpus
-        cfg = tune_config(fixture_set, kw, tmp_path)
+        cfg = tune_config(fixture_set, kw)
         result = grid_search(cfg, [0.0, 1.0], objective="wer")
         assert result.selected_weight == 0.0
 
     def test_result_serialization(self, tune_corpus, tmp_path):
         fixture_set, kw = tune_corpus
-        cfg = tune_config(fixture_set, kw, tmp_path)
+        cfg = tune_config(fixture_set, kw)
         result = grid_search(cfg, [0.0, 2.0])
         out = tmp_path / "tune.json"
         result.save(out)
@@ -552,19 +558,19 @@ class TestGridSearch:
 
     def test_search_is_deterministic(self, tune_corpus, tmp_path):
         fixture_set, kw = tune_corpus
-        cfg = tune_config(fixture_set, kw, tmp_path)
+        cfg = tune_config(fixture_set, kw)
         first = grid_search(cfg, [0.0, 2.0, 4.0], per_target=True)
         second = grid_search(cfg, [0.0, 2.0, 4.0], per_target=True)
         assert first.to_dict() == second.to_dict()
 
     def test_per_target_beats_any_shared_weight(self, per_target_corpus, tmp_path):
         fixture_set, kw = per_target_corpus
-        cfg = tune_config(fixture_set, kw, tmp_path)
+        cfg = tune_config(fixture_set, kw)
         result = grid_search(cfg, [0.0, 2.0], per_target=True)
         # No shared weight fixes both utterances, so the global pick
         # stays at the tie-break; the sweep then splits the weights.
         assert result.selected_weight == 0.0
-        assert [p.b_wer for p in result.grid] == [100.0, 100.0]
+        assert [p.report.b_wer for p in result.grid] == [100.0, 100.0]
         assert result.per_target == {"KQ": 2.0, "vv": 0.0}
 
     def test_per_target_starts_from_list_weights(self, tmp_path):
@@ -579,9 +585,9 @@ class TestGridSearch:
             "traps": [{"after": 1, "alt": "q", "prob": 0.046}],
         }
         fixture_set, kw = build_corpus(tmp_path, [TUNE_SPEC[0], trap], ["QZ\t2.0"], seed=5)
-        cfg = tune_config(fixture_set, kw, tmp_path)
+        cfg = tune_config(fixture_set, kw)
         result = grid_search(cfg, [0.0, 4.0], per_target=True)
-        assert [p.wer for p in result.grid] == [0.0, 0.0]
+        assert [p.report.wer for p in result.grid] == [0.0, 0.0]
         assert result.per_target == {"QZ": 2.0}
 
     def test_per_target_logs_each_collision_once(self, tune_corpus, tmp_path, caplog):
@@ -590,7 +596,7 @@ class TestGridSearch:
         fixture_set, _ = tune_corpus
         kw = tmp_path / "keywords.tsv"
         kw.write_text("QZ\njx\nAI\nA.I.\n", encoding="utf-8")
-        cfg = tune_config(fixture_set, kw, tmp_path)
+        cfg = tune_config(fixture_set, kw)
         with caplog.at_level("WARNING", logger="kwboost.norm"):
             result = grid_search(cfg, [0.0, 2.0, 4.0], per_target=True)
         warnings = [r.getMessage() for r in caplog.records if r.name == "kwboost.norm"]
@@ -628,7 +634,7 @@ class TestGridSearch:
         monkeypatch.setattr(NGramLM, "unigram_log10", gate)
         monkeypatch.setattr(NormalizationMapping, "__post_init__", mapping_built)
         monkeypatch.setattr(harness, "load_resources", load)
-        cfg = tune_config(corpus, demo_keywords, tmp_path, lm=DATA / "tiny_bigram.arpa")
+        cfg = tune_config(corpus, demo_keywords, lm=DATA / "tiny_bigram.arpa")
         grid = [0.0, 2.0, 4.0, 8.0]
         result = grid_search(cfg, grid, per_target=True)
         assert set(result.per_target) == {"AI", "C3PO", "356", "IBM", "E9"}
@@ -649,27 +655,23 @@ class TestGridSearch:
             ],
             ["jx"],
         )
-        cfg = tune_config(fixture_set, kw, tmp_path)
+        cfg = tune_config(fixture_set, kw)
         with pytest.raises(DataFormatError, match="B-WER is undefined"):
             grid_search(cfg, [0.0, 4.0])
         result = grid_search(cfg, [0.0, 4.0], objective="wer")
         assert result.selected_weight == 0.0
-        assert all(p.b_wer is None for p in result.grid)
+        assert all(p.report.b_wer is None for p in result.grid)
 
     def test_validation(self, tune_corpus, tmp_path):
         fixture_set, kw = tune_corpus
-        cfg = tune_config(fixture_set, kw, tmp_path)
+        cfg = tune_config(fixture_set, kw)
         with pytest.raises(ConfigError, match="empty weight grid"):
             grid_search(cfg, [])
         with pytest.raises(ConfigError, match="unknown objective"):
             grid_search(cfg, [1.0], objective="f1")
         with pytest.raises(ConfigError, match=">= 0"):
             grid_search(cfg, [-1.0, 2.0])
-        plain = RunConfig(
-            manifest=fixture_set.manifest_path,
-            vocab=fixture_set.vocab_path,
-            out=tmp_path / "unused.jsonl",
-        )
+        plain = RunConfig(manifest=fixture_set.manifest_path, vocab=fixture_set.vocab_path)
         with pytest.raises(ConfigError, match="tuning requires a keyword list"):
             grid_search(plain, [1.0])
 
@@ -678,13 +680,13 @@ class TestGridSearch:
         # A bool or a string is no weight, as for --boost-weight: float()
         # would tune True as 1.0 and "2" as 2.0.
         fixture_set, kw = tune_corpus
-        cfg = tune_config(fixture_set, kw, tmp_path)
+        cfg = tune_config(fixture_set, kw)
         with pytest.raises(ConfigError, match="real number"):
             grid_search(cfg, [value, 0.0])
 
     def test_baseline_mode_has_no_boost_to_tune(self, tune_corpus, tmp_path, monkeypatch):
         fixture_set, kw = tune_corpus
-        cfg = tune_config(fixture_set, kw, tmp_path, mode="baseline")
+        cfg = tune_config(fixture_set, kw, mode="baseline")
         monkeypatch.setattr(harness, "load_resources", None)  # rejected before loading
         with pytest.raises(ConfigError, match="baseline"):
             grid_search(cfg, [0.0, 2.0], per_target=True)
@@ -693,7 +695,7 @@ class TestGridSearch:
         fixture_set, kw = tune_corpus
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
-        cfg = tune_config(fixture_set, kw, tmp_path, manifest=empty)
+        cfg = tune_config(fixture_set, kw, manifest=empty)
         with pytest.raises(DataFormatError, match="empty manifest"):
             grid_search(cfg, [1.0])
 
@@ -1332,7 +1334,9 @@ class TestCli:
         assert capsys.readouterr().err.startswith("kwboost: error:")
 
     @pytest.mark.parametrize(
-        "record", ["5", '{"id": "u1"}', '{"id": "u1", "text": null}'],
+        "record",
+        ["5", '{"id": "u1"}', '{"id": "u1", "text": null}'],
+        ids=["not-an-object", "no-text", "null-text"],
     )
     def test_malformed_transcript_record_exits_2(self, tmp_path, capsys, record):
         manifest = tmp_path / "manifest.jsonl"

@@ -189,6 +189,13 @@ class TestLoader:
                 5,
             ),
         ],
+        ids=[
+            "count-before-data", "section-before-data", "2grams-before-1grams",
+            "2grams-without-count", "too-many-fields", "bad-logprob", "positive-logprob",
+            "bad-backoff", "garbage-line", "nan-logprob", "nan-backoff", "inf-backoff",
+            "neg-inf-backoff", "order-zero", "second-count-line", "duplicate-unigram",
+            "duplicate-unigram-count-2",
+        ],
     )
     def test_line_numbered_errors(self, tmp_path, text, message, lineno):
         path = write_arpa(tmp_path, text)

@@ -259,6 +259,11 @@ class TestMapping:
             ([("AI", 2.0, None)], "'AI': keyword priority must be an integer"),
             ([" \t"], "empty keyword"),
         ],
+        ids=[
+            "string-weight", "bool-weight", "string-priority", "float-priority",
+            "bool-priority", "huge-weight", "int-item", "none-item", "int-raw", "one-field",
+            "two-fields", "four-fields", "none-priority", "blank-raw",
+        ],
     )
     def test_entry_fields_of_the_wrong_type_rejected(self, builder, items, message):
         # A string weight would break the decoder's boost sums, and a

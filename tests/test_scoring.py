@@ -13,6 +13,7 @@ from kwboost.errors import DataFormatError
 from kwboost.scoring import (
     EditOp,
     ErrorCounts,
+    ScoreReport,
     align,
     biased_wer,
     relative_reduction,
@@ -322,6 +323,24 @@ class TestDecomposition:
         assert report.ref_words == sum(utt.ref_words for utt in rows)
         assert report.biased_ref_words == sum(utt.biased_ref_words for utt in rows)
 
+    @given(corpora(), st.data())
+    def test_a_subset_of_rows_is_that_subset_s_report(self, case, data):
+        # A fold or a resample needs no re-alignment: its rows, picked
+        # from the corpus report, score as the subset itself does.
+        corpus, terms = case
+        indices = range(len(corpus))
+        picked = sorted(data.draw(st.lists(st.sampled_from(indices), min_size=1, unique=True)))
+        rows = biased_wer(corpus, terms).utterances
+        subset = ScoreReport([rows[i] for i in picked])
+        scored = biased_wer([corpus[i] for i in picked], terms)
+        assert subset.utterances == scored.utterances
+        assert subset.errors.total == sum(cost(align(corpus[i][1], corpus[i][2])) for i in picked)
+        assert subset.ref_words == sum(len(corpus[i][1]) for i in picked)
+        assert subset.errors == scored.errors
+        assert subset.ref_words == scored.ref_words
+        assert subset.biased_ref_words == scored.biased_ref_words
+        assert (subset.wer, subset.u_wer, subset.b_wer) == (scored.wer, scored.u_wer, scored.b_wer)
+
     @given(corpora())
     def test_rates_are_non_negative(self, case):
         corpus, terms = case
@@ -346,11 +365,3 @@ class TestRelativeReduction:
     def test_non_positive_baseline_rejected(self, before):
         with pytest.raises(ValueError):
             relative_reduction(before, 1.0)
-
-
-def test_error_counts_add():
-    a = ErrorCounts(sub_biased=1, ins_unbiased=2)
-    b = ErrorCounts(del_biased=3, ins_unbiased=1)
-    a.add(b)
-    assert a == ErrorCounts(sub_biased=1, del_biased=3, ins_unbiased=3)
-    assert (a.biased, a.unbiased, a.total) == (4, 3, 7)

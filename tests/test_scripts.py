@@ -40,6 +40,19 @@ def test_demo_pipeline_prints_the_readme_table(tmp_path):
         "default": ["12.50", "16.67", "0.00"],
         "ngram": ["0.00", "0.00", "0.00"],
     }
+    # Then each boosting mode's relative WER and B-WER reduction against
+    # baseline: default's WER 100 * (75 - 12.5) / 75 = 83.33.
+    reductions = {
+        fields[0]: fields[1:]
+        for fields in (line.split() for line in out.split("against baseline")[1].splitlines())
+        if len(fields) == 3 and fields[0] in ("default", "ngram")
+    }
+    assert reductions == {"default": ["83.33", "100.00"], "ngram": ["100.00", "100.00"]}
+    saved = json.loads((tmp_path / "ablation_out" / "ablation.json").read_text(encoding="utf-8"))
+    assert saved["reductions"] == {
+        "default": {"wer": pytest.approx(83.33, abs=0.01), "b_wer": 100.0},
+        "ngram": {"wer": 100.0, "b_wer": 100.0},
+    }
 
 
 @pytest.mark.parametrize("args", [[], ["--per-target"]], ids=["shared", "per-target"])
@@ -151,6 +164,10 @@ def test_bench_pairs_verdicts_read_the_bounds(capsys):
         "setup_s": "gain", "frames_per_s": "worse", "peak_rss_mb": "unresolved",
         "wer": "within", "u_wer": "within", "b_wer": "within",
     }
+    # Before the verdict: the median and quartiles of the per-pair ratios.
+    paired = {line.split()[0]: line.split()[-4:-1] for line in out.splitlines()[-6:]}
+    assert paired["setup_s"] == ["0.500", "[0.500,", "0.500]"]
+    assert paired["frames_per_s"] == ["0.710", "[0.700,", "0.720]"]
 
     # The share decides: 2 of 40 failed is no worse than 1 of 20, 4 of 20 is.
     base_runs = [run(base, n, 1 if n == 0 else 0, 5) for n in range(4)]
