@@ -99,9 +99,7 @@ def summarize(workload: str, pairs: list[tuple[dict, dict]]) -> None:
           f"{base_failed}/{base_attempted} change {failed}/{attempted}")
     if failed * max(base_attempted, 1) > base_failed * max(attempted, 1):
         print("  checks: worse")
-    print(f"  {'metric':<13} {'base median [q1, q3]':>30} {'change median [q1, q3]':>30} "
-          f"{'change/base':>11} {'won':>4} {'lost':>4} {'tied':>4} "
-          f"{'pair ratio [q1, q3]':>23}  verdict")
+    rows = []
     for name, better in BETTER.items():
         base = [b["values"][name] for b, _ in pairs]
         change = [c["values"][name] for _, c in pairs]
@@ -110,7 +108,7 @@ def summarize(workload: str, pairs: list[tuple[dict, dict]]) -> None:
         lost = sum(sign * (c - b) < 0 for b, c in zip(base, change))
         bq1, bmed, bq3 = quartiles(base)
         cq1, cmed, cq3 = quartiles(change)
-        ratio = f"{cmed / bmed:11.3f}" if bmed else f"{'-':>11}"
+        ratio = f"{cmed / bmed:.3f}" if bmed else "-"
         paired = "-"
         ratios = [c / b for b, c in zip(base, change) if b]
         if ratios:
@@ -125,10 +123,21 @@ def summarize(workload: str, pairs: list[tuple[dict, dict]]) -> None:
             verdict = "unresolved"
         else:
             verdict = "within"
+        rows.append((
+            name, f"{bmed:.4g} [{bq1:.4g}, {bq3:.4g}]", f"{cmed:.4g} [{cq1:.4g}, {cq3:.4g}]",
+            ratio, won, lost, len(pairs) - won - lost, paired, verdict,
+        ))
+    # Each median column is as wide as its widest value, so every field
+    # stays under its header.
+    header = ("metric", "base median [q1, q3]", "change median [q1, q3]")
+    base_w, change_w = (max(len(row[i]) for row in rows + [header]) for i in (1, 2))
+    print(f"  {'metric':<13} {header[1]:>{base_w}} {header[2]:>{change_w}} "
+          f"{'change/base':>11} {'won':>4} {'lost':>4} {'tied':>4} "
+          f"{'pair ratio [q1, q3]':>23}  verdict")
+    for name, base_q, change_q, ratio, won, lost, tied, paired, verdict in rows:
         print(
-            f"  {name:<13} {f'{bmed:.4g} [{bq1:.4g}, {bq3:.4g}]':>30} "
-            f"{f'{cmed:.4g} [{cq1:.4g}, {cq3:.4g}]':>30} {ratio} "
-            f"{won:4d} {lost:4d} {len(pairs) - won - lost:4d} {paired:>23}  {verdict}"
+            f"  {name:<13} {base_q:>{base_w}} {change_q:>{change_w}} {ratio:>11} "
+            f"{won:4d} {lost:4d} {tied:4d} {paired:>23}  {verdict}"
         )
 
 

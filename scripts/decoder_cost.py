@@ -14,7 +14,16 @@ this reads at most 1 at any length: CPython counts the allocations made
 during the pause, and the first one after it may run one
 young-generation pass.
 
-The second table decodes the benchmark's word-level tuning corpus
+The second table times set-up on the same inputs: the median wall ms
+over ``--reps`` rounds of ``load_arpa``, ``build_mapping`` (on the
+keyword list already read), ``build_trie`` (on that mapping and LM) and
+the whole ``harness.load_resources``.  Each is called through the
+harness namespace with the collector paused, as ``load_resources`` runs
+it, after a ``gc.collect()``.  ``load_resources`` also reads the
+vocabulary and the keyword list file, so it is more than the sum of
+the three.
+
+The third table decodes the benchmark's word-level tuning corpus
 (``gen.make_tune_spec`` + ``fixtures.make_fixtures``, demo keywords, no
 LM, word bonus 0, boost 2.0), where every token starts a word, in each
 mode.  It prints the median wall ms per frame over the whole corpus,
@@ -45,12 +54,12 @@ import time
 from pathlib import Path
 from unittest import mock
 
-from kwboost import decoder
+from kwboost import decoder, harness
 from kwboost.dataio import read_logits, read_manifest
-from kwboost.decoder import MODES, decode, new_session
+from kwboost.decoder import MODES, decode, new_session, paused_collector
 from kwboost.fixtures import make_fixtures
 from kwboost.harness import RunConfig, load_resources
-from kwboost.norm import normalize_keyword
+from kwboost.norm import load_keyword_list, normalize_keyword
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "kwbench"))
@@ -62,7 +71,7 @@ TUNE_UTTERANCES = 10  # the tune-grid workload's corpus size
 def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0, help="input generator seed")
-    parser.add_argument("--reps", type=int, default=5, help="decodes per utterance")
+    parser.add_argument("--reps", type=int, default=5, help="decodes per utterance, set-up rounds")
     return parser.parse_args()
 
 
@@ -83,16 +92,21 @@ def median_seconds(matrices, resources, config, reps: int) -> float:
     return statistics.median(times)
 
 
-def length_table(work: Path, args: argparse.Namespace) -> None:
+def long_config(work: Path, args: argparse.Namespace) -> RunConfig:
+    """The decode-long workload's inputs and settings."""
     bundled = gen.read_keyword_raws(ROOT / "tests" / "data" / "keywords_50.txt")
     inputs = gen.make_char_inputs(
         work, args.seed, [100, 300, 1000], bundled, 2000,
         spoken_forms=normalize_keyword,
     )
-    resources, config, matrices = load(RunConfig(
+    return RunConfig(
         manifest=inputs.manifest, vocab=inputs.vocab, lm=inputs.lm,
         keywords=inputs.keywords, mode="ngram", boost_weight=2.0,
-    ))
+    )
+
+
+def length_table(cfg: RunConfig, args: argparse.Namespace) -> None:
+    resources, config, matrices = load(cfg)
     per_frame = {}
     collections = 0
 
@@ -181,10 +195,43 @@ def word_table(work: Path, args: argparse.Namespace) -> None:
         )
 
 
+def setup_table(cfg: RunConfig, args: argparse.Namespace) -> None:
+    keywords = load_keyword_list(cfg.keywords)
+    lm = harness.load_arpa(cfg.lm)
+    mapping = harness.build_mapping(keywords)
+    # Each layer as load_resources calls it: through the harness
+    # namespace, with the collector paused.
+    calls = {
+        "load_arpa": lambda: harness.load_arpa(cfg.lm),
+        "build_mapping": lambda: harness.build_mapping(keywords),
+        "build_trie": lambda: harness.build_trie(
+            mapping, lm=lm, rarity_threshold=cfg.rarity_threshold,
+            default_weight=cfg.boost_weight,
+        ),
+        "load_resources": lambda: harness.load_resources(cfg),
+    }
+    layers = {name: paused_collector(call) for name, call in calls.items()}
+    times = {name: [] for name in layers}
+    # One round times every layer once, so drift reaches them alike.
+    for _ in range(args.reps):
+        for name, layer in layers.items():
+            gc.collect()
+            start = time.perf_counter()
+            layer()
+            times[name].append(time.perf_counter() - start)
+    print()
+    print(f"set-up on the decode-long inputs, median of {args.reps}, collector paused")
+    print(f"{'layer':<15} {'ms':>8}")
+    for name, samples in times.items():
+        print(f"{name:<15} {1e3 * statistics.median(samples):8.2f}")
+
+
 def main() -> None:
     args = parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        length_table(Path(tmp), args)
+        cfg = long_config(Path(tmp), args)
+        length_table(cfg, args)
+        setup_table(cfg, args)
         word_table(Path(tmp), args)
 
 

@@ -88,18 +88,20 @@ def load_arpa(path: str | Path) -> NGramLM:
     declared: dict[int, int] = {}
     tables: list[dict[tuple[str, ...], tuple[float, float]]] = []
     section: int | None = None
-    # Set at each section header.
+    # Set at each section header: its table and the one an order down.
     table: dict[tuple[str, ...], tuple[float, float]]
+    context: dict[tuple[str, ...], tuple[float, float]] | None
     saw_data = False
     saw_end = False
 
     for lineno, line in enumerate(read_text(path, ArpaError).split("\n"), 1):
-        line = line.strip()
-        if not line:
+        fields = line.split()
+        if not fields:
             continue
         # Every header line starts with a backslash, so a data line inside
         # a section goes straight to the data path below.
-        if section is None or line[0] == "\\":
+        if section is None or fields[0][0] == "\\":
+            line = line.strip()
             if line == "\\data\\":
                 saw_data = True
                 continue
@@ -125,13 +127,17 @@ def load_arpa(path: str | Path) -> NGramLM:
                     raise error(f"unexpected \\{section}-grams: section", lineno)
                 if section not in declared:
                     raise error(f"\\{section}-grams: has no declared count", lineno)
+                # Sections come in order, so the table one order down is
+                # complete: each n-gram's context is checked as it is read.
+                context = tables[-1] if tables else None
                 table = {}
                 tables.append(table)
                 continue
             if section is None:
                 raise error(f"unexpected line {line!r}", lineno)
-        fields = line.split()
-        if len(fields) not in (section + 1, section + 2):
+        # Beside the n-gram's words: its probability and maybe a back-off.
+        extra = len(fields) - section
+        if extra not in (1, 2):
             raise error(
                 f"expected {section + 1} or {section + 2} fields, got {len(fields)}", lineno
             )
@@ -145,7 +151,7 @@ def load_arpa(path: str | Path) -> NGramLM:
                 raise error(f"positive log10 probability {prob}", lineno)
             raise error(f"bad log10 probability {fields[0]!r}", lineno)
         backoff = 0.0
-        if len(fields) == section + 2:
+        if extra == 2:
             try:
                 backoff = float(fields[-1])
                 if not math.isfinite(backoff):
@@ -156,6 +162,11 @@ def load_arpa(path: str | Path) -> NGramLM:
         entry = (prob, backoff)
         if table.setdefault(words, entry) is not entry:
             raise error(f"duplicate {section}-gram {' '.join(words)!r}", lineno)
+        if context is not None and words[:-1] not in context:
+            raise error(
+                f"{section}-gram {' '.join(words)!r} has no {section - 1}-gram context entry",
+                lineno,
+            )
 
     if not saw_data:
         raise error("missing \\data\\ header")
@@ -170,10 +181,4 @@ def load_arpa(path: str | Path) -> NGramLM:
             raise error(f"declared ngram {n}={count} but parsed {len(tables[n - 1])}")
     if not tables[0]:
         raise error("model has no unigrams")
-    for n in range(2, len(tables) + 1):
-        for ngram in tables[n - 1]:
-            if ngram[:-1] not in tables[n - 2]:
-                raise error(
-                    f"{n}-gram {' '.join(ngram)!r} has no {n - 1}-gram context entry"
-                )
     return NGramLM(tables)

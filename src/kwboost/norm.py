@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -112,30 +113,34 @@ def _classify(ch: str) -> str:
     return "S"
 
 
-# _classify of every ASCII character, looked up in C by groupby.
+# _classify of every ASCII character: an ASCII run's kind is its last one's.
 _ASCII_KIND = {chr(code): _classify(chr(code)) for code in range(128)}
+
+# One ASCII run per match.  The alternatives hold the case boundary: an
+# uppercase run followed by lowercase gives its last letter to the next
+# word ("HTMLParser" -> HTML + Parser, "Camel" stays one).
+_ASCII_RUN = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|[0-9]+|[^A-Za-z0-9]+")
 
 
 def _segment_piece(piece: str) -> list[tuple[str, str]]:
-    kind_of = _ASCII_KIND.__getitem__ if piece.isascii() else _classify
-    runs = [(kind, "".join(group)) for kind, group in itertools.groupby(piece, key=kind_of)]
-    # Case boundary: an uppercase run followed by lowercase belongs to
-    # the next word ("HTMLParser" -> HTML + Parser, "Camel" stays one).
+    if piece.isascii():
+        return [(_ASCII_KIND[run[-1]], run) for run in _ASCII_RUN.findall(piece)]
+    return _segment_runs(piece)
+
+
+def _segment_runs(piece: str) -> list[tuple[str, str]]:
+    """The runs of any piece, by ``_classify`` and the case boundary rule."""
+    runs = [(kind, "".join(group)) for kind, group in itertools.groupby(piece, key=_classify)]
     out: list[tuple[str, str]] = []
-    i = 0
-    while i < len(runs):
-        kind, text = runs[i]
-        if kind == "U" and i + 1 < len(runs) and runs[i + 1][0] == "w":
-            follower = runs[i + 1][1]
-            if len(text) == 1:
-                out.append(("w", text + follower))
-            else:
-                out.append(("U", text[:-1]))
-                out.append(("w", text[-1] + follower))
-            i += 2
-        else:
-            out.append((kind, text))
-            i += 1
+    for kind, text in runs:
+        # _ASCII_RUN's case boundary: an uppercase run gives its last
+        # letter to a lowercase run right after it.
+        if kind == "w" and out and out[-1][0] == "U":
+            upper = out.pop()[1]
+            if len(upper) > 1:
+                out.append(("U", upper[:-1]))
+            text = upper[-1] + text
+        out.append((kind, text))
     return out
 
 
@@ -143,7 +148,9 @@ def _run_readings(runs: list[tuple[str, str]], idx: int) -> list[list[str]]:
     """Alternative spoken readings of one run, primary reading first."""
     kind, text = runs[idx]
     # A lone x between digit runs ("3x4", "3X4") is the dimension separator.
-    if text in ("x", "X") and _between_digits(runs, idx):
+    if text in ("x", "X") and 0 < idx < len(runs) - 1 and (
+        runs[idx - 1][0] == runs[idx + 1][0] == "D"
+    ):
         return [["by"]]
     whole_piece = len(runs) == 1
     if kind == "w":
@@ -169,26 +176,18 @@ def _run_readings(runs: list[tuple[str, str]], idx: int) -> list[list[str]]:
     return [[_SYMBOL_WORDS[ch] for ch in text if ch in _SYMBOL_WORDS]]
 
 
-def _between_digits(runs: list[tuple[str, str]], idx: int) -> bool:
-    return (
-        0 < idx < len(runs) - 1
-        and runs[idx - 1][0] == "D"
-        and runs[idx + 1][0] == "D"
-    )
-
-
 def _capped_product(parts: Sequence[Sequence[Sequence[str]]]) -> list[Variant]:
     """Distinct concatenations of one reading per part, in product order.
 
     At most VARIANT_CAP results, from at most VARIANT_CAP**2 combinations.
     """
-    # The same result without the product: one combination, or one part
-    # whose readings are the combinations.
-    if all(len(part) == 1 for part in parts):
-        return [tuple(itertools.chain.from_iterable(part[0] for part in parts))]
+    # The same result without the product: one part whose readings are
+    # the combinations, or one combination.
     if len(parts) == 1:
         readings = parts[0][:VARIANT_CAP * VARIANT_CAP]
         return list(dict.fromkeys(map(tuple, readings)))[:VARIANT_CAP]
+    if all(len(part) == 1 for part in parts):
+        return [tuple(itertools.chain.from_iterable(part[0] for part in parts))]
     results: list[Variant] = []
     seen: set[Variant] = set()
     for combo in itertools.islice(itertools.product(*parts), VARIANT_CAP * VARIANT_CAP):
@@ -234,11 +233,12 @@ def normalize_keyword(
                     )
         return variants
 
-    readings = _capped_product([_piece_readings(piece) for piece in key.split()])
+    pieces = [_piece_readings(piece) for piece in key.split()]
+    # One piece's readings are distinct and capped: they are its product.
+    variants = pieces[0] if len(pieces) == 1 else _capped_product(pieces)
     # Only a keyword whose every piece reads as nothing yields the empty
     # variant, and then it is the sole one.
-    variants = [v for v in readings if v]
-    if not variants:
+    if not variants[0]:
         raise NormalizationError(f"keyword {key!r} normalizes to nothing")
     return variants
 
@@ -349,7 +349,9 @@ def _assemble_mapping(
     if isinstance(keywords, (str, Path)):  # a file is load_keyword_list's to read
         raise NormalizationError(f"keywords must be a list of items, got {keywords!r}")
     entries: dict[str, KeywordEntry] = {}
-    claims: dict[Variant, list[KeywordEntry]] = {}
+    # Each variant's first claimant, and all claimants of a shared variant.
+    reverse: dict[Variant, KeywordEntry] = {}
+    shared: dict[Variant, list[KeywordEntry]] = {}
     for item in keywords:
         match item:
             case str():
@@ -366,33 +368,30 @@ def _assemble_mapping(
                     f"keyword item {item!r} is not a string or a "
                     "(raw, weight, priority) triple with a string raw"
                 )
-        if not raw.strip():
+        raw = raw.strip()
+        if not raw:
             raise NormalizationError("empty keyword")
-        entry = KeywordEntry(raw.strip(), tuple(spell(raw)), weight, priority)
-        if entry.raw in entries:
-            raise NormalizationError(f"duplicate keyword {entry.raw!r}")
+        entry = KeywordEntry(raw, tuple(spell(raw)), weight, priority)
+        if raw in entries:
+            raise NormalizationError(f"duplicate keyword {raw!r}")
         # The review file save_mapping writes keeps one tab-separated line
         # per variant; str.splitlines also breaks at \r, \u2028 and more.
-        if "\t" in entry.raw or len(entry.raw.splitlines()) > 1:
-            raise NormalizationError(
-                f"keyword {entry.raw!r} contains a tab or line break"
-            )
-        entries[entry.raw] = entry
+        if "\t" in raw or len(raw.splitlines()) > 1:
+            raise NormalizationError(f"keyword {raw!r} contains a tab or line break")
+        entries[raw] = entry
         for variant in entry.variants:
-            claims.setdefault(variant, []).append(entry)
+            if variant in reverse:
+                shared.setdefault(variant, [reverse[variant]]).append(entry)
+            else:
+                reverse[variant] = entry
 
-    reverse: dict[Variant, KeywordEntry] = {}
+    reverse = {variant: reverse[variant] for variant in sorted(reverse)}
     collisions: list[CollisionRecord] = []
-    for variant in sorted(claims):
-        claimants = claims[variant]
-        if len(claimants) == 1:
-            reverse[variant] = claimants[0]
-            continue
-        winner = min(claimants, key=_claim_rank)
-        reverse[variant] = winner
+    for variant in sorted(shared):
+        claimants = shared[variant]
+        winner = reverse[variant] = min(claimants, key=_claim_rank)
         losers = tuple(sorted(e.raw for e in claimants if e is not winner))
-        record = CollisionRecord(variant, winner.raw, losers)
-        collisions.append(record)
+        collisions.append(CollisionRecord(variant, winner.raw, losers))
         logger.warning(
             "variant %s claimed by %s; kept %r, dropped %s",
             " ".join(variant), len(claimants), winner.raw, ", ".join(losers),

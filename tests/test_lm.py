@@ -188,13 +188,28 @@ class TestLoader:
                 "duplicate 1-gram 'a'",
                 5,
             ),
+            # The context is checked as the n-gram is read, so the error
+            # names the line of the orphan.
+            (
+                "\\data\\\nngram 1=1\nngram 2=2\n\\1-grams:\n-0.5 a\n"
+                "\\2-grams:\n-0.3 a a\n-0.3 x a\n\\end\\\n",
+                "2-gram 'x a' has no 1-gram context entry",
+                8,
+            ),
+            (
+                "\\data\\\nngram 1=2\nngram 2=1\nngram 3=1\n\\1-grams:\n-0.5 a\n-0.5 b\n"
+                "\\2-grams:\n-0.3 a b\n\\3-grams:\n-0.2 b a b\n\\end\\\n",
+                "3-gram 'b a b' has no 2-gram context entry",
+                11,
+            ),
         ],
         ids=[
             "count-before-data", "section-before-data", "2grams-before-1grams",
             "2grams-without-count", "too-many-fields", "bad-logprob", "positive-logprob",
             "bad-backoff", "garbage-line", "nan-logprob", "nan-backoff", "inf-backoff",
             "neg-inf-backoff", "order-zero", "second-count-line", "duplicate-unigram",
-            "duplicate-unigram-count-2",
+            "duplicate-unigram-count-2", "orphan-context",
+            "orphan-trigram-context",
         ],
     )
     def test_line_numbered_errors(self, tmp_path, text, message, lineno):

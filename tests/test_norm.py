@@ -26,7 +26,13 @@ from kwboost.norm import (
     raw_target_mapping,
     save_mapping,
 )
-from kwboost.norm import _ASCII_KIND, _capped_product, _classify
+from kwboost.norm import (
+    _ASCII_KIND,
+    _capped_product,
+    _classify,
+    _segment_piece,
+    _segment_runs,
+)
 
 # Hand-written oracle for the cardinal speller.  Every row was spelled
 # out by a person, not derived from the code under test.
@@ -113,6 +119,9 @@ EXPANSION_CASES = [
     ("hello", [("hello",)]),
     ("Hello", [("hello",)]),
     ("  padded  ", [("padded",)]),
+    # Non-ASCII pieces keep the same case boundary rule.
+    ("ÉCOLEParis", [("école", "paris")]),
+    ("ÜBer", [("ü", "ber")]),
 ]
 
 
@@ -181,6 +190,18 @@ class TestNormalizeKeyword:
 
     def test_ascii_kind_table_agrees_with_classify(self):
         assert _ASCII_KIND == {chr(code): _classify(chr(code)) for code in range(128)}
+
+    @given(st.text(alphabet=string.ascii_letters + string.digits + "&+*-._", max_size=12))
+    @example("HTMLParser")
+    @example("ABc")
+    @example("aBc")
+    @example("3x4")
+    @example("3X4")
+    @example("C3PO")
+    def test_ascii_scan_agrees_with_the_generic_runs(self, piece):
+        """One regex scan cuts an ASCII piece into the same runs, of the same
+        kinds, as grouping by ``_classify`` and the case boundary rule."""
+        assert _segment_piece(piece) == _segment_runs(piece)
 
     @given(st.text(alphabet=string.printable, min_size=1, max_size=12))
     def test_alphabet_closure(self, raw):

@@ -86,6 +86,14 @@ def test_decoder_cost_reports_every_length(tmp_path):
     assert len(collections) == 3
     assert all(0.0 <= float(count) <= 1.0 for count in collections)
     assert "ratio T=1000 / T=100" in out
+    # The set-up table: one row per layer, in load order, then the whole
+    # load_resources, each a positive median in ms.
+    setup = out.split("set-up on the decode-long inputs")[1].split("word-level")[0]
+    rows = re.findall(r"^(\w+) +([\d.]+)$", setup, re.MULTILINE)
+    assert [name for name, _ in rows] == [
+        "load_arpa", "build_mapping", "build_trie", "load_resources",
+    ]
+    assert all(float(ms) > 0.0 for _, ms in rows)
     # The word-level table: one row per mode; baseline boosts nothing,
     # and a boosting mode commits at most once per beam entry (50).
     table = out.split("word-level")[1]
@@ -132,11 +140,16 @@ def test_bench_pairs_reports_every_metric(tmp_path):
     assert verdicts["wer"] == verdicts["u_wer"] == verdicts["b_wer"] == "within"
 
 
-def test_bench_pairs_verdicts_read_the_bounds(capsys):
+def load_bench_pairs():
     path = ROOT / "scripts" / "bench_pairs.py"
     spec = importlib.util.spec_from_file_location("bench_pairs", path)
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_verdicts_read_the_bounds(capsys):
+    bench_pairs = load_bench_pairs()
     base = {
         "setup_s": [1.0, 1.0, 1.0, 1.0],
         "frames_per_s": [100.0, 100.0, 100.0, 100.0],
@@ -178,6 +191,42 @@ def test_bench_pairs_verdicts_read_the_bounds(capsys):
     bench_pairs.summarize("toy", [(b, run(change, n, 1, 5)) for n, b in enumerate(base_runs)])
     out = capsys.readouterr().out
     assert "toy: 4 pairs, failed checks base 1/20 change 4/20\n  checks: worse\n" in out
+
+
+def test_bench_pairs_fields_stay_under_their_headers(capsys):
+    bench_pairs = load_bench_pairs()
+    base = {
+        # Small set-up times print as long medians.
+        "setup_s": [0.000402, 0.0004146, 0.0004146, 0.0004224],
+        "frames_per_s": [4986.0, 4990.0, 5001.0, 4979.0],
+        "peak_rss_mb": [80.0, 80.0, 80.0, 80.0],
+        "wer": [10.0] * 4, "u_wer": [10.0] * 4, "b_wer": [10.0] * 4,
+    }
+    change = {**base, "setup_s": [0.0003488, 0.0003942, 0.0003942, 0.0004102]}
+
+    def run(side, n):
+        return {"values": {name: column[n] for name, column in side.items()},
+                "failed": 0, "attempted": 10}
+
+    bench_pairs.summarize("toy", [(run(base, n), run(change, n)) for n in range(4)])
+    header, *rows = capsys.readouterr().out.splitlines()[-7:]
+    labels = ["metric", "base median [q1, q3]", "change median [q1, q3]", "change/base",
+              "won", "lost", "tied", "pair ratio [q1, q3]", "verdict"]
+    starts = [header.index(label) for label in labels]
+    ends = [start + len(label) for start, label in zip(starts, labels)]
+    quartiles = r"(\S+ \[\S+, \S+\])"
+    row_re = rf"  (\w+) +{quartiles} +{quartiles} +([\d.]+) +(\d+) +(\d+) +(\d+) +{quartiles}  (\w+)"
+    matches = [re.fullmatch(row_re, row) for row in rows]
+    assert all(matches), rows
+    # setup_s overflows a 30-character column on both sides.
+    assert min(len(matches[0][2]), len(matches[0][3])) > 30
+    for row, match in zip(rows, matches):
+        # The name and the verdict start where their headers start; every
+        # other field is right-aligned under its header, after the last one.
+        assert match.start(1) == starts[0] and match.start(9) == starts[8], row
+        for group in range(2, 9):
+            assert ends[group - 2] < match.start(group), (row, labels[group - 1])
+            assert match.end(group) == ends[group - 1], (row, labels[group - 1])
 
 
 def test_bench_record_writes_both_metric_sets(tmp_path):
