@@ -71,7 +71,9 @@ TUNE_UTTERANCES = 10  # the tune-grid workload's corpus size
 def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0, help="input generator seed")
-    parser.add_argument("--reps", type=int, default=5, help="decodes per utterance, set-up rounds")
+    parser.add_argument(
+        "--reps", type=int, default=5, help="decodes per utterance, and set-up rounds"
+    )
     return parser.parse_args()
 
 
