@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
 """Decoder cost per frame against utterance length and on word-level tokens.
 
-The first table generates the benchmark's decode-long inputs (spelled
-100-, 300- and 1000-frame utterances, bigram LM, 2,000 keywords; see
+Inputs and settings are the benchmark's own, read from kwbench/run.py:
+its full ``SIZES``, ``BOOST``, and decode-long's ``char_inputs`` and
+``char_config``.
+
+The first table generates the decode-long inputs (one spelled utterance
+of each full length, a bigram LM and the full keyword list; see
 kwbench/gen.py), decodes each utterance in ngram mode with the
 benchmark's settings, and prints the median wall ms per frame of
 ``decoder.decode`` for each length.  An exact search whose frame step
@@ -25,11 +29,11 @@ the three.
 
 The third table decodes the benchmark's word-level tuning corpus
 (``gen.make_tune_spec`` + ``fixtures.make_fixtures``, demo keywords, no
-LM, word bonus 0, boost 2.0), where every token starts a word, in each
-mode.  It prints the median wall ms per frame over the whole corpus,
-and four counts per frame taken in a separate untimed pass that pushes
-one frame at a time: unigram boost lookups (one lookup is one word
-commit, at most one per beam entry), the ranking records the frame
+LM, word bonus 0, boost ``BOOST``), where every token starts a word,
+in each mode.  It prints the median wall ms per frame over the whole
+corpus, and four counts per frame taken in a separate untimed pass that
+pushes one frame at a time: unigram boost lookups (one lookup is one
+word commit, at most one per beam entry), the ranking records the frame
 step sorts (beam entries plus the children that passed its bound),
 merges (beam entries whose parent prefix is also in the beam: the
 stay slots a new prefix can merge into) and new prefixes (entries of
@@ -59,13 +63,14 @@ from kwboost.dataio import read_logits, read_manifest
 from kwboost.decoder import MODES, decode, new_session, paused_collector
 from kwboost.fixtures import make_fixtures
 from kwboost.harness import RunConfig, load_resources
-from kwboost.norm import load_keyword_list, normalize_keyword
+from kwboost.norm import load_keyword_list
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "kwbench"))
 import gen  # noqa: E402  (the benchmark's input generator)
+import run as bench  # noqa: E402  (the benchmark's sizes, settings and inputs)
 
-TUNE_UTTERANCES = 10  # the tune-grid workload's corpus size
+FULL = bench.SIZES["full"]
 
 
 def parse_args() -> argparse.Namespace:
@@ -96,15 +101,7 @@ def median_seconds(matrices, resources, config, reps: int) -> float:
 
 def long_config(work: Path, args: argparse.Namespace) -> RunConfig:
     """The decode-long workload's inputs and settings."""
-    bundled = gen.read_keyword_raws(ROOT / "tests" / "data" / "keywords_50.txt")
-    inputs = gen.make_char_inputs(
-        work, args.seed, [100, 300, 1000], bundled, 2000,
-        spoken_forms=normalize_keyword,
-    )
-    return RunConfig(
-        manifest=inputs.manifest, vocab=inputs.vocab, lm=inputs.lm,
-        keywords=inputs.keywords, mode="ngram", boost_weight=2.0,
-    )
+    return bench.char_config(bench.char_inputs(work, args.seed, FULL), work)
 
 
 def length_table(cfg: RunConfig, args: argparse.Namespace) -> None:
@@ -128,15 +125,16 @@ def length_table(cfg: RunConfig, args: argparse.Namespace) -> None:
             )
     finally:
         gc.callbacks.remove(count)
-    print(f"ratio T=1000 / T=100: {per_frame[1000] / per_frame[100]:.2f}")
+    first, last = FULL["lengths"][0], FULL["lengths"][-1]
+    print(f"ratio T={last} / T={first}: {per_frame[last] / per_frame[first]:.2f}")
 
 
 def word_table(work: Path, args: argparse.Namespace) -> None:
     spec = work / "tune_spec.jsonl"
-    gen.make_tune_spec(spec, args.seed, TUNE_UTTERANCES)
+    gen.make_tune_spec(spec, args.seed, FULL["tune_utts"])
     fixtures = make_fixtures(spec, work / "tune", seed=args.seed)
     print()
-    print(f"word-level tuning corpus ({TUNE_UTTERANCES} utterances)")
+    print(f"word-level tuning corpus ({FULL['tune_utts']} utterances)")
     print(
         f"{'mode':<9} {'ms/frame':>9} {'lookups/frame':>14} {'records/frame':>14}"
         f" {'merges/frame':>13} {'new/frame':>10} {'tied/frame':>11}"
@@ -145,7 +143,7 @@ def word_table(work: Path, args: argparse.Namespace) -> None:
         resources, config, matrices = load(RunConfig(
             manifest=fixtures.manifest_path, vocab=fixtures.vocab_path,
             keywords=ROOT / "tests" / "data" / "keywords_demo.txt",
-            mode=mode, word_bonus=0.0, boost_weight=2.0,
+            mode=mode, word_bonus=0.0, boost_weight=bench.BOOST,
         ))
         frames = sum(matrix.num_frames for matrix in matrices)
         seconds = median_seconds(matrices, resources, config, args.reps)

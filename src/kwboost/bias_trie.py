@@ -100,13 +100,13 @@ def build_trie(
     entry's effective weight is resolved here, once, by ``entry_weights``.
     """
     check_boost_settings(default_weight, rarity_threshold)
-    rare = {word for variant in mapping.reverse for word in variant}
-    if lm is not None:
-        rare = {word for word in rare if lm.unigram_log10(word) < rarity_threshold}
+    rare: dict[str, bool] = {}  # each distinct word's gate
     gated = []
-    for variant in sorted(mapping.reverse):
-        raw = mapping.reverse[variant].raw
+    for variant, entry in mapping.reverse.items():
         for word in variant:
-            if word in rare:
-                gated.append((word, raw))
+            passes = rare.get(word)
+            if passes is None:
+                passes = rare[word] = lm is None or lm.unigram_log10(word) < rarity_threshold
+            if passes:
+                gated.append((word, entry.raw))
     return BiasTrie(mapping, entry_weights(mapping, default_weight), gated)

@@ -2,10 +2,10 @@
 
 Each beam entry is a token prefix with the usual blank/non-blank
 log-probability pair plus additive score components: acoustic mass,
-fused language model score, per-word bonus, and boost terms.  Keeping
+fused language model score, per-word bonus, and keyword boost.  Keeping
 the boost in its own component is what makes the n-gram mode exact:
-partial unigram boosts steer pruning while streaming and are then
-retracted at finalization, where only full keyword matches are paid.
+partial unigram boosts steer pruning while streaming, and finalization
+overwrites that one component with what the full keyword matches pay.
 
 Prefixes are interned as nodes that point to their parent prefix, and
 each beam entry owns the node of its prefix, so one frame costs the
@@ -44,10 +44,10 @@ Boost modes
     baseline  no boosting at all
     default   boosted unigrams score at every word commit and keep
               their boost in the final ranking
-    ngram     same streaming behavior, but finalization zeroes the
-              partial boosts and adds entry weight x matched words for
-              each full keyword match found in the committed words,
-              reading each weight from the trie's ``weights`` table
+    ngram     same streaming behavior, but finalization replaces each
+              entry's boost with the sum of entry weight x matched words
+              over the full keyword matches found in its committed
+              words, reading each weight from the trie's ``weights`` table
 
 Scores live in the natural-log domain; language model log10 values are
 scaled by ln(10) when fused.
@@ -261,31 +261,29 @@ class BeamHypothesis:
     is read.  Between frames ``acoustic`` is ``_log_add(log_p_blank,
     log_p_nonblank)``, kept so that each frame computes it once per
     entry.  ``state`` is ``(committed, pending, lm_fused, word_bonus,
-    partial_boost)``, what a continuing child inherits; ``start`` is
-    what a word-starting child inherits, that state with its pending
-    word committed, made at most once per entry (see
-    DecoderSession._start).  Entries compare by identity.
+    boost)``, what a continuing child inherits; ``start`` is what a
+    word-starting child inherits, that state with its pending word
+    committed, made at most once per entry (see DecoderSession._start).
+    ``boost`` is the entry's one keyword boost: the unigram boosts of its
+    committed words while streaming and, after an ngram finalize, what
+    its full keyword matches pay.  Entries compare by identity.
     """
 
-    __slots__ = (
-        "node", "log_p_blank", "log_p_nonblank", "acoustic", "state", "start",
-        "final_boost",
-    )
+    __slots__ = ("node", "log_p_blank", "log_p_nonblank", "acoustic", "state", "start")
 
-    def __init__(self, node, log_p_blank, log_p_nonblank, acoustic, state, final_boost=0.0):
+    def __init__(self, node, log_p_blank, log_p_nonblank, acoustic, state):
         self.node = node
         self.log_p_blank = log_p_blank
         self.log_p_nonblank = log_p_nonblank
         self.acoustic = acoustic
         self.state = state
         self.start = None
-        self.final_boost = final_boost
 
     committed = property(lambda self: self.state[0])
     pending = property(lambda self: self.state[1])
     lm_fused = property(lambda self: self.state[2])
     word_bonus = property(lambda self: self.state[3])
-    partial_boost = property(lambda self: self.state[4])
+    boost = property(lambda self: self.state[4])
 
     @property
     def tokens(self) -> tuple[int, ...]:
@@ -299,13 +297,12 @@ class BeamHypothesis:
     @property
     def total(self) -> float:
         _, _, lm_fused, bonus, boost = self.state
-        return self.acoustic + lm_fused + bonus + boost + self.final_boost
+        return self.acoustic + lm_fused + bonus + boost
 
     def copy(self) -> BeamHypothesis:
         """A snapshot that shares the entry's prefix node and state tuple."""
         return BeamHypothesis(
-            self.node, self.log_p_blank, self.log_p_nonblank, self.acoustic,
-            self.state, self.final_boost,
+            self.node, self.log_p_blank, self.log_p_nonblank, self.acoustic, self.state
         )
 
 
@@ -462,8 +459,7 @@ class DecoderSession:
         # every mass matches it bit for bit.
         for stay, mass in merges:
             stay.log_p_nonblank = _log_add(stay.log_p_nonblank, mass)
-        # A stay slot's masses are now final.  Its final boost is 0.0
-        # until finalize, so its total is summed like a child's.
+        # A stay slot's masses are now final.
         for hyp in self.beams:
             acoustic = hyp.acoustic = _log_add(hyp.log_p_blank, hyp.log_p_nonblank)
             _, _, lm_fused, bonus, boost = hyp.state
@@ -641,17 +637,18 @@ class DecoderSession:
         return DecodeResult([hyp.copy() for hyp in self.beams])
 
     def finalize(self) -> DecodeResult:
-        """Commit pending words, settle boost components, rank the beam."""
+        """Commit pending words, settle each entry's boost, rank the beam."""
         if self._result is not None:
             return self._result
         for hyp in self.beams:
-            hyp.state = hyp.start or self._start(hyp)
+            state = hyp.start or self._start(hyp)
             if self.config.mode == "ngram":
-                hyp.final_boost = sum(
+                boost = sum(
                     self.trie.weights[m.raw] * (m.end - m.start)
-                    for m in self.trie.find_matches(hyp.state[0])
+                    for m in self.trie.find_matches(state[0])
                 )
-                hyp.state = hyp.state[:4] + (0.0,)
+                state = state[:4] + (boost,)
+            hyp.state = state
         ranked = self._rank([(-h.total, h) for h in self.beams], self.config.beam_width)
         self.beams = [hyp for _, hyp in ranked]
         # Nothing changes the settled entries from here on, so the result

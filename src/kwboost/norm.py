@@ -116,32 +116,27 @@ def _classify(ch: str) -> str:
 # _classify of every ASCII character: an ASCII run's kind is its last one's.
 _ASCII_KIND = {chr(code): _classify(chr(code)) for code in range(128)}
 
-# One ASCII run per match.  The alternatives hold the case boundary: an
-# uppercase run followed by lowercase gives its last letter to the next
-# word ("HTMLParser" -> HTML + Parser, "Camel" stays one).
+# An ASCII character of each kind, standing in for any character of it.
+_STAND_IN = {"U": "A", "w": "a", "D": "0", "S": "-"}
+
+# One ASCII run per match.  The alternatives hold the case boundary, the
+# only place it is written: an uppercase run followed by lowercase gives
+# its last letter to the next word ("HTMLParser" -> HTML + Parser,
+# "Camel" stays one).
 _ASCII_RUN = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|[0-9]+|[^A-Za-z0-9]+")
 
 
 def _segment_piece(piece: str) -> list[tuple[str, str]]:
+    """The ``(kind, text)`` runs of a piece, cut by ``_ASCII_RUN``.
+
+    A non-ASCII piece is cut where its ASCII stand-in is: each character
+    replaced by ``_STAND_IN`` of its ``_classify`` kind.
+    """
     if piece.isascii():
         return [(_ASCII_KIND[run[-1]], run) for run in _ASCII_RUN.findall(piece)]
-    return _segment_runs(piece)
-
-
-def _segment_runs(piece: str) -> list[tuple[str, str]]:
-    """The runs of any piece, by ``_classify`` and the case boundary rule."""
-    runs = [(kind, "".join(group)) for kind, group in itertools.groupby(piece, key=_classify)]
-    out: list[tuple[str, str]] = []
-    for kind, text in runs:
-        # _ASCII_RUN's case boundary: an uppercase run gives its last
-        # letter to a lowercase run right after it.
-        if kind == "w" and out and out[-1][0] == "U":
-            upper = out.pop()[1]
-            if len(upper) > 1:
-                out.append(("U", upper[:-1]))
-            text = upper[-1] + text
-        out.append((kind, text))
-    return out
+    runs = _ASCII_RUN.findall("".join(_STAND_IN[_classify(ch)] for ch in piece))
+    ends = itertools.accumulate(map(len, runs))
+    return [(_ASCII_KIND[run[-1]], piece[end - len(run):end]) for run, end in zip(runs, ends)]
 
 
 def _run_readings(runs: list[tuple[str, str]], idx: int) -> list[list[str]]:
@@ -221,7 +216,8 @@ def normalize_keyword(
     if not key:
         raise NormalizationError("empty keyword")
     if exceptions is not None and key in exceptions:
-        variants = [tuple(v) for v in exceptions[key]]
+        # A variant listed twice is one variant.
+        variants = list(dict.fromkeys(tuple(v) for v in exceptions[key]))
         if not variants or any(not v for v in variants):
             raise NormalizationError(f"exception entry for {key!r} is empty")
         for variant in variants:

@@ -62,6 +62,11 @@ class BeamHypothesis:
         )
 
     @property
+    def boost(self) -> float:
+        """The one boost the session's entry holds: one part is always 0.0."""
+        return self.partial_boost + self.final_boost
+
+    @property
     def words(self) -> tuple[str, ...]:
         if self.pending:
             return self.committed + (self.pending,)

@@ -143,6 +143,15 @@ def test_c3_retraction_restores_baseline_totals(corpus):
         assert abs(boosted.total - base.total) <= 1e-9
         assert [h.words for h in boosted.nbest] == [h.words for h in base.nbest]
         assert trie.find_matches(boosted.words) == []
+        # Each entry's one boost is what its matches pay (none), and
+        # without it the entry scores as in the baseline run.
+        base_totals = {h.tokens: h.total for h in base.nbest}
+        for hyp in boosted.nbest:
+            assert hyp.boost == sum(
+                trie.weights[m.raw] * (m.end - m.start)
+                for m in trie.find_matches(hyp.committed)
+            ) == 0.0
+            assert abs(hyp.total - hyp.boost - base_totals[hyp.tokens]) <= 1e-9
 
     # Under a finite beam on the bundled corpus the boosted stream
     # prunes differently, so merged path masses may drift; the settled
@@ -157,8 +166,7 @@ def test_c3_retraction_restores_baseline_totals(corpus):
         base = decode(matrix, vocab, base_cfg)
         boosted = decode(matrix, vocab, boost_cfg, trie=trie)
         assert boosted.words == base.words
-        assert boosted.nbest[0].partial_boost == 0.0
-        assert boosted.nbest[0].final_boost == 0.0
+        assert boosted.nbest[0].boost == 0.0
         assert trie.find_matches(boosted.words) == []
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from kwboost.bias_trie import BiasTrie, build_trie
 from kwboost.errors import ConfigError
 from kwboost.lm import load_arpa
-from kwboost.norm import KeywordMatch, build_mapping, inverse_normalize
+from kwboost.norm import KeywordMatch, NormalizationMapping, build_mapping, inverse_normalize
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,20 @@ class TestRarityGate:
         # Named as the setting they are, not as a keyword's weight.
         with pytest.raises(ConfigError, match=message):
             build_trie(build_mapping(["IBM"]), **kwargs)
+
+    def test_the_order_of_the_reverse_index_does_not_matter(self, gate_lm):
+        # AI and IO share "i" at different weights; C3PO and 356 share "three".
+        mapping = build_mapping([("AI", 3.0, 0), ("IO", 2.0, 0), "C3PO", "THE", "356"])
+        flipped = NormalizationMapping(
+            mapping.entries, dict(reversed(mapping.reverse.items())), mapping.collisions
+        )
+        assert list(flipped.reverse) == list(reversed(mapping.reverse))
+        for lm in (None, gate_lm):
+            want = build_trie(mapping, lm, default_weight=1.5)
+            got = build_trie(flipped, lm, default_weight=1.5)
+            assert got.weights == want.weights
+            assert set(got.gated) == set(want.gated)
+            assert got.unigram_weights == want.unigram_weights
 
     def test_unigram_weight_lookup(self):
         trie = build_trie(build_mapping([("AI", 3.0, 0)]))

@@ -340,7 +340,7 @@ class TestSessionBasics:
             exact_config(),
         )
         for hyp in result.nbest:
-            assert hyp.partial_boost == 0.0 and hyp.final_boost == 0.0
+            assert hyp.boost == 0.0
 
 
 class TestAgainstOracle:
@@ -442,13 +442,7 @@ class TestRankingAndBeam:
             trie=trie,
         )
         for hyp in result.nbest:
-            parts = (
-                hyp.acoustic
-                + hyp.lm_fused
-                + hyp.word_bonus
-                + hyp.partial_boost
-                + hyp.final_boost
-            )
+            parts = hyp.acoustic + hyp.lm_fused + hyp.word_bonus + hyp.boost
             assert hyp.total == pytest.approx(parts, abs=1e-9)
 
     def test_word_bonus_pays_per_committed_word(self):
@@ -486,10 +480,7 @@ def result_view(result):
         result.words,
         result.text,
         result.total,
-        [
-            (h.tokens, h.words, h.total, h.partial_boost, h.final_boost)
-            for h in result.nbest
-        ],
+        [(h.tokens, h.words, h.total, h.boost) for h in result.nbest],
     )
 
 
@@ -721,10 +712,7 @@ class TestWorkPerFrame:
         # Settling matches each entry once, and nothing else matches.
         assert calls["find_matches"] == finalized
         top = result.nbest[0]
-        assert top.final_boost == sum(
-            trie.weights[m.raw] * (m.end - m.start)
-            for m in trie.find_matches(result.words)
-        )
+        assert top.boost == match_pay(trie, result.words)
 
     def test_stay_slots_commit_once_on_the_word_level_corpus(self, corpus, demo_keywords):
         # An entry that stays in the beam keeps its state from frame to
@@ -1003,6 +991,11 @@ class TestChunking:
         assert (final.text, final.total) == (" ".join(top.committed), top.total)
 
 
+def match_pay(trie, words):
+    """What the full keyword matches in ``words`` pay: weight x matched words."""
+    return sum(trie.weights[m.raw] * (m.end - m.start) for m in trie.find_matches(words))
+
+
 def boosted_run(logits, vocab, keywords, mode, weight, **cfg):
     trie = build_trie(build_mapping(keywords), default_weight=weight)
     config = exact_config(mode=mode, **cfg)
@@ -1038,7 +1031,7 @@ class TestBoostModes:
         for hyp in baseline.nbest:
             twin = by_tokens[hyp.tokens]
             occurrences = twin.committed.count("b")
-            assert twin.partial_boost == 2.0 * occurrences
+            assert twin.boost == 2.0 * occurrences
             assert twin.total - hyp.total == pytest.approx(
                 2.0 * occurrences, abs=1e-12
             )
@@ -1078,9 +1071,11 @@ class TestBoostModes:
         baseline = decode(logits, vocab, exact_config())
         ngram = boosted_run(logits, vocab, ["AB", "B2B"], "ngram", 3.0)
         base_totals = {hyp.tokens: hyp.total for hyp in baseline.nbest}
+        trie = build_trie(build_mapping(["AB", "B2B"]), default_weight=3.0)
+        assert any(hyp.boost > 0.0 for hyp in ngram.nbest)
         for hyp in ngram.nbest:
-            assert hyp.partial_boost == 0.0
-            assert hyp.total - hyp.final_boost == pytest.approx(
+            assert hyp.boost == match_pay(trie, hyp.committed)
+            assert hyp.total - hyp.boost == pytest.approx(
                 base_totals[hyp.tokens], abs=1e-9
             )
 
@@ -1096,7 +1091,7 @@ class TestBoostModes:
         base_totals = {hyp.tokens: hyp.total for hyp in baseline.nbest}
         assert ngram.words == baseline.words
         for hyp in ngram.nbest:
-            assert hyp.final_boost == 0.0
+            assert hyp.boost == 0.0
             assert hyp.total == pytest.approx(base_totals[hyp.tokens], abs=1e-9)
 
     def test_full_match_boost_flips_the_ranking(self):
@@ -1118,8 +1113,52 @@ class TestBoostModes:
             KeywordMatch(0, 2, "AI")
         ]
         top = ngram.nbest[0]
-        assert top.final_boost == pytest.approx(2.0 * 2)
-        assert top.partial_boost == 0.0
+        trie = build_trie(build_mapping(["AI"]), default_weight=2.0)
+        assert top.boost == match_pay(trie, top.committed) == 2.0 * 2
+        base_totals = {hyp.tokens: hyp.total for hyp in baseline.nbest}
+        assert top.total - top.boost == pytest.approx(base_totals[top.tokens], abs=1e-9)
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_finalize_settles_every_entry_boost(self, data, data_dir):
+        """After finalize each n-best entry's one boost is what its mode pays:
+        nothing, its committed words' unigram weights, or weight x matched
+        words over its full keyword matches; the total is its parts' sum."""
+        # Both boundary conventions; the second vocabulary's blank is token 1.
+        vocab = data.draw(st.sampled_from(REF_VOCABS), label="vocab")
+        num_frames = data.draw(st.integers(0, 16), label="frames")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = 2.0 * rng.standard_normal((num_frames, vocab.size))
+        logits = LogitMatrix(x - np.log(np.exp(x).sum(axis=1, keepdims=True)))
+        with_lm = data.draw(st.booleans(), label="lm")
+        lm = load_arpa(data_dir / "tiny_bigram.arpa") if with_lm else None
+        mode = data.draw(st.sampled_from(MODES), label="mode")
+        config = DecodeConfig(
+            beam_width=data.draw(st.integers(1, 8), label="beam"),
+            lm_weight=0.5 if with_lm else 0.0,
+            word_bonus=data.draw(st.sampled_from([0.0, 0.7]), label="bonus"),
+            mode=mode,
+            token_min_logp=float("-inf"),
+        )
+        # Unequal weights, so a sum that pays the wrong entry or the wrong
+        # count shows.  AI and AB match two words, IBM three.
+        keywords = [("AI", 1.25, 0), ("AB", 0.5, 0), "B2B", ("IBM", 3.0, 0)]
+        trie = build_trie(build_mapping(keywords), default_weight=2.0)
+        result = decode(logits, vocab, config, lm=lm, trie=trie)
+        for hyp in result.nbest:
+            assert hyp.pending == ""
+            if mode == "baseline":
+                assert hyp.boost == 0
+            elif mode == "default":
+                paid = 0.0
+                for word in hyp.committed:
+                    weight = trie.unigram_weight(word)
+                    if weight is not None:
+                        paid += weight
+                assert hyp.boost == paid
+            else:
+                assert hyp.boost == match_pay(trie, hyp.committed)
+            assert hyp.total == hyp.acoustic + hyp.lm_fused + hyp.word_bonus + hyp.boost
 
 
 class TestShallowFusion:

@@ -1171,6 +1171,20 @@ class TestCli:
         assert main(["prepare-list", "--keywords", str(kw)]) == 2
         assert capsys.readouterr().err == "kwboost: error: duplicate keyword 'AI'\n"
 
+    def test_a_repeated_exceptions_line_is_one_variant(self, tmp_path, capsys, caplog):
+        # The same variant listed twice for one raw is not a collision.
+        kw = tmp_path / "kw.tsv"
+        kw.write_text("SQL\n", encoding="utf-8")
+        table = tmp_path / "exceptions.tsv"
+        table.write_text("SQL\tsequel\nSQL\tsequel\n", encoding="utf-8")
+        out = tmp_path / "mapping.tsv"
+        argv = ["prepare-list", "--keywords", str(kw), "--exceptions", str(table)]
+        with caplog.at_level("WARNING", logger="kwboost.norm"):
+            assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == "1 keywords, 1 variants, 0 collisions\n"
+        assert caplog.records == []
+        assert out.read_text(encoding="utf-8") == "SQL\tsequel\t\t0\n"
+
     @pytest.mark.parametrize(
         "keywords, error",
         [("New York\nIBM\n", None), ("@@\nIBM\n", "keyword '@@' normalizes to nothing")],

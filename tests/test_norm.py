@@ -26,13 +26,7 @@ from kwboost.norm import (
     raw_target_mapping,
     save_mapping,
 )
-from kwboost.norm import (
-    _ASCII_KIND,
-    _capped_product,
-    _classify,
-    _segment_piece,
-    _segment_runs,
-)
+from kwboost.norm import _ASCII_KIND, _capped_product, _classify, _segment_piece
 
 # Hand-written oracle for the cardinal speller.  Every row was spelled
 # out by a person, not derived from the code under test.
@@ -131,6 +125,20 @@ _READING = st.lists(st.sampled_from(["a", "b", "ab"]), max_size=2)
 _SINGLE = _READING.map(lambda reading: [reading])
 _SEVERAL = st.lists(_READING, min_size=2, max_size=3)
 
+# Characters of each _classify kind, ASCII and not: titlecase "ǅ" is
+# neither upper nor lower, and the Arabic-Indic digit "٣" is a symbol.
+_KIND_CHARS = {
+    kind: [
+        ch for ch in string.ascii_letters + string.digits + "&+*-._ÉéÜüßǅΣσς日本٣€—"
+        if _classify(ch) == kind
+    ]
+    for kind in "UwDS"
+}
+# A character and another of its kind.
+_SAME_KIND_PAIRS = st.sampled_from("UwDS").flatmap(
+    lambda kind: st.tuples(*[st.sampled_from(_KIND_CHARS[kind])] * 2)
+)
+
 
 class TestNormalizeKeyword:
     @pytest.mark.parametrize("raw,expected", EXPANSION_CASES)
@@ -164,6 +172,13 @@ class TestNormalizeKeyword:
             ("gift",),
         ]
 
+    def test_a_repeated_exception_variant_is_kept_once(self):
+        table = {"SQL": [["sequel"], ["s", "q", "l"], ["sequel"]]}
+        assert normalize_keyword("SQL", table) == [("sequel",), ("s", "q", "l")]
+        mapping = build_mapping(["SQL"], table)
+        assert mapping.entries[0].variants == (("sequel",), ("s", "q", "l"))
+        assert mapping.collisions == []
+
     @pytest.mark.parametrize(
         "table",
         [
@@ -191,17 +206,25 @@ class TestNormalizeKeyword:
     def test_ascii_kind_table_agrees_with_classify(self):
         assert _ASCII_KIND == {chr(code): _classify(chr(code)) for code in range(128)}
 
-    @given(st.text(alphabet=string.ascii_letters + string.digits + "&+*-._", max_size=12))
-    @example("HTMLParser")
-    @example("ABc")
-    @example("aBc")
-    @example("3x4")
-    @example("3X4")
-    @example("C3PO")
-    def test_ascii_scan_agrees_with_the_generic_runs(self, piece):
-        """One regex scan cuts an ASCII piece into the same runs, of the same
-        kinds, as grouping by ``_classify`` and the case boundary rule."""
-        assert _segment_piece(piece) == _segment_runs(piece)
+    @given(st.lists(_SAME_KIND_PAIRS, min_size=1, max_size=12))
+    @example(list(zip("HTMLParser", "ÉΣÜÉΣaσßéς")))
+    @example(list(zip("ÉCOLEParis", "ABCDEFghij")))
+    @example(list(zip("ÜBer", "ABer")))
+    @example(list(zip("ǅAb٣", "aAb-")))
+    @example(list(zip("C3PO", "Ü3ΣÉ")))
+    def test_runs_depend_only_on_character_kinds(self, pairs):
+        """Replacing each character with another of its ``_classify`` kind,
+        ASCII or not, keeps the runs' kinds and lengths, and the runs join
+        back into the piece."""
+        piece = "".join(ch for ch, _ in pairs)
+        twin = "".join(ch for _, ch in pairs)
+        runs = _segment_piece(piece)
+        assert "".join(text for _, text in runs) == piece
+
+        def shape(runs):
+            return [(kind, len(text)) for kind, text in runs]
+
+        assert shape(runs) == shape(_segment_piece(twin))
 
     @given(st.text(alphabet=string.printable, min_size=1, max_size=12))
     def test_alphabet_closure(self, raw):
