@@ -4,6 +4,11 @@ The model serves two jobs: shallow fusion during decoding (queries must
 stay finite, so unknown words get a fixed floor) and the rarity
 gate for unigram boosting (out-of-vocabulary means -inf, which always
 passes a "rarer than threshold" test).
+
+The tables hold bare floats: a unigram is keyed by its word, a longer
+n-gram by its word tuple, and only a line that lists a back-off weight
+adds an entry to ``backoffs``.  Loading makes one key and one float per
+line, and no (probability, back-off) pair.
 """
 
 from __future__ import annotations
@@ -26,21 +31,28 @@ _SECTION_RE = re.compile(r"\\(\d+)-grams:\s*$")
 class NGramLM:
     """Katz back-off n-gram model over word strings.
 
-    tables[k] maps (k+1)-word tuples to (log10 probability, log10
-    back-off weight).  Queries condition on a context tuple that is
-    truncated from the left to order-1 words.
+    tables[0] maps each word to its log10 probability, and tables[k]
+    for k >= 1 maps each (k+1)-word tuple to its log10 probability.
+    backoffs maps the tuple of each n-gram whose line lists a log10
+    back-off weight to that weight; any other n-gram's weight is 0.
+    Queries condition on a context tuple that is truncated from the
+    left to order-1 words.
     """
 
-    def __init__(self, tables: Sequence[dict[tuple[str, ...], tuple[float, float]]]):
+    def __init__(
+        self,
+        tables: Sequence[dict],
+        backoffs: dict[tuple[str, ...], float] | None = None,
+    ):
         if not tables or not tables[0]:
             raise ArpaError("model has no unigrams")
         self.tables = list(tables)
+        self.backoffs = {} if backoffs is None else backoffs
         self.order = len(self.tables)
 
     def unigram_log10(self, word: str) -> float:
         """Unigram log10 probability; -inf when out of vocabulary."""
-        entry = self.tables[0].get((word,))
-        return entry[0] if entry is not None else NEG_INF
+        return self.tables[0].get(word, NEG_INF)
 
     def log10_cond(self, word: str, context: Sequence[str] = ()) -> float:
         """Conditional log10 probability with back-off.
@@ -57,15 +69,12 @@ class NGramLM:
         return self._cond(word, context)
 
     def _cond(self, word: str, context: tuple[str, ...]) -> float:
-        ngram = context + (word,)
-        entry = self.tables[len(ngram) - 1].get(ngram)
-        if entry is not None:
-            return entry[0]
         if not context:
-            return UNK_LOG10
-        ctx_entry = self.tables[len(context) - 1].get(context)
-        backoff = ctx_entry[1] if ctx_entry is not None else 0.0
-        return backoff + self._cond(word, context[1:])
+            return self.tables[0].get(word, UNK_LOG10)
+        prob = self.tables[len(context)].get(context + (word,))
+        if prob is not None:
+            return prob
+        return self.backoffs.get(context, 0.0) + self._cond(word, context[1:])
 
 
 def load_arpa(path: str | Path) -> NGramLM:
@@ -86,11 +95,12 @@ def load_arpa(path: str | Path) -> NGramLM:
         return ArpaError(f"{path}:{lineno}: {message}" if lineno else f"{path}: {message}")
 
     declared: dict[int, int] = {}
-    tables: list[dict[tuple[str, ...], tuple[float, float]]] = []
+    tables: list[dict] = []
+    backoffs: dict[tuple[str, ...], float] = {}
     section: int | None = None
     # Set at each section header: its table and the one an order down.
-    table: dict[tuple[str, ...], tuple[float, float]]
-    context: dict[tuple[str, ...], tuple[float, float]] | None
+    table: dict
+    context: dict | None
     saw_data = False
     saw_end = False
 
@@ -150,7 +160,6 @@ def load_arpa(path: str | Path) -> NGramLM:
             if prob > 0.0:
                 raise error(f"positive log10 probability {prob}", lineno)
             raise error(f"bad log10 probability {fields[0]!r}", lineno)
-        backoff = 0.0
         if extra == 2:
             try:
                 backoff = float(fields[-1])
@@ -158,13 +167,17 @@ def load_arpa(path: str | Path) -> NGramLM:
                     raise ValueError
             except ValueError:
                 raise error(f"bad back-off weight {fields[-1]!r}", lineno) from None
-        words = tuple(fields[1:section + 1])
-        entry = (prob, backoff)
-        if table.setdefault(words, entry) is not entry:
-            raise error(f"duplicate {section}-gram {' '.join(words)!r}", lineno)
-        if context is not None and words[:-1] not in context:
+        # A unigram is keyed by its word, a longer n-gram by its tuple.
+        key = fields[1] if section == 1 else tuple(fields[1:section + 1])
+        if table.setdefault(key, prob) is not prob:
+            raise error(f"duplicate {section}-gram {' '.join(fields[1:section + 1])!r}", lineno)
+        if extra == 2:
+            backoffs[(key,) if section == 1 else key] = backoff
+        # A bigram's context is its first word, a unigram table key.
+        if context is not None and (fields[1] if section == 2 else key[:-1]) not in context:
             raise error(
-                f"{section}-gram {' '.join(words)!r} has no {section - 1}-gram context entry",
+                f"{section}-gram {' '.join(fields[1:section + 1])!r} has no "
+                f"{section - 1}-gram context entry",
                 lineno,
             )
 
@@ -181,4 +194,4 @@ def load_arpa(path: str | Path) -> NGramLM:
             raise error(f"declared ngram {n}={count} but parsed {len(tables[n - 1])}")
     if not tables[0]:
         raise error("model has no unigrams")
-    return NGramLM(tables)
+    return NGramLM(tables, backoffs)

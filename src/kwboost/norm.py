@@ -20,7 +20,7 @@ Expansion rules, applied in order:
    initialism (one word per letter); when the run is a whole keyword
    piece and is not vowels-only, a whole-word lowercase variant is
    emitted as well ("IBM" -> "i b m" and "ibm");
-5. remaining tokens are lowercased;
+5. remaining tokens are lowercased, with ``İ`` read as ``I``;
 6. internal case changes split compounds ("CamelCase" -> "camel case").
 
 Every emitted word stays inside the lowercase spoken alphabet; a raw
@@ -130,45 +130,50 @@ def _segment_piece(piece: str) -> list[tuple[str, str]]:
     """The ``(kind, text)`` runs of a piece, cut by ``_ASCII_RUN``.
 
     A non-ASCII piece is cut where its ASCII stand-in is: each character
-    replaced by ``_STAND_IN`` of its ``_classify`` kind.
+    replaced by ``_STAND_IN`` of its ``_classify`` kind.  Its runs join
+    back into the piece with ``İ`` (U+0130) read as ``I``, the one letter
+    whose ``lower()`` leaves the spoken alphabet (``i`` and a combining
+    dot above).
     """
     if piece.isascii():
         return [(_ASCII_KIND[run[-1]], run) for run in _ASCII_RUN.findall(piece)]
+    piece = piece.replace("\u0130", "I")
     runs = _ASCII_RUN.findall("".join(_STAND_IN[_classify(ch)] for ch in piece))
     ends = itertools.accumulate(map(len, runs))
     return [(_ASCII_KIND[run[-1]], piece[end - len(run):end]) for run, end in zip(runs, ends)]
 
 
-def _run_readings(runs: list[tuple[str, str]], idx: int) -> list[list[str]]:
-    """Alternative spoken readings of one run, primary reading first."""
+def _run_readings(runs: list[tuple[str, str]], idx: int) -> list[Variant]:
+    """Distinct spoken readings of one run, primary reading first.
+
+    There are at most two, so a one-run piece's readings are its variants.
+    """
     kind, text = runs[idx]
     # A lone x between digit runs ("3x4", "3X4") is the dimension separator.
     if text in ("x", "X") and 0 < idx < len(runs) - 1 and (
         runs[idx - 1][0] == runs[idx + 1][0] == "D"
     ):
-        return [["by"]]
+        return [("by",)]
     whole_piece = len(runs) == 1
     if kind == "w":
-        return [[text.lower()]]
+        return [(text.lower(),)]
     if kind == "U":
         if len(text) == 1:
-            return [[text.lower()]]
+            return [(text.lower(),)]
         if 2 <= len(text) <= 4:
-            letters = [ch.lower() for ch in text]
+            letters = tuple(map(str.lower, text))
             vowels_only = _VOWELS.issuperset(text.lower())
             if whole_piece and not vowels_only:
-                return [letters, [text.lower()]]
+                return [letters, (text.lower(),)]
             return [letters]
-        return [[text.lower()]]
+        return [(text.lower(),)]
     if kind == "D":
         if whole_piece and len(text) <= 4 and (len(text) == 1 or text[0] != "0"):
-            readings = [cardinal_words(int(text)), digit_words(text)]
-            if readings[0] == readings[1]:
-                return readings[:1]
-            return readings
-        return [digit_words(text)]
+            cardinal, digits = tuple(cardinal_words(int(text))), tuple(digit_words(text))
+            return [cardinal] if cardinal == digits else [cardinal, digits]
+        return [tuple(digit_words(text))]
     # Symbol run: keep the speakable symbols, drop the rest.
-    return [[_SYMBOL_WORDS[ch] for ch in text if ch in _SYMBOL_WORDS]]
+    return [tuple(_SYMBOL_WORDS[ch] for ch in text if ch in _SYMBOL_WORDS)]
 
 
 def _capped_product(parts: Sequence[Sequence[Sequence[str]]]) -> list[Variant]:
@@ -176,11 +181,7 @@ def _capped_product(parts: Sequence[Sequence[Sequence[str]]]) -> list[Variant]:
 
     At most VARIANT_CAP results, from at most VARIANT_CAP**2 combinations.
     """
-    # The same result without the product: one part whose readings are
-    # the combinations, or one combination.
-    if len(parts) == 1:
-        readings = parts[0][:VARIANT_CAP * VARIANT_CAP]
-        return list(dict.fromkeys(map(tuple, readings)))[:VARIANT_CAP]
+    # The same result without the product: one combination.
     if all(len(part) == 1 for part in parts):
         return [tuple(itertools.chain.from_iterable(part[0] for part in parts))]
     results: list[Variant] = []
@@ -197,6 +198,8 @@ def _capped_product(parts: Sequence[Sequence[Sequence[str]]]) -> list[Variant]:
 
 def _piece_readings(piece: str) -> list[Variant]:
     runs = _segment_piece(piece)
+    if len(runs) == 1:
+        return _run_readings(runs, 0)
     return _capped_product([_run_readings(runs, i) for i in range(len(runs))])
 
 

@@ -1,5 +1,6 @@
 """Tests for the ARPA loader and back-off queries."""
 
+import itertools
 import math
 
 import pytest
@@ -23,8 +24,14 @@ def write_arpa(tmp_path, text):
 
 class TestQueries:
     def test_shape(self, bigram):
+        # Unigrams are keyed by word, longer n-grams by tuple, each to its
+        # bare probability; only a line that lists a back-off weight has one.
         assert bigram.order == 2
-        assert sorted(bigram.tables[0]) == [("a",), ("b",), ("c",)]
+        assert bigram.tables == [
+            {"a": -0.30, "b": -1.00, "c": -0.70},
+            {("a", "b"): -0.30, ("c", "a"): -0.40},
+        ]
+        assert bigram.backoffs == {("a",): -0.20}
 
     def test_unigram_lookup(self, bigram):
         assert bigram.unigram_log10("a") == pytest.approx(-0.30)
@@ -79,9 +86,95 @@ class TestConservation:
     @pytest.mark.parametrize("context", [(), ("a",), ("b",), ("c",)])
     def test_mass_per_context(self, data_dir, context):
         lm = load_arpa(data_dir / "normalized_bigram.arpa")
-        words = sorted(word for (word,) in lm.tables[0])
+        words = sorted(lm.tables[0])
         mass = sum(10.0 ** lm.log10_cond(w, context) for w in words)
         assert 0.97 <= mass <= 1.03
+
+
+# Small ARPA models for the reference property: up to four words, orders
+# 1-3, each n-gram's context listed one order down.  Probabilities include
+# -inf and -0.0; a line lists a back-off weight or not, 0.0 included.
+_WORDS = ["a", "b", "c", "d"]
+_PROBS = st.one_of(
+    st.sampled_from([-math.inf, -0.0, -0.3]), st.floats(-6.0, 0.0, allow_nan=False)
+)
+_BACKOFFS = st.one_of(
+    st.none(), st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0, allow_nan=False)
+)
+
+
+@st.composite
+def arpa_lines(draw):
+    """Each order's lines, as (n-gram tuple, probability, back-off or None)."""
+    unigrams = draw(st.lists(st.sampled_from(_WORDS), min_size=1, unique=True))
+    grams = [[(word,) for word in unigrams]]
+    for _ in range(draw(st.integers(0, 2))):
+        extended = [gram + (word,) for gram in grams[-1] for word in _WORDS]
+        grams.append(
+            draw(st.lists(st.sampled_from(extended), unique=True, max_size=8))
+            if extended else []
+        )
+    return [[(gram, draw(_PROBS), draw(_BACKOFFS)) for gram in order] for order in grams]
+
+
+def arpa_text(lines):
+    out = ["\\data\\"]
+    out += [f"ngram {n}={len(order)}" for n, order in enumerate(lines, 1)]
+    for n, order in enumerate(lines, 1):
+        out.append(f"\n\\{n}-grams:")
+        for gram, prob, backoff in order:
+            tail = "" if backoff is None else f"\t{backoff!r}"
+            out.append(f"{prob!r}\t{' '.join(gram)}{tail}")
+    out.append("\\end\\")
+    return "\n".join(out) + "\n"
+
+
+class ReferenceLM:
+    """The same lines in (probability, back-off) pairs keyed by tuple, one
+    table per order, queried by the plain back-off recursion."""
+
+    def __init__(self, lines):
+        self.tables = [
+            {gram: (prob, 0.0 if backoff is None else backoff) for gram, prob, backoff in order}
+            for order in lines
+        ]
+
+    def unigram_log10(self, word):
+        entry = self.tables[0].get((word,))
+        return entry[0] if entry is not None else -math.inf
+
+    def log10_cond(self, word, context):
+        order = len(self.tables)
+        return self._cond(word, tuple(context)[-(order - 1):] if order > 1 else ())
+
+    def _cond(self, word, context):
+        ngram = context + (word,)
+        entry = self.tables[len(ngram) - 1].get(ngram)
+        if entry is not None:
+            return entry[0]
+        if not context:
+            return -8.0
+        ctx_entry = self.tables[len(context) - 1].get(context)
+        backoff = ctx_entry[1] if ctx_entry is not None else 0.0
+        return backoff + self._cond(word, context[1:])
+
+
+class TestAgainstReference:
+    @given(arpa_lines())
+    def test_queries_equal_the_reference(self, tmp_path_factory, lines):
+        """Every query, over every context of up to three known or unknown
+        words, equals the reference, and so does the sign of a zero."""
+        path = tmp_path_factory.mktemp("arpa") / "model.arpa"
+        path.write_text(arpa_text(lines), encoding="utf-8")
+        lm, ref = load_arpa(path), ReferenceLM(lines)
+        assert lm.order == len(lines)
+        words = _WORDS + ["zzz"]
+        for word in words:
+            assert lm.unigram_log10(word).hex() == ref.unigram_log10(word).hex()
+            for size in range(4):
+                for context in itertools.product(words, repeat=size):
+                    got = lm.log10_cond(word, context)
+                    assert got.hex() == ref.log10_cond(word, context).hex()
 
 
 VALID = """\\data\\

@@ -26,7 +26,13 @@ from kwboost.norm import (
     raw_target_mapping,
     save_mapping,
 )
-from kwboost.norm import _ASCII_KIND, _capped_product, _classify, _segment_piece
+from kwboost.norm import (
+    _ASCII_KIND,
+    _capped_product,
+    _classify,
+    _run_readings,
+    _segment_piece,
+)
 
 # Hand-written oracle for the cardinal speller.  Every row was spelled
 # out by a person, not derived from the code under test.
@@ -116,6 +122,9 @@ EXPANSION_CASES = [
     # Non-ASCII pieces keep the same case boundary rule.
     ("ÉCOLEParis", [("école", "paris")]),
     ("ÜBer", [("ü", "ber")]),
+    # İ lowers to i and a combining dot, outside the alphabet: it reads as I.
+    ("İstanbul", [("istanbul",)]),
+    ("İBM", [("i", "b", "m"), ("ibm",)]),
 ]
 
 
@@ -134,6 +143,11 @@ _KIND_CHARS = {
     ]
     for kind in "UwDS"
 }
+# Any character but a surrogate, ASCII ones (whitespace included) as
+# likely as the rest.
+_ANY_CHAR = st.one_of(
+    st.sampled_from(string.printable), st.characters(exclude_categories=["Cs"])
+)
 # A character and another of its kind.
 _SAME_KIND_PAIRS = st.sampled_from("UwDS").flatmap(
     lambda kind: st.tuples(*[st.sampled_from(_KIND_CHARS[kind])] * 2)
@@ -226,7 +240,9 @@ class TestNormalizeKeyword:
 
         assert shape(runs) == shape(_segment_piece(twin))
 
-    @given(st.text(alphabet=string.printable, min_size=1, max_size=12))
+    @given(st.text(alphabet=_ANY_CHAR, min_size=1, max_size=12))
+    @example("İstanbul")
+    @example("İBM")
     def test_alphabet_closure(self, raw):
         """Whatever comes out is lowercase-alphabetic, or the input is rejected."""
         try:
@@ -238,6 +254,23 @@ class TestNormalizeKeyword:
             assert variant
             for word in variant:
                 assert is_spoken_word(word)
+
+    @given(st.text(alphabet=_ANY_CHAR, max_size=16))
+    @example("7")  # one run, whose cardinal and digit readings are one
+    @example("IBM 356 x3")
+    def test_normalize_keyword_is_its_definition(self, raw):
+        """The product over pieces of the product over each piece's run
+        readings; a keyword whose primary reading is empty is rejected."""
+        pieces = []
+        for piece in raw.split():
+            runs = _segment_piece(piece)
+            pieces.append(_capped_product([_run_readings(runs, i) for i in range(len(runs))]))
+        variants = _capped_product(pieces)
+        if variants[0]:
+            assert normalize_keyword(raw) == variants
+        else:
+            with pytest.raises(NormalizationError):
+                normalize_keyword(raw)
 
 
 _RAW_PARTS = ["AB", "C", "3", "42", "356", "x", "&", "-", "foo", "Bar", "7"]

@@ -91,7 +91,7 @@ def test_decoder_cost_reports_every_length(tmp_path):
     setup = out.split("set-up on the decode-long inputs")[1].split("word-level")[0]
     rows = re.findall(r"^(\w+) +([\d.]+)$", setup, re.MULTILINE)
     assert [name for name, _ in rows] == [
-        "load_arpa", "build_mapping", "build_trie", "load_resources",
+        "load_arpa", "load_keyword_list", "build_mapping", "build_trie", "load_resources",
     ]
     assert all(float(ms) > 0.0 for _, ms in rows)
     # The word-level table: one row per mode; baseline boosts nothing,
