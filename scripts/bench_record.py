@@ -19,26 +19,15 @@ which writes ``BENCH_13.json`` at the repository root.
 import argparse
 import json
 import subprocess
-import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+from bench_pairs import ROOT, WORKLOADS, add_run_options, kwbench
 
 
 def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("number", type=int, help="the n of BENCH_<n>.json")
-    parser.add_argument(
-        "--workload", action="append", choices=WORKLOADS,
-        help="workload to run (repeatable; default: all)",
-    )
-    parser.add_argument(
-        "--seconds", type=float, default=BENCHMARK["run_seconds"],
-        help="timed seconds of the --trace 0 run",
-    )
-    parser.add_argument("--quick", action="store_true", help="tiny inputs, smoke test")
+    add_run_options(parser)
     parser.add_argument(
         "--out-dir", type=Path, default=ROOT, help="where to write (default: repo root)"
     )
@@ -47,16 +36,7 @@ def parse_args() -> argparse.Namespace:
 
 def run(workload: str, trace: int, args: argparse.Namespace) -> tuple[dict, dict]:
     """One benchmark run: its report line and its result line."""
-    argv = [
-        sys.executable, "kwbench/run.py", "--workload", workload, "--seed", "0",
-        "--seconds", str(args.seconds), "--trace", str(trace),
-    ]
-    if args.quick:
-        argv.append("--quick")
-    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.exit(f"bench_record: {workload} --trace {trace} failed:\n{proc.stderr}")
-    lines = proc.stdout.splitlines()
+    lines = kwbench(ROOT, workload, 0, trace, args)
     report = next(line for line in lines if line.startswith("kwbench report "))
     return json.loads(report[len("kwbench report "):]), json.loads(lines[-1])
 

@@ -11,12 +11,7 @@ kwbench/gen.py), decodes each utterance in ngram mode with the
 benchmark's settings, and prints the median wall ms per frame of
 ``decoder.decode`` for each length.  An exact search whose frame step
 does not depend on the prefix length gives about the same figure at
-every T.  Beside it is the number of automatic cyclic collections per
-decode, counted by a ``gc.callbacks`` hook (the script runs no explicit
-collection there).  The frame loop runs with the collector paused, so
-this reads at most 1 at any length: CPython counts the allocations made
-during the pause, and the first one after it may run one
-young-generation pass.
+every T.
 
 The second table times set-up on the same inputs: the median wall ms
 over ``--reps`` rounds of ``load_arpa``, ``load_keyword_list`` (the
@@ -35,14 +30,15 @@ in each mode.  It prints the median wall ms per frame over the whole
 corpus, and four counts per frame taken in a separate untimed pass that
 pushes one frame at a time: unigram boost lookups (one lookup is one
 word commit, at most one per beam entry), the ranking records the frame
-step sorts (beam entries plus the children that passed its bound),
-merges (beam entries whose parent prefix is also in the beam: the
-stay slots a new prefix can merge into) and new prefixes (entries of
-the next beam that were not in the last one).  The last two are read
-from the beams' tokens.  The same pass gives the share of frames
-whose ranking built a tie key (equal totals inside the beam or at its
-edge).  Finalization runs after that pass's spies are lifted, so the
-records and ties are the frame step's alone.  Baseline mode boosts
+step ranks (beam entries plus the children that passed its bound,
+read by a spy on the session's ``_rank``), merges (beam entries whose
+parent prefix is also in the beam: the stay slots a new prefix can
+merge into) and new prefixes (entries of the next beam that were not
+in the last one).  The last two are read from the entries' prefix
+nodes, one per prefix.  The same pass gives the share of frames whose
+ranking built a tie key (equal totals inside the beam or at its edge).
+Each session is finalized after its spies are lifted, so the records
+and ties are the frame step's alone.  Baseline mode boosts
 nothing and gives the bare search's cost.
 
 Run from the repository root with kwboost importable, for instance:
@@ -57,9 +53,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from unittest import mock
 
-from kwboost import decoder, harness
+from kwboost import harness
 from kwboost.dataio import read_logits, read_manifest
 from kwboost.decoder import MODES, decode, new_session, paused_collector
 from kwboost.fixtures import make_fixtures
@@ -107,24 +102,10 @@ def long_config(work: Path, args: argparse.Namespace) -> RunConfig:
 def length_table(cfg: RunConfig, args: argparse.Namespace) -> None:
     resources, config, matrices = load(cfg)
     per_frame = {}
-    collections = 0
-
-    def count(phase, info):
-        nonlocal collections
-        collections += phase == "start"
-
-    gc.callbacks.append(count)
-    try:
-        for matrix in matrices:
-            collections = 0
-            seconds = median_seconds([matrix], resources, config, args.reps)
-            per_frame[matrix.num_frames] = 1e3 * seconds / matrix.num_frames
-            print(
-                f"T={matrix.num_frames:5d}  {per_frame[matrix.num_frames]:.3f} ms/frame"
-                f"  {collections / args.reps:.1f} collections/decode"
-            )
-    finally:
-        gc.callbacks.remove(count)
+    for matrix in matrices:
+        seconds = median_seconds([matrix], resources, config, args.reps)
+        per_frame[matrix.num_frames] = 1e3 * seconds / matrix.num_frames
+        print(f"T={matrix.num_frames:5d}  {per_frame[matrix.num_frames]:.3f} ms/frame")
     first, last = FULL["lengths"][0], FULL["lengths"][-1]
     print(f"ratio T={last} / T={first}: {per_frame[last] / per_frame[first]:.2f}")
 
@@ -157,40 +138,36 @@ def word_table(work: Path, args: argparse.Namespace) -> None:
                 return lookup(word)
 
             resources.trie.unigram_weight = counted
-        # Every record reaches a sort through its key, and stays alive
-        # here, so its id counts it once however often it is sorted.
-        ranked = {}
-        merges = made = tied = 0
-        keyed = False
-        tie_key = decoder.DecoderSession._tie_key
+        records = merges = made = tied = 0
+        for matrix in matrices:
+            session = new_session(resources.vocab, config, lm=resources.lm, trie=resources.trie)
+            rank, tie_key = session._rank, session._tie_key
 
-        def keying(session, record):
-            nonlocal keyed
-            keyed = True
-            return tie_key(session, record)
+            def ranking(ranked, width):
+                nonlocal records
+                records += len(ranked)
+                return rank(ranked, width)
 
-        sessions = []
-        with mock.patch.object(
-            decoder, "_NEG_TOTAL", lambda record: ranked.setdefault(id(record), record)[0]
-        ), mock.patch.object(decoder.DecoderSession, "_tie_key", keying):
-            for matrix in matrices:
-                session = new_session(
-                    resources.vocab, config, lm=resources.lm, trie=resources.trie
-                )
-                for row in matrix.data:
-                    beam = {hyp.tokens for hyp in session.beams}
-                    merges += sum(tokens[:-1] in beam for tokens in beam if tokens)
-                    keyed = False
-                    session.push_frames(row[None])
-                    tied += keyed
-                    made += sum(hyp.tokens not in beam for hyp in session.beams)
-                sessions.append(session)
-        # Finalize ranks the beam too; its commits still count as lookups.
-        for session in sessions:
+            def keying(record):
+                nonlocal keyed
+                keyed = True
+                return tie_key(record)
+
+            session._rank, session._tie_key = ranking, keying
+            for row in matrix.data:
+                beam = {hyp.node for hyp in session.beams}
+                merges += sum(node.parent in beam for node in beam)
+                keyed = False
+                session.push_frames(row[None])
+                tied += keyed
+                made += sum(hyp.node not in beam for hyp in session.beams)
+            # Finalize's ranking is not the frame step's; its commits
+            # still count as lookups.
+            del session._rank, session._tie_key
             session.finalize()
         print(
             f"{mode:<9} {1e3 * seconds / frames:9.3f} {lookups / frames:14.1f}"
-            f" {len(ranked) / frames:14.1f} {merges / frames:13.1f} {made / frames:10.1f}"
+            f" {records / frames:14.1f} {merges / frames:13.1f} {made / frames:10.1f}"
             f" {tied / frames:11.3f}"
         )
 
